@@ -36,24 +36,20 @@ from .geometry import (
 from .linproc import (
     PowerAllocation,
     Precoder,
-    SinrReport,
     dl_allocation,
-    evaluate_sinr,
     gram_inverse,
-    mr_dl_sinr,
     mr_precoder,
-    mr_ul_sinr,
     ul_allocation,
-    zf_dl_sinr,
     zf_precoder,
-    zf_ul_sinr,
 )
 from .mcsim import SimResult, simulate_dl, simulate_ul
 from .powerctl import (
+    CrossGram,
     MaxminResult,
     PcSolution,
     PcSystem,
     build_pc_system,
+    cross_gram,
     maxmin_common_target,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,

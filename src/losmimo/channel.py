@@ -45,16 +45,6 @@ def fspl_db(freq_ghz: float, distance_m) -> float:
 class LinkBudget:
     rho_dl: float  # linear
     rho_ul: float  # linear
-    carrier_ghz: float
-    bandwidth_hz: float
-    bs_noise_figure_db: float
-    mobile_noise_figure_db: float
-    bs_power_w: float
-    mobile_power_w: float
-
-    @property
-    def wavelength(self) -> float:
-        return wavelength_m(self.carrier_ghz)
 
 
 def link_budget(
@@ -80,12 +70,6 @@ def link_budget(
     return LinkBudget(
         rho_dl=10.0 ** ((bs_dbm - dl_noise_dbm) / 10.0),
         rho_ul=10.0 ** ((mobile_dbm - ul_noise_dbm) / 10.0),
-        carrier_ghz=carrier_ghz,
-        bandwidth_hz=bandwidth_hz,
-        bs_noise_figure_db=bs_noise_figure_db,
-        mobile_noise_figure_db=mobile_noise_figure_db,
-        bs_power_w=bs_power_w,
-        mobile_power_w=mobile_power_w,
     )
 
 
@@ -133,17 +117,32 @@ def build_channel_set(
     drop: UserDrop,
     wavelength: float,
 ) -> ChannelSet:
-    """Fill the full L x L grid of channel matrices for one user drop."""
+    """Fill the full L x L grid of channel matrices for one user drop.
+
+    Each M x K block is `los_channel` for all K users at once, with the same
+    operations in the same order, so the entries are bit-identical to it.
+    """
     cells = layout.cell_count
     if len(arrays) != cells or drop.positions.shape[0] != cells:
         raise ConfigurationError("layout, arrays, and drop disagree on cell count")
     antennas = arrays[0].antenna_count
     users = drop.users_per_cell
+    amp = wavelength / (4.0 * np.pi)
     matrices = np.empty((cells, cells, antennas, users), dtype=np.complex128)
     for bs in range(cells):
+        ax, ay, az = (np.ascontiguousarray(col)[:, None] for col in arrays[bs].positions.T)
         for cell in range(cells):
-            for k in range(users):
-                matrices[bs, cell, :, k] = los_channel(drop.positions[cell, k], arrays[bs], wavelength)
+            ux, uy, uz = (col[None, :] for col in drop.positions[cell].T)
+            dx, dy, dz = ax - ux, ay - uy, az - uz
+            r = np.sqrt(dx * dx + dy * dy + dz * dz)
+            if np.any(r < 1e-9):
+                raise SingularGeometryError("user position coincides with an antenna position")
+            block = matrices[bs, cell]
+            np.multiply(2j * np.pi, r, out=block)
+            block /= wavelength
+            np.exp(block, out=block)
+            block *= amp
+            block /= r
     return ChannelSet(matrices=matrices, wavelength=wavelength)
 
 

@@ -4,6 +4,7 @@ Keys mirror the simulation-parameter table; `#` starts a comment. Parsing
 then re-serializing is idempotent.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigurationError
@@ -40,6 +41,9 @@ class ScenarioConfig:
         return [s.strip() for s in self.links.split(",") if s.strip()]
 
     def validate(self) -> None:
+        for f in fields(self):
+            if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
+                raise ConfigurationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = [
             "antennas_per_cell", "users_per_cell", "carrier_ghz", "bandwidth_hz",
             "bs_power_w", "mobile_power_w", "cell_radius_m", "drops",

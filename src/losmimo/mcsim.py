@@ -103,9 +103,9 @@ def simulate_dl(
     cells, users = channels.cell_count, channels.users_per_cell
 
     if scheme == MR:
-        precoders = [mr_precoder(channels.serving(l), alloc.eta[l], l) for l in range(cells)]
+        precoders = [mr_precoder(channels.serving(l), alloc.eta[l]) for l in range(cells)]
     elif scheme == ZF:
-        precoders = [zf_precoder(channels.serving(l), alloc.eta[l], l) for l in range(cells)]
+        precoders = [zf_precoder(channels.serving(l), alloc.eta[l]) for l in range(cells)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
 

@@ -5,6 +5,10 @@ Every scheme/link pair reduces to a KL x KL linear system
 vector is achievable iff the solution is elementwise nonnegative and each
 cell's power norm (1-norm downlink, inf-norm uplink) is at most 1.
 Stacking is cell-major: index j = l*K + k.
+
+All four systems of a drop come from one set of cross-Gram products and
+serving-Gram inverses (`cross_gram`), and every closed-form SINR is
+`PcSystem.sinr`: d * eta / (1 + C eta).
 """
 
 from dataclasses import dataclass, field
@@ -18,13 +22,45 @@ from .linproc import (
     UPLINK,
     ZF,
     PowerAllocation,
-    evaluate_sinr,
     gram_inverse,
 )
 
 RESIDUAL_TOL = 1e-8
 NEG_SLACK = 1e-12
 NORM_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class CrossGram:
+    """One drop's cross-Gram products and serving-Gram inverses.
+
+    z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
+    taken at base station l; z[l, l] is cell l's Gram matrix.
+    """
+
+    z: np.ndarray  # (L, L, K, K) complex
+    igram: np.ndarray | None  # (L, K, K) serving-Gram inverses, None if not inverted
+
+    @property
+    def inv_diag(self) -> np.ndarray:
+        """(L, K) real diagonals of the serving-Gram inverses."""
+        if self.igram is None:
+            raise ValueError("cross-Gram built without Gram inverses (invert=False)")
+        return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
+
+
+def cross_gram(channels: ChannelSet, invert: bool = True) -> CrossGram:
+    """Cross-Gram products, one serving cell at a time so the only transient
+    is that cell's conjugated M x K matrix; the guarded Gram inverses are
+    computed only if `invert` (ZF needs them, MR allows K > M)."""
+    cells, users = channels.cell_count, channels.users_per_cell
+    z = np.empty((cells, cells, users, users), dtype=np.complex128)
+    for l in range(cells):
+        np.matmul(channels.serving(l).conj().T, channels.matrices[l], out=z[l])
+    igram = None
+    if invert:
+        igram = np.stack([gram_inverse(channels.serving(l)) for l in range(cells)])
+    return CrossGram(z=z, igram=igram)
 
 
 @dataclass(frozen=True)
@@ -37,9 +73,11 @@ class PcSystem:
     cells: int
     users_per_cell: int
 
-    @property
-    def norm_kind(self) -> float:
-        return 1 if self.link == DOWNLINK else np.inf
+    def sinr(self, eta: np.ndarray) -> np.ndarray:
+        """Closed-form SINRs d * eta / (1 + C eta), in the shape of `eta`
+        ((L, K) or flat cell-major)."""
+        flat = np.ravel(eta)
+        return (self.d * flat / (1.0 + self.c @ flat)).reshape(np.shape(eta))
 
 
 @dataclass(frozen=True)
@@ -64,54 +102,43 @@ class MaxminResult:
     trace: list = field(default_factory=list)  # (probed target, feasible) pairs
 
 
-def build_pc_system(channels: ChannelSet, scheme: str, link: str, rho: float) -> PcSystem:
-    """Construct D and C for one of the four scheme/link pairs."""
-    cells = channels.cell_count
-    users = channels.users_per_cell
-    n = cells * users
-    c = np.zeros((n, n))
+def build_pc_system(
+    source: CrossGram | ChannelSet, scheme: str, link: str, rho: float
+) -> PcSystem:
+    """Construct D and C for one of the four scheme/link pairs.
 
+    `source` is a drop's `CrossGram`, or its channels to compute one from.
+    Uplink entries, row (l, k), column (lp, k'):
+      MR  d = ||g_lk||^2,           c = |z[l, lp][k, k']|^2 / ||g_lk||^2
+      ZF  d = 1 / [Gram_l^-1]_kk,   c = d_lk |(Gram_l^-1 z[l, lp])[k, k']|^2
+    with MR's self terms and ZF's whole diagonal blocks zero. The downlink
+    has the same D and the transposed C (uplink/downlink duality); both
+    are then scaled by the link's rho.
+    """
+    if isinstance(source, ChannelSet):
+        source = cross_gram(source, invert=scheme == ZF)
+    if link not in (DOWNLINK, UPLINK):
+        raise ValueError(f"unknown link {link!r}")
+    cells, _, users, _ = source.z.shape
+    own = np.arange(cells)
     if scheme == MR:
-        v = np.concatenate(
-            [np.linalg.norm(channels.serving(l), axis=0) ** 2 for l in range(cells)]
-        )
-        for l in range(cells):
-            rows = slice(l * users, (l + 1) * users)
-            for lp in range(cells):
-                cols = slice(lp * users, (lp + 1) * users)
-                if link == DOWNLINK:
-                    # entry: |<g (l,k)->BS lp, g (lp,k')->BS lp>|^2 / ||g (lp,k')||^2
-                    block = channels.matrices[lp, l].conj().T @ channels.matrices[lp, lp]
-                    if lp == l:
-                        np.fill_diagonal(block, 0.0)
-                    c[rows, cols] = np.abs(block) ** 2 / v[cols][None, :]
-                else:
-                    # entry: |<g (l,k)->BS l, g (lp,k')->BS l>|^2 / ||g (l,k)||^2
-                    block = channels.serving(l).conj().T @ channels.matrices[l, lp]
-                    if lp == l:
-                        np.fill_diagonal(block, 0.0)
-                    c[rows, cols] = np.abs(block) ** 2 / v[rows][:, None]
+        v = np.real(np.diagonal(source.z[own, own], axis1=1, axis2=2))
+        power = np.abs(source.z) ** 2
+        power[own[:, None], own[:, None], np.arange(users), np.arange(users)] = 0.0
+        c = power / v[:, None, :, None]
     elif scheme == ZF:
-        igrams = [gram_inverse(channels.serving(l)) for l in range(cells)]
-        v = np.concatenate([1.0 / np.real(np.diag(ig)) for ig in igrams])
-        for l in range(cells):
-            rows = slice(l * users, (l + 1) * users)
-            for lp in range(cells):
-                if lp == l:
-                    continue  # ZF diagonal blocks are exactly zero
-                cols = slice(lp * users, (lp + 1) * users)
-                if link == DOWNLINK:
-                    # |B_l^{lp}|^2 transposed, times the target cell's v
-                    b = igrams[lp] @ channels.matrices[lp, lp].conj().T @ channels.matrices[lp, l]
-                    c[rows, cols] = (np.abs(b).T ** 2) * v[cols][None, :]
-                else:
-                    b = igrams[l] @ channels.serving(l).conj().T @ channels.matrices[l, lp]
-                    c[rows, cols] = v[rows][:, None] * np.abs(b) ** 2
+        v = 1.0 / source.inv_diag
+        power = np.abs(source.igram[:, None] @ source.z) ** 2
+        power[own, own] = 0.0
+        c = v[:, None, :, None] * power
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-
+    n = cells * users
+    c = c.transpose(0, 2, 1, 3).reshape(n, n)
+    if link == DOWNLINK:
+        c = c.T
     return PcSystem(
-        d=rho * v, c=rho * c, scheme=scheme, link=link, rho=rho,
+        d=rho * v.ravel(), c=rho * c, scheme=scheme, link=link, rho=rho,
         cells=cells, users_per_cell=users,
     )
 
@@ -147,20 +174,16 @@ def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
     eta = np.clip(eta, 0.0, None)
     norms = _per_cell_norms(eta, system)
     ok = ok and bool(np.all(norms <= 1.0 + NORM_SLACK))
-    achieved = system.d * eta / (1.0 + system.c @ eta)
     return PcSolution(eta=eta, feasible=ok, reason=None if ok else "constraint",
-                      per_cell_norms=norms, achieved=achieved)
+                      per_cell_norms=norms, achieved=system.sinr(eta))
 
 
-def maxmin_common_target(
-    channels: ChannelSet, scheme: str, link: str, rho: float, rel_tol: float = 1e-6
-) -> MaxminResult:
-    """Largest feasible common SINR target by bisection.
+def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-6) -> MaxminResult:
+    """Largest feasible common SINR target of a built system, by bisection.
 
     Upper bound: the best interference-free SINR (max diagonal of D at full
     power), which no common target can exceed.
     """
-    system = build_pc_system(channels, scheme, link, rho)
     n = len(system.d)
     trace: list[tuple[float, bool]] = []
 
@@ -185,27 +208,17 @@ def maxmin_common_target(
     return MaxminResult(target=lo, solution=best, trace=trace)
 
 
-def single_cell_zf_maxmin_dl(serving: np.ndarray, rho_d: float) -> tuple[np.ndarray, float]:
-    """Single-cell ZF downlink max-min: eta_k proportional to the inverse
-    Gram diagonal, total power 1; every user gets the same SINR."""
-    d = np.real(np.diag(gram_inverse(serving)))
-    total = float(np.sum(d))
-    return d / total, rho_d / total
+def single_cell_zf_maxmin_dl(inv_diag: np.ndarray, rho_d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-cell ZF downlink max-min from the inverse-Gram diagonals
+    (..., K): eta_k proportional to them, total power 1 per cell; every user
+    of a cell gets the same SINR. Returns eta (..., K) and the SINRs (...)."""
+    total = np.sum(inv_diag, axis=-1, keepdims=True)
+    return inv_diag / total, rho_d / total[..., 0]
 
 
-def single_cell_zf_maxmin_ul(serving: np.ndarray, rho_u: float) -> tuple[np.ndarray, float]:
-    """Single-cell ZF uplink max-min: the worst user transmits at full
-    power; every user gets the same SINR."""
-    d = np.real(np.diag(gram_inverse(serving)))
-    peak = float(np.max(d))
-    return d / peak, rho_u / peak
-
-
-def evaluate_allocation(
-    channels: ChannelSet, system: PcSystem, solution: PcSolution
-) -> np.ndarray:
-    """Closed-form SINRs (flat, cell-major) for a solved allocation."""
-    report = evaluate_sinr(
-        channels, system.scheme, system.link, solution.allocation(system), system.rho
-    )
-    return report.values.ravel()
+def single_cell_zf_maxmin_ul(inv_diag: np.ndarray, rho_u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Single-cell ZF uplink max-min from the inverse-Gram diagonals
+    (..., K): the worst user of a cell transmits at full power; every user
+    of a cell gets the same SINR. Returns eta (..., K) and the SINRs (...)."""
+    peak = np.max(inv_diag, axis=-1, keepdims=True)
+    return inv_diag / peak, rho_u / peak[..., 0]

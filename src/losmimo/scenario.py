@@ -16,9 +16,15 @@ from .channel import ChannelSet, build_channel_set, link_budget, wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
-from .linproc import DOWNLINK, UPLINK, ZF, dl_allocation, ul_allocation, zf_dl_sinr, zf_ul_sinr
+from .linproc import DOWNLINK, UPLINK, ZF, dl_allocation, ul_allocation
 from .mcsim import simulate_dl, simulate_ul
-from .powerctl import maxmin_common_target, single_cell_zf_maxmin_dl, single_cell_zf_maxmin_ul
+from .powerctl import (
+    build_pc_system,
+    cross_gram,
+    maxmin_common_target,
+    single_cell_zf_maxmin_dl,
+    single_cell_zf_maxmin_ul,
+)
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +90,10 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     )
     rho = {DOWNLINK: budget.rho_dl, UPLINK: budget.rho_ul}
     combos = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
-    single_cell = cfg.single_cell_series and "ZF" in cfg.scheme_list()
+    with_zf = ZF in cfg.scheme_list()
+    single_cell = cfg.single_cell_series and with_zf
+    # the single-cell series are evaluated with both multi-cell ZF systems
+    pairs = list(dict.fromkeys(combos + ([(ZF, DOWNLINK), (ZF, UPLINK)] if single_cell else [])))
 
     seed_stream = np.random.default_rng(cfg.seed)
     table = CdfTable()
@@ -94,27 +103,17 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
         drop_seed = int(seed_stream.integers(2**63))
         try:
             channels = build_drop_channels(cfg, drop_seed)
-            drop_series: dict[str, np.ndarray] = {}
-            for scheme, link in combos:
-                result = maxmin_common_target(channels, scheme, link, rho[link])
-                drop_series[f"{scheme} {link}"] = _to_db(result.solution.achieved)
+            xg = cross_gram(channels, invert=with_zf)
+            systems = {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}
+            drop_series = {
+                f"{s} {li}": _to_db(maxmin_common_target(systems[s, li]).solution.achieved)
+                for s, li in combos
+            }
             if single_cell:
-                eta_dl = np.stack(
-                    [
-                        single_cell_zf_maxmin_dl(channels.serving(l), budget.rho_dl)[0]
-                        for l in range(cfg.cells)
-                    ]
-                )
-                eta_ul = np.stack(
-                    [
-                        single_cell_zf_maxmin_ul(channels.serving(l), budget.rho_ul)[0]
-                        for l in range(cfg.cells)
-                    ]
-                )
-                dl = zf_dl_sinr(channels, dl_allocation(eta_dl), budget.rho_dl)
-                ul = zf_ul_sinr(channels, ul_allocation(eta_ul), budget.rho_ul)
-                drop_series["ZF DL-1"] = _to_db(dl.values[CENTER_CELL])
-                drop_series["ZF UL-1"] = _to_db(ul.values[CENTER_CELL])
+                eta_dl = single_cell_zf_maxmin_dl(xg.inv_diag, budget.rho_dl)[0]
+                eta_ul = single_cell_zf_maxmin_ul(xg.inv_diag, budget.rho_ul)[0]
+                drop_series["ZF DL-1"] = _to_db(systems[ZF, DOWNLINK].sinr(eta_dl)[CENTER_CELL])
+                drop_series["ZF UL-1"] = _to_db(systems[ZF, UPLINK].sinr(eta_ul)[CENTER_CELL])
         except SingularChannelError:
             resampled += 1
             log.warning("rank-deficient drop re-sampled (%d so far)", resampled)
@@ -172,15 +171,14 @@ def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> Verif
     }
     rho = {DOWNLINK: budget.rho_dl, UPLINK: budget.rho_ul}
     sim = {DOWNLINK: simulate_dl, UPLINK: simulate_ul}
-
-    from .linproc import evaluate_sinr
+    xg = cross_gram(channels, invert=ZF in cfg.scheme_list())
 
     entries = []
     for scheme in cfg.scheme_list():
         for link in cfg.link_list():
-            closed = evaluate_sinr(channels, scheme, link, alloc[link], rho[link])
+            closed = build_pc_system(xg, scheme, link, rho[link]).sinr(alloc[link].eta)
             result = sim[link](channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
-            dev = float(np.max(np.abs(result.sinr - closed.values) / sigma))
+            dev = float(np.max(np.abs(result.sinr - closed) / sigma))
             entries.append(VerificationEntry(scheme=scheme, link=link, max_dev_sigma=dev))
     return VerificationReport(entries=entries, threshold=threshold, n_symbols=n_symbols)

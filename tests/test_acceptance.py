@@ -11,9 +11,10 @@ import pytest
 
 from losmimo import (
     ScenarioConfig,
+    build_pc_system,
     circular_array,
+    cross_gram,
     dl_allocation,
-    evaluate_sinr,
     fspl_db,
     link_budget,
     maxmin_common_target,
@@ -26,13 +27,11 @@ from losmimo import (
     solve_targets,
     ul_allocation,
     wavelength_m,
-    zf_dl_sinr,
     zf_precoder,
-    zf_ul_sinr,
 )
-from losmimo.powerctl import build_pc_system, evaluate_allocation
 
 from conftest import random_channel_set
+from reference_sinr import evaluate_allocation, evaluate_sinr
 
 ALL_SCHEMES = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
 
@@ -58,7 +57,7 @@ def test_criterion_1_monte_carlo_agreement():
             else:
                 alloc = ul_allocation(eta)
             rho = 10.0 ** rng.uniform(0.5, 1.5)
-            closed = evaluate_sinr(cs, scheme, link, alloc, rho).values
+            closed = build_pc_system(cs, scheme, link, rho).sinr(alloc.eta)
             result = sim(cs, scheme, alloc, rho, 100_000, seed=trial)
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
             worst = max(worst, float(np.max(np.abs(result.sinr - closed) / sigma)))
@@ -104,7 +103,8 @@ def test_criterion_3_zf_nulling():
 
 
 def test_criterion_4_power_control_round_trip():
-    """solve_targets reproduces feasible targets; defining identity holds."""
+    """solve_targets reproduces feasible targets; the reference formulas
+    (tests/reference_sinr.py) agree with PcSystem.sinr."""
     rng = np.random.default_rng(9)
     start = time.time()
     worst_rt = 0.0
@@ -124,7 +124,7 @@ def test_criterion_4_power_control_round_trip():
             worst_rt = max(worst_rt, float(np.max(np.abs(achieved - zeta) / zeta)))
             make = dl_allocation if link == "DL" else ul_allocation
             closed = evaluate_sinr(cs, scheme, link, make(eta), 15.0).values.ravel()
-            ident = system.d * flat / (1.0 + system.c @ flat)
+            ident = system.sinr(flat)
             worst_id = max(worst_id, float(np.max(np.abs(closed - ident) / ident)))
     elapsed = time.time() - start
     _report(4, worst_rt < 1e-8 and worst_id < 1e-10 and elapsed < 5.0,
@@ -139,17 +139,19 @@ def test_criterion_5_single_cell_zf_maxmin():
     detail = []
     for _ in range(5):
         cs = random_channel_set(rng, cells=1, users=4, antennas=16)
-        g = cs.serving(0)
-        eta_dl, sinr_dl = single_cell_zf_maxmin_dl(g, 12.0)
-        eta_ul, sinr_ul = single_cell_zf_maxmin_ul(g, 12.0)
+        inv_diag = cross_gram(cs).inv_diag[0]
+        eta_dl, sinr_dl = single_cell_zf_maxmin_dl(inv_diag, 12.0)
+        eta_ul, sinr_ul = single_cell_zf_maxmin_ul(inv_diag, 12.0)
         ok &= abs(np.sum(eta_dl) - 1.0) < 1e-14
         ok &= np.max(eta_ul) == 1.0
-        dl_vals = zf_dl_sinr(cs, dl_allocation(eta_dl[None, :]), 12.0).values[0]
-        ul_vals = zf_ul_sinr(cs, ul_allocation(eta_ul[None, :]), 12.0).values[0]
+        zf_dl = build_pc_system(cs, "ZF", "DL", 12.0)
+        zf_ul = build_pc_system(cs, "ZF", "UL", 12.0)
+        dl_vals = zf_dl.sinr(dl_allocation(eta_dl[None, :]).eta)[0]
+        ul_vals = zf_ul.sinr(ul_allocation(eta_ul[None, :]).eta)[0]
         ok &= np.max(np.abs(dl_vals - sinr_dl) / sinr_dl) < 1e-10
         ok &= np.max(np.abs(ul_vals - sinr_ul) / sinr_ul) < 1e-10
-        bis_dl = maxmin_common_target(cs, "ZF", "DL", 12.0).target
-        bis_ul = maxmin_common_target(cs, "ZF", "UL", 12.0).target
+        bis_dl = maxmin_common_target(zf_dl).target
+        bis_ul = maxmin_common_target(zf_ul).target
         detail.append(abs(bis_dl - sinr_dl) / sinr_dl)
         detail.append(abs(bis_ul - sinr_ul) / sinr_ul)
         ok &= detail[-2] < 1e-5 and detail[-1] < 1e-5

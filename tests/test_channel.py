@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,11 +94,11 @@ class TestLosChannel:
             los_channel(np.array([1.0, 2.0, 3.0]), array, 0.005)
 
 
-def _small_scene(seed=5):
+def _small_scene(seed=5, antennas=32, users=4):
     wl = wavelength_m(60.0)
     layout = hex_centers(7, 200.0)
-    arrays = [circular_array(32, wl, 30.0, c) for c in layout.centers]
-    drop = drop_users(layout, 4, 10.0, 1.5, seed=seed)
+    arrays = [circular_array(antennas, wl, 30.0, c) for c in layout.centers]
+    drop = drop_users(layout, users, 10.0, 1.5, seed=seed)
     return layout, arrays, drop, wl
 
 
@@ -108,6 +110,26 @@ class TestChannelSet:
         # column k of block (bs, cell) is the LoS vector of user (cell, k) at bs
         g = los_channel(drop.positions[2, 1], arrays[5], wl)
         assert np.array_equal(cs.matrices[5, 2][:, 1], g)
+
+    @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
+    def test_bit_identical_to_per_user_los_channel(self, antennas, users):
+        layout, arrays, drop, wl = _small_scene(antennas=antennas, users=users)
+        cs = build_channel_set(layout, arrays, drop, wl)
+        stacked = np.stack([
+            np.stack([
+                np.stack([los_channel(u, arrays[bs], wl) for u in drop.positions[cell]], axis=1)
+                for cell in range(7)
+            ])
+            for bs in range(7)
+        ])
+        assert np.array_equal(cs.matrices, stacked)
+
+    def test_user_on_antenna_raises(self):
+        layout, arrays, drop, wl = _small_scene()
+        positions = drop.positions.copy()
+        positions[3, 1] = arrays[5].positions[7]
+        with pytest.raises(SingularGeometryError):
+            build_channel_set(layout, arrays, dataclasses.replace(drop, positions=positions), wl)
 
     def test_deterministic(self):
         layout, arrays, drop, wl = _small_scene()

@@ -5,19 +5,22 @@ from losmimo import (
     ChannelSet,
     DegenerateChannelError,
     SingularChannelError,
+    build_pc_system,
     dl_allocation,
-    evaluate_sinr,
-    mr_dl_sinr,
     mr_precoder,
-    mr_ul_sinr,
+    simulate_dl,
+    simulate_ul,
     ul_allocation,
-    zf_dl_sinr,
     zf_precoder,
-    zf_ul_sinr,
 )
 from losmimo.linproc import PowerAllocation
 
 from conftest import random_channel_set
+
+
+def closed_sinr(cs, scheme, link, alloc, rho):
+    """The package's closed-form SINRs (L, K) of an allocation."""
+    return build_pc_system(cs, scheme, link, rho).sinr(alloc.eta)
 
 
 def _random_matrix(rng, antennas=16, users=4):
@@ -43,10 +46,10 @@ class TestAllocations:
         cs = random_channel_set(rng)
         ul = ul_allocation(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            mr_dl_sinr(cs, ul, 10.0)
+            simulate_dl(cs, "MR", ul, 10.0, 10, seed=1)
         dl = dl_allocation(np.full((2, 3), 0.2))
         with pytest.raises(ValueError):
-            zf_ul_sinr(cs, dl, 10.0)
+            simulate_ul(cs, "ZF", dl, 10.0, 10, seed=1)
 
 
 class TestPrecoders:
@@ -123,19 +126,19 @@ class TestClosedFormDegenerateCases:
         ul = ul_allocation(np.array([[0.6]]))
         expected_dl = rho * 0.8 * np.linalg.norm(g) ** 2
         expected_ul = rho * 0.6 * np.linalg.norm(g) ** 2
-        assert mr_dl_sinr(cs, dl, rho).values[0, 0] == pytest.approx(expected_dl, rel=1e-12)
-        assert zf_dl_sinr(cs, dl, rho).values[0, 0] == pytest.approx(expected_dl, rel=1e-12)
-        assert mr_ul_sinr(cs, ul, rho).values[0, 0] == pytest.approx(expected_ul, rel=1e-12)
-        assert zf_ul_sinr(cs, ul, rho).values[0, 0] == pytest.approx(expected_ul, rel=1e-12)
+        assert closed_sinr(cs, "MR", "DL", dl, rho)[0, 0] == pytest.approx(expected_dl, rel=1e-12)
+        assert closed_sinr(cs, "ZF", "DL", dl, rho)[0, 0] == pytest.approx(expected_dl, rel=1e-12)
+        assert closed_sinr(cs, "MR", "UL", ul, rho)[0, 0] == pytest.approx(expected_ul, rel=1e-12)
+        assert closed_sinr(cs, "ZF", "UL", ul, rho)[0, 0] == pytest.approx(expected_ul, rel=1e-12)
 
     def test_orthogonal_channels_no_intra_interference(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
         cs = ChannelSet(matrices=q[None, None], wavelength=0.005)
         rho = 30.0
         eta = rng.uniform(0.01, 0.25, (1, 4))
-        report = mr_dl_sinr(cs, dl_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "DL", dl_allocation(eta), rho)
         expected = rho * eta[0] * np.linalg.norm(q, axis=0) ** 2
-        assert np.allclose(report.values[0], expected, rtol=1e-10)
+        assert np.allclose(values[0], expected, rtol=1e-10)
 
     def test_mr_ul_single_active_user(self, rng):
         cs = random_channel_set(rng, cells=1, users=3)
@@ -143,9 +146,9 @@ class TestClosedFormDegenerateCases:
         eta[0, 1] = 1.0
         rho = 12.0
         g = cs.serving(0)[:, 1]
-        report = mr_ul_sinr(cs, ul_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "UL", ul_allocation(eta), rho)
         # only noise in the denominator for the active user
-        assert report.values[0, 1] == pytest.approx(rho * np.linalg.norm(g) ** 2, rel=1e-12)
+        assert values[0, 1] == pytest.approx(rho * np.linalg.norm(g) ** 2, rel=1e-12)
 
     def test_mr_zf_agree_for_orthogonal_single_cell(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
@@ -154,8 +157,9 @@ class TestClosedFormDegenerateCases:
         rho = 25.0
         dl = dl_allocation(rng.uniform(0.01, 0.25, (1, 4)))
         ul = ul_allocation(rng.uniform(0.1, 1.0, (1, 4)))
-        assert np.allclose(mr_dl_sinr(cs, dl, rho).values, zf_dl_sinr(cs, dl, rho).values, rtol=1e-10)
-        assert np.allclose(mr_ul_sinr(cs, ul, rho).values, zf_ul_sinr(cs, ul, rho).values, rtol=1e-10)
+        for link, alloc in (("DL", dl), ("UL", ul)):
+            mr = closed_sinr(cs, "MR", link, alloc, rho)
+            assert np.allclose(mr, closed_sinr(cs, "ZF", link, alloc, rho), rtol=1e-10)
 
 
 class TestClosedFormProperties:
@@ -165,10 +169,10 @@ class TestClosedFormProperties:
         rho = 10.0
         make = dl_allocation if link == "DL" else ul_allocation
         base = rng.uniform(0.05, 0.15, (2, 3)) if link == "DL" else rng.uniform(0.2, 0.5, (2, 3))
-        lo = evaluate_sinr(cs, scheme, link, make(base), rho).values
+        lo = closed_sinr(cs, scheme, link, make(base), rho)
         bumped = base.copy()
         bumped[1, 2] *= 1.5
-        hi = evaluate_sinr(cs, scheme, link, make(bumped), rho).values
+        hi = closed_sinr(cs, scheme, link, make(bumped), rho)
         mask = np.ones((2, 3), dtype=bool)
         mask[1, 2] = False
         assert np.all(hi[mask] <= lo[mask] + 1e-12)
@@ -182,8 +186,8 @@ class TestClosedFormProperties:
         rho = 40.0
         make = dl_allocation if link == "DL" else ul_allocation
         alloc = make(rng.uniform(0.05, 0.2, (2, 3)))
-        direct = evaluate_sinr(scaled, scheme, link, alloc, rho).values
-        equivalent = evaluate_sinr(cs, scheme, link, alloc, rho * c**2).values
+        direct = closed_sinr(scaled, scheme, link, alloc, rho)
+        equivalent = closed_sinr(cs, scheme, link, alloc, rho * c**2)
         assert np.allclose(direct, equivalent, rtol=1e-12)
 
     def test_mr_dl_brute_force_oracle(self, rng):
@@ -191,7 +195,7 @@ class TestClosedFormProperties:
         cs = random_channel_set(rng, cells=3, users=2, antennas=8)
         rho = 17.0
         eta = rng.uniform(0.05, 0.3, (3, 2))
-        report = mr_dl_sinr(cs, dl_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "DL", dl_allocation(eta), rho)
         for l in range(3):
             for k in range(2):
                 g_own = cs.matrices[l, l][:, k]
@@ -209,13 +213,13 @@ class TestClosedFormProperties:
                     for kp in range(2):
                         gp = cs.matrices[lp, lp][:, kp]
                         denom += rho * eta[lp, kp] * abs(g_cross.conj() @ gp) ** 2 / np.linalg.norm(gp) ** 2
-                assert report.values[l, k] == pytest.approx(sp / denom, rel=1e-12)
+                assert values[l, k] == pytest.approx(sp / denom, rel=1e-12)
 
     def test_mr_ul_brute_force_oracle(self, rng):
         cs = random_channel_set(rng, cells=3, users=2, antennas=8)
         rho = 9.0
         eta = rng.uniform(0.1, 1.0, (3, 2))
-        report = mr_ul_sinr(cs, ul_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "UL", ul_allocation(eta), rho)
         for l in range(3):
             for k in range(2):
                 g_own = cs.matrices[l, l][:, k]
@@ -227,13 +231,13 @@ class TestClosedFormProperties:
                             continue
                         acc += eta[lp, kp] * abs(g_own.conj() @ cs.matrices[l, lp][:, kp]) ** 2
                 expected = rho * eta[l, k] * n2 / (1 + rho / n2 * acc)
-                assert report.values[l, k] == pytest.approx(expected, rel=1e-12)
+                assert values[l, k] == pytest.approx(expected, rel=1e-12)
 
     def test_zf_ul_brute_force_oracle(self, rng):
         cs = random_channel_set(rng, cells=2, users=3, antennas=12)
         rho = 11.0
         eta = rng.uniform(0.1, 1.0, (2, 3))
-        report = zf_ul_sinr(cs, ul_allocation(eta), rho)
+        values = closed_sinr(cs, "ZF", "UL", ul_allocation(eta), rho)
         for l in range(2):
             g = cs.matrices[l, l]
             igram = np.linalg.inv(g.conj().T @ g)
@@ -246,13 +250,13 @@ class TestClosedFormProperties:
                     for kp in range(3):
                         op += abs(b[k, kp]) ** 2 * eta[lp, kp]
                 expected = rho * eta[l, k] / (np.real(igram[k, k]) + rho * op)
-                assert report.values[l, k] == pytest.approx(expected, rel=1e-12)
+                assert values[l, k] == pytest.approx(expected, rel=1e-12)
 
     def test_zf_dl_brute_force_oracle(self, rng):
         cs = random_channel_set(rng, cells=2, users=3, antennas=12)
         rho = 13.0
         eta = rng.uniform(0.05, 0.3, (2, 3))
-        report = zf_dl_sinr(cs, dl_allocation(eta), rho)
+        values = closed_sinr(cs, "ZF", "DL", dl_allocation(eta), rho)
         for l in range(2):
             g_own = cs.matrices[l, l]
             igram_own = np.linalg.inv(g_own.conj().T @ g_own)
@@ -267,4 +271,4 @@ class TestClosedFormProperties:
                     for kp in range(3):
                         op += abs(row[kp]) ** 2 / np.real(igram[kp, kp]) * eta[lp, kp]
                 expected = rho * eta[l, k] / ((1 + rho * op) * np.real(igram_own[k, k]))
-                assert report.values[l, k] == pytest.approx(expected, rel=1e-12)
+                assert values[l, k] == pytest.approx(expected, rel=1e-12)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from losmimo import (
+    build_pc_system,
     dl_allocation,
-    evaluate_sinr,
-    mr_dl_sinr,
     simulate_dl,
     simulate_ul,
     ul_allocation,
@@ -20,7 +19,7 @@ class TestDownlink:
         cs = random_channel_set(rng, cells=1, users=1)
         alloc = dl_allocation(np.array([[0.9]]))
         rho = 10.0
-        expected = mr_dl_sinr(cs, alloc, rho).values
+        expected = build_pc_system(cs, "MR", "DL", rho).sinr(alloc.eta)
         result = simulate_dl(cs, "MR", alloc, rho, N, seed=5)
         assert np.all(np.abs(result.sinr - expected) < 3 * result.sinr_stderr)
 
@@ -111,7 +110,7 @@ class TestOracleAgreement:
                 eta /= np.sum(eta, axis=1, keepdims=True) * 1.1
             rho = 10.0 ** rng.uniform(0.5, 1.5)
             alloc = make(eta)
-            closed = evaluate_sinr(cs, scheme, link, alloc, rho).values
+            closed = build_pc_system(cs, scheme, link, rho).sinr(alloc.eta)
             result = sim(cs, scheme, alloc, rho, N, seed=100 + trial)
             dev = np.abs(result.sinr - closed) / np.where(result.sinr_stderr > 0,
                                                          result.sinr_stderr, np.inf)

@@ -4,20 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from losmimo import (
+    ChannelSet,
     build_pc_system,
+    cross_gram,
     dl_allocation,
-    evaluate_sinr,
     maxmin_common_target,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
     solve_targets,
     ul_allocation,
-    zf_dl_sinr,
-    zf_ul_sinr,
 )
-from losmimo.powerctl import evaluate_allocation
 
 from conftest import random_channel_set
+from reference_sinr import evaluate_allocation, evaluate_sinr
 
 ALL_SCHEMES = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
 
@@ -27,6 +26,28 @@ def _admissible_eta(rng, cells, users, link):
         eta = rng.uniform(0.01, 1.0, (cells, users))
         return eta / (np.sum(eta, axis=1, keepdims=True) * rng.uniform(1.05, 2.0))
     return rng.uniform(0.05, 0.95, (cells, users))
+
+
+def _reference_system(cs, scheme, link, rho):
+    """(d, C) read back from the reference SINR formulas: with half power on
+    user j alone, SINR_j = d_j / 2; with half power on users i and j,
+    SINR_i = (d_i / 2) / (1 + C_ij / 2)."""
+    cells, users = cs.cell_count, cs.users_per_cell
+    n = cells * users
+    make = dl_allocation if link == "DL" else ul_allocation
+
+    def sinr(*active):
+        eta = np.zeros(n)
+        eta[list(active)] = 0.5
+        return evaluate_sinr(cs, scheme, link, make(eta.reshape(cells, users)), rho).values.ravel()
+
+    d = np.array([2.0 * sinr(j)[j] for j in range(n)])
+    c = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                c[i, j] = d[i] / sinr(i, j)[i] - 2.0
+    return d, c
 
 
 class TestSystemStructure:
@@ -40,8 +61,44 @@ class TestSystemStructure:
             make = dl_allocation if link == "DL" else ul_allocation
             closed = evaluate_sinr(cs, scheme, link, make(eta), 20.0).values.ravel()
             flat = eta.ravel()
-            ident = system.d * flat / (1.0 + system.c @ flat)
-            assert np.allclose(closed, ident, rtol=1e-10)
+            assert np.allclose(closed, system.d * flat / (1.0 + system.c @ flat), rtol=1e-10)
+            assert np.allclose(closed, system.sinr(flat), rtol=1e-10)
+
+    @pytest.mark.parametrize("scheme", ["MR", "ZF"])
+    def test_uplink_downlink_duality(self, rng, scheme):
+        # C_UL = C_DL^T and d_UL / rho_u = d_DL / rho_d: built by the package,
+        # and read back from the reference formulas
+        cs = random_channel_set(rng, cells=2, users=3, antennas=12)
+        rho_u, rho_d = 7.0, 20.0
+        ul, dl = build_pc_system(cs, scheme, "UL", rho_u), build_pc_system(cs, scheme, "DL", rho_d)
+        same_rho = build_pc_system(cs, scheme, "DL", rho_u)
+        assert np.array_equal(ul.c, same_rho.c.T) and np.array_equal(ul.d, same_rho.d)
+        ref_ul_d, ref_ul_c = _reference_system(cs, scheme, "UL", rho_u)
+        ref_dl_d, ref_dl_c = _reference_system(cs, scheme, "DL", rho_d)
+        scale = np.max(ul.c / rho_u)
+        assert np.allclose(ref_ul_c / rho_u, ref_dl_c.T / rho_d, rtol=1e-8, atol=1e-10 * scale)
+        assert np.allclose(ref_ul_d / rho_u, ref_dl_d / rho_d, rtol=1e-12)
+        for (d, c), system in (((ref_ul_d, ref_ul_c), ul), ((ref_dl_d, ref_dl_c), dl)):
+            assert np.allclose(d, system.d, rtol=1e-12)
+            assert np.allclose(c, system.c, rtol=1e-8, atol=1e-10 * scale * system.rho)
+
+    def test_channels_and_cross_gram_give_the_same_system(self, rng):
+        cs = random_channel_set(rng, cells=3, users=2, antennas=8)
+        xg = cross_gram(cs)
+        for l in range(3):
+            for lp in range(3):
+                assert np.allclose(xg.z[l, lp], cs.serving(l).conj().T @ cs.matrices[l, lp],
+                                   rtol=1e-13, atol=1e-15)
+        for scheme, link in ALL_SCHEMES:
+            a, b = build_pc_system(cs, scheme, link, 9.0), build_pc_system(xg, scheme, link, 9.0)
+            assert np.array_equal(a.d, b.d) and np.array_equal(a.c, b.c)
+
+    def test_zf_needs_gram_inverses(self, rng):
+        xg = cross_gram(random_channel_set(rng), invert=False)
+        assert xg.igram is None
+        build_pc_system(xg, "MR", "DL", 5.0)
+        with pytest.raises(ValueError):
+            build_pc_system(xg, "ZF", "DL", 5.0)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_c_nonnegative_and_d_positive(self, rng, scheme, link):
@@ -124,27 +181,27 @@ class TestMaxmin:
         cs = random_channel_set(rng, cells=1, users=1)
         rho = 8.0
         gain = np.linalg.norm(cs.serving(0)) ** 2
-        result = maxmin_common_target(cs, "MR", "DL", rho)
+        result = maxmin_common_target(build_pc_system(cs, "MR", "DL", rho))
         assert result.target == pytest.approx(rho * gain, rel=1e-5)
 
     def test_single_cell_zf_dl_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
-        _, closed = single_cell_zf_maxmin_dl(cs.serving(0), rho)
-        result = maxmin_common_target(cs, "ZF", "DL", rho)
+        _, closed = single_cell_zf_maxmin_dl(cross_gram(cs).inv_diag[0], rho)
+        result = maxmin_common_target(build_pc_system(cs, "ZF", "DL", rho))
         assert result.target == pytest.approx(closed, rel=1e-5)
 
     def test_single_cell_zf_ul_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
-        _, closed = single_cell_zf_maxmin_ul(cs.serving(0), rho)
-        result = maxmin_common_target(cs, "ZF", "UL", rho)
+        _, closed = single_cell_zf_maxmin_ul(cross_gram(cs).inv_diag[0], rho)
+        result = maxmin_common_target(build_pc_system(cs, "ZF", "UL", rho))
         assert result.target == pytest.approx(closed, rel=1e-5)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_bisection_trace_monotone(self, rng, scheme, link):
         cs = random_channel_set(rng, cells=2, users=3)
-        result = maxmin_common_target(cs, scheme, link, 10.0)
+        result = maxmin_common_target(build_pc_system(cs, scheme, link, 10.0))
         feasible = [z for z, ok in result.trace if ok]
         infeasible = [z for z, ok in result.trace if not ok]
         if feasible and infeasible:
@@ -156,31 +213,29 @@ class TestMaxmin:
 class TestSingleCellClosedForms:
     def test_dl_normalization_and_equal_sinr(self, rng):
         for _ in range(10):
-            g = random_channel_set(rng, cells=1, users=4, antennas=16).serving(0)
+            cs = random_channel_set(rng, cells=1, users=4, antennas=16)
+            g = cs.serving(0)
             rho = 12.0
-            eta, sinr = single_cell_zf_maxmin_dl(g, rho)
+            eta, sinr = single_cell_zf_maxmin_dl(cross_gram(cs).inv_diag[0], rho)
             assert np.sum(eta) == pytest.approx(1.0, abs=1e-14)
             igram = np.linalg.inv(g.conj().T @ g)
             assert sinr == pytest.approx(rho / np.sum(np.real(np.diag(igram))), rel=1e-12)
-            from losmimo import ChannelSet
-            cs = ChannelSet(matrices=g[None, None], wavelength=0.005)
-            report = zf_dl_sinr(cs, dl_allocation(eta[None, :]), rho)
-            assert np.allclose(report.values[0], sinr, rtol=1e-10)
+            values = build_pc_system(cs, "ZF", "DL", rho).sinr(dl_allocation(eta[None, :]).eta)
+            assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_ul_normalization_and_equal_sinr(self, rng):
-        from losmimo import ChannelSet
         for _ in range(10):
-            g = random_channel_set(rng, cells=1, users=4, antennas=16).serving(0)
+            cs = random_channel_set(rng, cells=1, users=4, antennas=16)
             rho = 12.0
-            eta, sinr = single_cell_zf_maxmin_ul(g, rho)
+            eta, sinr = single_cell_zf_maxmin_ul(cross_gram(cs).inv_diag[0], rho)
             assert np.max(eta) == 1.0  # worst user at full power, exactly
-            cs = ChannelSet(matrices=g[None, None], wavelength=0.005)
-            report = zf_ul_sinr(cs, ul_allocation(eta[None, :]), rho)
-            assert np.allclose(report.values[0], sinr, rtol=1e-10)
+            values = build_pc_system(cs, "ZF", "UL", rho).sinr(ul_allocation(eta[None, :]).eta)
+            assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_symmetric_channels_give_uniform_power(self, rng):
         q, _ = np.linalg.qr((rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))))
-        eta_dl, _ = single_cell_zf_maxmin_dl(q, 10.0)
-        eta_ul, _ = single_cell_zf_maxmin_ul(q, 10.0)
+        inv_diag = cross_gram(ChannelSet(matrices=q[None, None], wavelength=0.005)).inv_diag[0]
+        eta_dl, _ = single_cell_zf_maxmin_dl(inv_diag, 10.0)
+        eta_ul, _ = single_cell_zf_maxmin_ul(inv_diag, 10.0)
         assert np.allclose(eta_dl, 0.25, rtol=1e-10)
         assert np.allclose(eta_ul, 1.0, rtol=1e-10)

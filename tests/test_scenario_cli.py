@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from losmimo import (
     ConfigurationError,
     ScenarioConfig,
     load_channel_set,
+    load_config,
     parse_config,
     run_scenario,
     serialize_config,
@@ -15,6 +17,7 @@ from losmimo import (
 from losmimo.cli import main
 from losmimo.scenario import build_drop_channels
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIX_SERIES = ["MR DL", "MR UL", "ZF DL", "ZF UL", "ZF DL-1", "ZF UL-1"]
 
 
@@ -58,7 +61,7 @@ class TestConfig:
 
 class TestRunScenario:
     def test_degenerate_single_user_cdf(self):
-        from losmimo import link_budget, maxmin_common_target
+        from losmimo import build_pc_system, link_budget, maxmin_common_target
         cfg = tiny_config(cells=1, users_per_cell=1, drops=1, schemes="MR", links="DL",
                           single_cell_series=False)
         table, summary = run_scenario(cfg)
@@ -70,7 +73,7 @@ class TestRunScenario:
                              cfg.mobile_noise_figure_db)
         drop_seed = int(np.random.default_rng(cfg.seed).integers(2**63))
         channels = build_drop_channels(cfg, drop_seed)
-        result = maxmin_common_target(channels, "MR", "DL", budget.rho_dl)
+        result = maxmin_common_target(build_pc_system(channels, "MR", "DL", budget.rho_dl))
         assert table.series["MR DL"][0] == pytest.approx(10 * np.log10(result.target), abs=1e-6)
 
     def test_all_six_series(self):
@@ -83,6 +86,16 @@ class TestRunScenario:
         for name in SIX_SERIES[4:]:
             assert len(table.series[name]) == cfg.drops * cfg.users_per_cell
         assert summary["resampled"] == 0
+
+    def test_mr_only_allows_more_users_than_antennas(self):
+        # MR needs no Gram inverse, so K > M is valid without ZF and is never re-sampled
+        cfg = tiny_config(antennas_per_cell=2, users_per_cell=3, schemes="MR")
+        table, summary = run_scenario(cfg)
+        assert summary["resampled"] == 0
+        assert sorted(table.series) == ["MR DL", "MR UL"]
+        for vals in table.series.values():
+            assert len(vals) == cfg.drops * cfg.cells * cfg.users_per_cell
+            assert np.all(np.isfinite(vals))
 
     def test_maxmin_series_degenerate_per_drop(self):
         cfg = tiny_config(drops=3)
@@ -119,6 +132,11 @@ class TestVerify:
         report = verify(cfg, n_symbols=50_000)
         assert len(report.entries) == 4
         assert report.passed
+
+    def test_shipped_small_config_passes(self):
+        cfg = load_config(SCENARIOS / "verify_small.cfg")
+        assert (cfg.cells, cfg.antennas_per_cell, cfg.users_per_cell, cfg.seed) == (1, 8, 2, 3)
+        assert verify(cfg, n_symbols=20_000).passed
 
     def test_rejects_single_symbol(self):
         cfg = tiny_config(cells=1)
@@ -163,6 +181,16 @@ class TestCli:
         cfg_path.write_text("cells = 5\n")
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["carrier_ghz = nan", "cell_radius_m = nan",
+                                      "bandwidth_hz = inf"])
+    def test_non_finite_value_exit_code(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(serialize_config(tiny_config(drops=1)) + line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "error: " + line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_ok_and_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
