@@ -42,7 +42,7 @@ from .linproc import (
     ul_allocation,
     zf_precoder,
 )
-from .mcsim import SimResult, simulate_dl, simulate_ul
+from .mcsim import SimResult, simulate
 from .powerctl import (
     CrossGram,
     MaxminResult,

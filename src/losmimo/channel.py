@@ -67,10 +67,18 @@ def link_budget(
     ul_noise_dbm = -174.0 + 10.0 * np.log10(bandwidth_hz) + bs_noise_figure_db
     bs_dbm = 10.0 * np.log10(bs_power_w * 1e3)
     mobile_dbm = 10.0 * np.log10(mobile_power_w * 1e3)
-    return LinkBudget(
-        rho_dl=10.0 ** ((bs_dbm - dl_noise_dbm) / 10.0),
-        rho_ul=10.0 ** ((mobile_dbm - ul_noise_dbm) / 10.0),
-    )
+    # an extreme power or noise figure overflows to inf or underflows to 0,
+    # which is rejected below rather than warned about
+    with np.errstate(over="ignore", under="ignore"):
+        rho_dl = 10.0 ** ((bs_dbm - dl_noise_dbm) / 10.0)
+        rho_ul = 10.0 ** ((mobile_dbm - ul_noise_dbm) / 10.0)
+    for name, rho, keys in (
+        ("rho_dl", rho_dl, "bs_power_w, bandwidth_hz and mobile_noise_figure_db"),
+        ("rho_ul", rho_ul, "mobile_power_w, bandwidth_hz and bs_noise_figure_db"),
+    ):
+        if not 0.0 < rho < np.inf:
+            raise ConfigurationError(f"{keys} give {name} = {rho}, not finite and positive")
+    return LinkBudget(rho_dl=rho_dl, rho_ul=rho_ul)
 
 
 def los_channel(user_position: np.ndarray, array: ArrayGeometry, wavelength: float) -> np.ndarray:

@@ -15,7 +15,7 @@ import sys
 from .channel import dump_channel_set
 from .config import ScenarioConfig, load_config
 from .errors import LosMimoError
-from .scenario import build_drop_channels, run_scenario, verify
+from .scenario import RECON_TOL, build_drop_channels, run_scenario, verify
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,11 +69,13 @@ def main(argv=None) -> int:
         if args.command == "verify":
             report = verify(cfg, args.symbols)
             for entry in report.entries:
-                status = "ok" if entry.max_dev_sigma < report.threshold else "FAIL"
+                status = "ok" if entry.passed(report.threshold) else "FAIL"
                 print(f"{entry.scheme} {entry.link}: max deviation "
-                      f"{entry.max_dev_sigma:.2f} sigma [{status}]")
+                      f"{entry.max_dev_sigma:.2f} sigma, reconstruction residual "
+                      f"{entry.recon_residual:.1e} [{status}]")
             if not report.passed:
-                print(f"verification failed (threshold {report.threshold} sigma)")
+                print(f"verification failed (threshold {report.threshold} sigma, "
+                      f"residual {RECON_TOL:.0e})")
                 return 2
             print("all checks passed")
             return 0

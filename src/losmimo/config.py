@@ -7,7 +7,9 @@ then re-serializing is idempotent.
 import math
 from dataclasses import dataclass, fields
 
+from .channel import link_budget
 from .errors import ConfigurationError
+from .linproc import DOWNLINK, UPLINK
 
 _SCHEMES = ("MR", "ZF")
 _LINKS = ("DL", "UL")
@@ -40,6 +42,14 @@ class ScenarioConfig:
     def link_list(self) -> list[str]:
         return [s.strip() for s in self.links.split(",") if s.strip()]
 
+    def rho(self) -> dict[str, float]:
+        """Normalized SNR of each link from the link budget: {DL: rho_dl, UL: rho_ul}."""
+        budget = link_budget(
+            self.carrier_ghz, self.bandwidth_hz, self.bs_power_w, self.mobile_power_w,
+            self.bs_noise_figure_db, self.mobile_noise_figure_db,
+        )
+        return {DOWNLINK: budget.rho_dl, UPLINK: budget.rho_ul}
+
     def validate(self) -> None:
         for f in fields(self):
             if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
@@ -55,16 +65,22 @@ class ScenarioConfig:
             raise ConfigurationError(f"cells must be 1 or 7, got {self.cells}")
         if self.min_bs_distance_m < 0 or self.min_bs_distance_m >= self.cell_radius_m:
             raise ConfigurationError("min_bs_distance_m must be in [0, cell_radius_m)")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         for s in self.scheme_list():
             if s not in _SCHEMES:
                 raise ConfigurationError(f"unknown scheme {s!r}")
         for s in self.link_list():
             if s not in _LINKS:
                 raise ConfigurationError(f"unknown link {s!r}")
+        for key, names in (("schemes", self.scheme_list()), ("links", self.link_list())):
+            if len(set(names)) < len(names):
+                raise ConfigurationError(f"{key} lists an entry twice: {getattr(self, key)!r}")
         if not self.scheme_list() or not self.link_list():
             raise ConfigurationError("at least one scheme and one link required")
         if "ZF" in self.scheme_list() and self.users_per_cell > self.antennas_per_cell:
             raise ConfigurationError("ZF requires users_per_cell <= antennas_per_cell")
+        self.rho()  # the link budget rejects an SNR that is not finite and positive
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

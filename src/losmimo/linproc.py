@@ -19,22 +19,28 @@ MR = "MR"
 ZF = "ZF"
 
 
+def per_cell_norms(eta: np.ndarray, link: str) -> np.ndarray:
+    """Per-cell power norms of (L, K) coefficients: the 1-norm on the
+    downlink (total per-cell power), the inf-norm on the uplink (per-user
+    power)."""
+    if link == DOWNLINK:
+        return np.sum(eta, axis=1)
+    return np.max(eta, axis=1) if eta.size else np.zeros(len(eta))
+
+
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-cell power-control coefficients.
-
-    Downlink uses a total per-cell constraint (1-norm <= 1), uplink an
-    individual per-user constraint (inf-norm <= 1).
-    """
+    """Per-cell power-control coefficients of one link, each cell's
+    `per_cell_norms` at most 1."""
 
     eta: np.ndarray  # (L, K), nonnegative
-    kind: str  # "total" (DL) or "individual" (UL)
+    link: str  # DOWNLINK or UPLINK
 
     def __post_init__(self):
         eta = np.asarray(self.eta, dtype=float)
         object.__setattr__(self, "eta", eta)
-        if self.kind not in ("total", "individual"):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        if self.link not in (DOWNLINK, UPLINK):
+            raise ValueError(f"unknown link {self.link!r}")
         if np.any(eta < 0):
             raise ValueError("power coefficients must be nonnegative")
         norms = self.per_cell_norms()
@@ -42,17 +48,15 @@ class PowerAllocation:
             raise ValueError(f"per-cell power constraint violated: norms {norms}")
 
     def per_cell_norms(self) -> np.ndarray:
-        if self.kind == "total":
-            return np.sum(self.eta, axis=1)
-        return np.max(self.eta, axis=1) if self.eta.size else np.zeros(len(self.eta))
+        return per_cell_norms(self.eta, self.link)
 
 
 def dl_allocation(eta: np.ndarray) -> PowerAllocation:
-    return PowerAllocation(eta=np.atleast_2d(eta), kind="total")
+    return PowerAllocation(eta=np.atleast_2d(eta), link=DOWNLINK)
 
 
 def ul_allocation(eta: np.ndarray) -> PowerAllocation:
-    return PowerAllocation(eta=np.atleast_2d(eta), kind="individual")
+    return PowerAllocation(eta=np.atleast_2d(eta), link=UPLINK)
 
 
 @dataclass(frozen=True)
@@ -90,9 +94,3 @@ def zf_precoder(serving: np.ndarray, eta: np.ndarray) -> Precoder:
     scale = np.sqrt(np.asarray(eta, dtype=float) / d)
     matrix = (serving.conj() @ igram.conj()) * scale[None, :]
     return Precoder(matrix=matrix, scheme=ZF)
-
-
-def _check_kind(alloc: PowerAllocation, link: str) -> None:
-    want = "total" if link == DOWNLINK else "individual"
-    if alloc.kind != want:
-        raise ValueError(f"{link} needs a {want!r} allocation, got {alloc.kind!r}")

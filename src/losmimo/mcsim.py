@@ -1,10 +1,10 @@
 """Symbol-level Monte Carlo oracle for the closed-form SINRs.
 
-Simulates the actual transmission equations with i.i.d. circularly-symmetric
-unit-variance Gaussian symbols and noise. The desired-signal coefficient of
-every user is deterministic and known, so the empirical SINR is
-|coefficient|^2 divided by the sample variance of the residual
-(received minus desired term) -- no blind estimation bias.
+Simulates the actual transmission equations of either link with i.i.d.
+circularly-symmetric unit-variance Gaussian symbols and noise. The
+desired-signal coefficient of every user is deterministic and known, so the
+empirical SINR is |coefficient|^2 divided by the sample variance of the
+residual (received minus desired term) -- no blind estimation bias.
 
 Second moments are accumulated in fixed-size chunks, so memory stays
 O(L*K) regardless of the symbol count, and results depend only on the seed.
@@ -15,17 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linproc import (
-    DOWNLINK,
-    MR,
-    UPLINK,
-    ZF,
-    PowerAllocation,
-    _check_kind,
-    gram_inverse,
-    mr_precoder,
-    zf_precoder,
-)
+from .linproc import DOWNLINK, MR, ZF, PowerAllocation, gram_inverse, mr_precoder, zf_precoder
 
 _CHUNK_BUDGET = 1 << 22  # complex entries per chunk of the largest array
 
@@ -88,156 +78,95 @@ def _chunks(n_symbols: int, largest_dim: int):
         done += chunk
 
 
-def simulate_dl(
+def simulate(
     channels: ChannelSet,
     scheme: str,
     alloc: PowerAllocation,
-    rho_d: float,
+    rho: float,
     n_symbols: int,
     seed: int,
 ) -> SimResult:
-    """Simulate the downlink transmission equation and measure per-user SINR."""
-    _check_kind(alloc, DOWNLINK)
+    """Simulate the transmission equation of the allocation's link and
+    measure per-user SINR; `rho` is that link's normalized SNR.
+
+    Downlink: cell l transmits P_l s_l with its MR or ZF precoder P_l, and
+    each user receives every cell's signal plus unit noise. Uplink: each user
+    transmits sqrt(eta) s, and base station l decodes its antennas' signals
+    plus unit noise with A_l (G^H for MR, Gram^-1 G^H for ZF).
+    """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
-    cells, users = channels.cell_count, channels.users_per_cell
-
-    if scheme == MR:
-        precoders = [mr_precoder(channels.serving(l), alloc.eta[l]) for l in range(cells)]
-    elif scheme == ZF:
-        precoders = [zf_precoder(channels.serving(l), alloc.eta[l]) for l in range(cells)]
-    else:
+    if scheme not in (MR, ZF):
         raise ValueError(f"unknown scheme {scheme!r}")
+    cells, users = channels.cell_count, channels.users_per_cell
+    root_rho = np.sqrt(rho)
 
     # eff[l][lp] maps cell-lp symbols to cell-l users' received samples.
-    root_rho = np.sqrt(rho_d)
-    eff = [
-        [root_rho * channels.matrices[lp, l].T @ precoders[lp].matrix for lp in range(cells)]
-        for l in range(cells)
-    ]
-    coef = np.stack([np.real(np.diag(eff[l][l])) for l in range(cells)])  # (L, K)
-
-    residual = _Moments((cells, users))
-    sig = _Moments((cells, users))
-    intf = _Moments((cells, users))
-    noise = _Moments((cells, users))
-    total = _Moments((cells, users))
-    tx = _Moments((cells,))
-    recon_num = 0.0
-    recon_den = 0.0
-
-    rng = np.random.default_rng(seed)
-    for nc in _chunks(n_symbols, channels.antenna_count * cells):
-        symbols = _complex_normal(rng, (cells, users, nc))
-        w = _complex_normal(rng, (cells, users, nc))
-        tx.add(
-            np.stack(
-                [
-                    np.sum(np.abs(precoders[l].matrix @ symbols[l]) ** 2, axis=0)
-                    for l in range(cells)
-                ]
-            )
-        )
-        for l in range(cells):
-            noisefree = sum(eff[l][lp] @ symbols[lp] for lp in range(cells))
-            desired = coef[l][:, None] * symbols[l]
-            interference = noisefree - desired
-            received = noisefree + w[l]
-            res = received - desired
-            residual.add(np.abs(res) ** 2, row=l)
-            sig.add(np.abs(desired) ** 2, row=l)
-            intf.add(np.abs(interference) ** 2, row=l)
-            noise.add(np.abs(w[l]) ** 2, row=l)
-            total.add(np.abs(received) ** 2, row=l)
-            diff = desired + interference + w[l] - received
-            recon_num += float(np.sum(np.abs(diff) ** 2))
-            recon_den += float(np.sum(np.abs(received) ** 2))
-        for m in (residual, sig, intf, noise, total):
-            m.bump(nc)
-
-    return _finalize(
-        coef, residual, sig, intf, noise, total, tx,
-        recon_num, recon_den, n_symbols, seed, scheme, DOWNLINK,
-    )
-
-
-def simulate_ul(
-    channels: ChannelSet,
-    scheme: str,
-    alloc: PowerAllocation,
-    rho_u: float,
-    n_symbols: int,
-    seed: int,
-) -> SimResult:
-    """Simulate the uplink transmission equation, decode, and measure SINR."""
-    _check_kind(alloc, UPLINK)
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
-    cells, users = channels.cell_count, channels.users_per_cell
-
-    if scheme == MR:
-        decoders = [channels.serving(l).conj().T for l in range(cells)]
-    elif scheme == ZF:
-        decoders = [
-            gram_inverse(channels.serving(l)) @ channels.serving(l).conj().T
+    # decoders[l] maps base station l's antenna noise to them; on the
+    # downlink (None) the users' noise is received as drawn.
+    if alloc.link == DOWNLINK:
+        precode = mr_precoder if scheme == MR else zf_precoder
+        precoders = [precode(channels.serving(l), alloc.eta[l]).matrix for l in range(cells)]
+        eff = [
+            [root_rho * channels.matrices[lp, l].T @ precoders[lp] for lp in range(cells)]
             for l in range(cells)
         ]
+        decoders = None
+        noise_dim = users
+        tx = _Moments((cells,))
+
+        def transmitted(symbols):  # ||P_l s_l||^2 per cell
+            return np.stack(
+                [np.sum(np.abs(precoders[l] @ symbols[l]) ** 2, axis=0) for l in range(cells)]
+            )
     else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    root_eta = np.sqrt(alloc.eta)  # (L, K), applied at the transmitters
-    root_rho = np.sqrt(rho_u)
-    eff = [
-        [
-            root_rho * (decoders[l] @ channels.matrices[l, lp]) * root_eta[lp][None, :]
-            for lp in range(cells)
+        serving = [channels.serving(l) for l in range(cells)]
+        if scheme == MR:
+            decoders = [g.conj().T for g in serving]
+        else:
+            decoders = [gram_inverse(g) @ g.conj().T for g in serving]
+        root_eta = np.sqrt(alloc.eta)  # (L, K), applied at the transmitters
+        eff = [
+            [
+                root_rho * (decoders[l] @ channels.matrices[l, lp]) * root_eta[lp][None, :]
+                for lp in range(cells)
+            ]
+            for l in range(cells)
         ]
-        for l in range(cells)
-    ]
-    coef = np.stack([np.real(np.diag(eff[l][l])) for l in range(cells)])
+        noise_dim = channels.antenna_count
+        tx = _Moments((cells, users))
 
-    residual = _Moments((cells, users))
-    sig = _Moments((cells, users))
-    intf = _Moments((cells, users))
-    noise = _Moments((cells, users))
-    total = _Moments((cells, users))
-    tx = _Moments((cells, users))
+        def transmitted(symbols):  # |sqrt(eta) s|^2 per user
+            return np.abs(root_eta[:, :, None] * symbols) ** 2
+
+    coef = np.stack([np.real(np.diag(eff[l][l])) for l in range(cells)])  # (L, K)
+    residual, sig, intf, noise, total = (_Moments((cells, users)) for _ in range(5))
     recon_num = 0.0
     recon_den = 0.0
 
     rng = np.random.default_rng(seed)
     for nc in _chunks(n_symbols, channels.antenna_count * cells):
         symbols = _complex_normal(rng, (cells, users, nc))
-        w = _complex_normal(rng, (cells, channels.antenna_count, nc))
-        tx.add(np.abs(root_eta[:, :, None] * symbols) ** 2)
+        w = _complex_normal(rng, (cells, noise_dim, nc))
+        tx.add(transmitted(symbols))
         for l in range(cells):
             noisefree = sum(eff[l][lp] @ symbols[lp] for lp in range(cells))
             desired = coef[l][:, None] * symbols[l]
             interference = noisefree - desired
-            decoded_noise = decoders[l] @ w[l]
-            received = noisefree + decoded_noise
+            received_noise = w[l] if decoders is None else decoders[l] @ w[l]
+            received = noisefree + received_noise
             res = received - desired
             residual.add(np.abs(res) ** 2, row=l)
             sig.add(np.abs(desired) ** 2, row=l)
             intf.add(np.abs(interference) ** 2, row=l)
-            noise.add(np.abs(decoded_noise) ** 2, row=l)
+            noise.add(np.abs(received_noise) ** 2, row=l)
             total.add(np.abs(received) ** 2, row=l)
-            diff = desired + interference + decoded_noise - received
+            diff = desired + interference + received_noise - received
             recon_num += float(np.sum(np.abs(diff) ** 2))
             recon_den += float(np.sum(np.abs(received) ** 2))
         for m in (residual, sig, intf, noise, total):
             m.bump(nc)
 
-    return _finalize(
-        coef, residual, sig, intf, noise, total, tx,
-        recon_num, recon_den, n_symbols, seed, scheme, UPLINK,
-    )
-
-
-def _finalize(
-    coef, residual, sig, intf, noise, total, tx,
-    recon_num, recon_den, n_symbols, seed, scheme, link,
-) -> SimResult:
     p_in = residual.mean()
     power = coef**2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -256,5 +185,5 @@ def _finalize(
         n_symbols=n_symbols,
         seed=int(seed),
         scheme=scheme,
-        link=link,
+        link=alloc.link,
     )

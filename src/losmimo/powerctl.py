@@ -23,6 +23,7 @@ from .linproc import (
     ZF,
     PowerAllocation,
     gram_inverse,
+    per_cell_norms,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -89,9 +90,8 @@ class PcSolution:
     achieved: np.ndarray  # (KL,) D eta / (1 + C eta)
 
     def allocation(self, system: PcSystem) -> PowerAllocation:
-        kind = "total" if system.link == DOWNLINK else "individual"
         return PowerAllocation(
-            eta=self.eta.reshape(system.cells, system.users_per_cell), kind=kind
+            eta=self.eta.reshape(system.cells, system.users_per_cell), link=system.link
         )
 
 
@@ -143,13 +143,6 @@ def build_pc_system(
     )
 
 
-def _per_cell_norms(eta: np.ndarray, system: PcSystem) -> np.ndarray:
-    per_cell = eta.reshape(system.cells, system.users_per_cell)
-    if system.link == DOWNLINK:
-        return np.sum(per_cell, axis=1)
-    return np.max(per_cell, axis=1)
-
-
 def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
     """Solve (D - diag(zeta) C) eta = zeta and check admissibility."""
     zeta = np.asarray(targets, dtype=float).ravel()
@@ -162,17 +155,17 @@ def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
     except np.linalg.LinAlgError:
         eta = np.zeros(n)
         return PcSolution(eta=eta, feasible=False, reason="singular",
-                          per_cell_norms=_per_cell_norms(eta, system),
+                          per_cell_norms=np.zeros(system.cells),
                           achieved=np.zeros(n))
     residual = np.linalg.norm(a @ eta - zeta) / max(np.linalg.norm(zeta), 1.0)
     if not np.all(np.isfinite(eta)) or residual > RESIDUAL_TOL:
         eta = np.zeros(n)
         return PcSolution(eta=eta, feasible=False, reason="singular",
-                          per_cell_norms=_per_cell_norms(eta, system),
+                          per_cell_norms=np.zeros(system.cells),
                           achieved=np.zeros(n))
     ok = bool(np.min(eta) >= -NEG_SLACK)
     eta = np.clip(eta, 0.0, None)
-    norms = _per_cell_norms(eta, system)
+    norms = per_cell_norms(eta.reshape(system.cells, system.users_per_cell), system.link)
     ok = ok and bool(np.all(norms <= 1.0 + NORM_SLACK))
     return PcSolution(eta=eta, feasible=ok, reason=None if ok else "constraint",
                       per_cell_norms=norms, achieved=system.sinr(eta))

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, build_channel_set, link_budget, wavelength_m
+from .channel import ChannelSet, build_channel_set, wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
 from .linproc import DOWNLINK, UPLINK, ZF, dl_allocation, ul_allocation
-from .mcsim import simulate_dl, simulate_ul
+from .mcsim import simulate
 from .powerctl import (
     build_pc_system,
     cross_gram,
@@ -84,11 +84,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     fresh derived seed and counted in the summary.
     """
     cfg.validate()
-    budget = link_budget(
-        cfg.carrier_ghz, cfg.bandwidth_hz, cfg.bs_power_w, cfg.mobile_power_w,
-        cfg.bs_noise_figure_db, cfg.mobile_noise_figure_db,
-    )
-    rho = {DOWNLINK: budget.rho_dl, UPLINK: budget.rho_ul}
+    rho = cfg.rho()
     combos = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
     with_zf = ZF in cfg.scheme_list()
     single_cell = cfg.single_cell_series and with_zf
@@ -110,8 +106,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
                 for s, li in combos
             }
             if single_cell:
-                eta_dl = single_cell_zf_maxmin_dl(xg.inv_diag, budget.rho_dl)[0]
-                eta_ul = single_cell_zf_maxmin_ul(xg.inv_diag, budget.rho_ul)[0]
+                eta_dl = single_cell_zf_maxmin_dl(xg.inv_diag, rho[DOWNLINK])[0]
+                eta_ul = single_cell_zf_maxmin_ul(xg.inv_diag, rho[UPLINK])[0]
                 drop_series["ZF DL-1"] = _to_db(systems[ZF, DOWNLINK].sinr(eta_dl)[CENTER_CELL])
                 drop_series["ZF UL-1"] = _to_db(systems[ZF, UPLINK].sinr(eta_ul)[CENTER_CELL])
         except SingularChannelError:
@@ -132,11 +128,18 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     return table, summary
 
 
+RECON_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class VerificationEntry:
     scheme: str
     link: str
     max_dev_sigma: float
+    recon_residual: float  # relative power of (signal + interference + noise - received)
+
+    def passed(self, threshold: float) -> bool:
+        return self.max_dev_sigma < threshold and self.recon_residual < RECON_TOL
 
 
 @dataclass(frozen=True)
@@ -147,38 +150,35 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(e.max_dev_sigma < self.threshold for e in self.entries)
+        return all(e.passed(self.threshold) for e in self.entries)
 
 
 def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> VerificationReport:
     """Closed-form vs Monte Carlo agreement over one configured drop.
 
     Uses uniform admissible allocations (downlink 1/K per user, uplink full
-    power) and reports the worst deviation in standard-error units.
+    power) and reports the worst deviation in standard-error units, and the
+    simulation's reconstruction residual, which must be below `RECON_TOL`.
     """
     cfg.validate()
     if n_symbols < 2:
         raise ValueError("verification needs n_symbols >= 2 to estimate a standard error")
-    budget = link_budget(
-        cfg.carrier_ghz, cfg.bandwidth_hz, cfg.bs_power_w, cfg.mobile_power_w,
-        cfg.bs_noise_figure_db, cfg.mobile_noise_figure_db,
-    )
     channels = build_drop_channels(cfg, cfg.seed)
     shape = (cfg.cells, cfg.users_per_cell)
     alloc = {
         DOWNLINK: dl_allocation(np.full(shape, 1.0 / cfg.users_per_cell)),
         UPLINK: ul_allocation(np.ones(shape)),
     }
-    rho = {DOWNLINK: budget.rho_dl, UPLINK: budget.rho_ul}
-    sim = {DOWNLINK: simulate_dl, UPLINK: simulate_ul}
+    rho = cfg.rho()
     xg = cross_gram(channels, invert=ZF in cfg.scheme_list())
 
     entries = []
     for scheme in cfg.scheme_list():
         for link in cfg.link_list():
             closed = build_pc_system(xg, scheme, link, rho[link]).sinr(alloc[link].eta)
-            result = sim[link](channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
+            result = simulate(channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
             dev = float(np.max(np.abs(result.sinr - closed) / sigma))
-            entries.append(VerificationEntry(scheme=scheme, link=link, max_dev_sigma=dev))
+            entries.append(VerificationEntry(scheme=scheme, link=link, max_dev_sigma=dev,
+                                             recon_residual=result.recon_residual))
     return VerificationReport(entries=entries, threshold=threshold, n_symbols=n_symbols)

@@ -16,10 +16,14 @@ from losmimo.linproc import (
     UPLINK,
     ZF,
     PowerAllocation,
-    _check_kind,
     gram_inverse,
 )
 from losmimo.powerctl import PcSolution, PcSystem
+
+
+def _check_link(alloc: PowerAllocation, link: str) -> None:
+    if alloc.link != link:
+        raise ValueError(f"{link} SINR needs a {link} allocation, got {alloc.link}")
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,7 @@ class SinrReport:
 
 def mr_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> SinrReport:
     """Per-user MR downlink SINR over the full channel set."""
-    _check_kind(alloc, DOWNLINK)
+    _check_link(alloc, DOWNLINK)
     cells = channels.cell_count
     norms2 = np.stack(
         [np.linalg.norm(channels.serving(l), axis=0) ** 2 for l in range(cells)]
@@ -54,7 +58,7 @@ def mr_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> Si
 def mr_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> SinrReport:
     """Per-user MR uplink SINR; cross channels are other-cell users seen at
     the serving base station."""
-    _check_kind(alloc, UPLINK)
+    _check_link(alloc, UPLINK)
     cells = channels.cell_count
     values = np.empty_like(alloc.eta)
     for l in range(cells):
@@ -74,7 +78,7 @@ def mr_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> Si
 def zf_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> SinrReport:
     """Per-user ZF downlink SINR; intra-cell interference is nulled, other
     cells leak through their own ZF precoders."""
-    _check_kind(alloc, DOWNLINK)
+    _check_link(alloc, DOWNLINK)
     cells = channels.cell_count
     igrams = [gram_inverse(channels.serving(l)) for l in range(cells)]
     dinv = np.stack([np.real(np.diag(ig)) for ig in igrams])  # (L, K)
@@ -93,7 +97,7 @@ def zf_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> Si
 
 def zf_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> SinrReport:
     """Per-user ZF uplink SINR with decoded other-cell leakage B-matrices."""
-    _check_kind(alloc, UPLINK)
+    _check_link(alloc, UPLINK)
     cells = channels.cell_count
     values = np.empty_like(alloc.eta)
     for l in range(cells):

@@ -20,8 +20,7 @@ from losmimo import (
     maxmin_common_target,
     mr_precoder,
     run_scenario,
-    simulate_dl,
-    simulate_ul,
+    simulate,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
     solve_targets,
@@ -47,7 +46,6 @@ def test_criterion_1_monte_carlo_agreement():
     start = time.time()
     worst = 0.0
     for scheme, link in ALL_SCHEMES:
-        sim = simulate_dl if link == "DL" else simulate_ul
         for trial in range(20):
             cs = random_channel_set(rng, cells=2, users=3, antennas=16)
             eta = rng.uniform(0.05, 1.0, (2, 3))
@@ -58,7 +56,7 @@ def test_criterion_1_monte_carlo_agreement():
                 alloc = ul_allocation(eta)
             rho = 10.0 ** rng.uniform(0.5, 1.5)
             closed = build_pc_system(cs, scheme, link, rho).sinr(alloc.eta)
-            result = sim(cs, scheme, alloc, rho, 100_000, seed=trial)
+            result = simulate(cs, scheme, alloc, rho, 100_000, seed=trial)
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
             worst = max(worst, float(np.max(np.abs(result.sinr - closed) / sigma)))
     elapsed = time.time() - start

@@ -8,8 +8,6 @@ from losmimo import (
     build_pc_system,
     dl_allocation,
     mr_precoder,
-    simulate_dl,
-    simulate_ul,
     ul_allocation,
     zf_precoder,
 )
@@ -42,14 +40,9 @@ class TestAllocations:
         alloc = ul_allocation(np.array([[1.0, 1.0, 1.0]]))
         assert np.allclose(alloc.per_cell_norms(), 1.0)
 
-    def test_kind_mismatch(self, rng):
-        cs = random_channel_set(rng)
-        ul = ul_allocation(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            simulate_dl(cs, "MR", ul, 10.0, 10, seed=1)
-        dl = dl_allocation(np.full((2, 3), 0.2))
-        with pytest.raises(ValueError):
-            simulate_ul(cs, "ZF", dl, 10.0, 10, seed=1)
+    def test_rejects_unknown_link(self):
+        with pytest.raises(ValueError, match="unknown link"):
+            PowerAllocation(eta=np.full((2, 3), 0.2), link="total")
 
 
 class TestPrecoders:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from losmimo import (
     verify,
 )
 from losmimo.cli import main
-from losmimo.scenario import build_drop_channels
+from losmimo.scenario import RECON_TOL, build_drop_channels
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIX_SERIES = ["MR DL", "MR UL", "ZF DL", "ZF UL", "ZF DL-1", "ZF UL-1"]
@@ -143,6 +144,13 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(cfg, n_symbols=1)
 
+    def test_reconstruction_residual_gates_pass(self):
+        cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
+        report = verify(cfg, n_symbols=2000)
+        assert all(e.recon_residual < RECON_TOL for e in report.entries)
+        broken = dataclasses.replace(report.entries[0], recon_residual=10 * RECON_TOL)
+        assert not dataclasses.replace(report, entries=[broken]).passed
+
     def test_deterministic(self):
         cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
         a = verify(cfg, n_symbols=2000)
@@ -190,6 +198,20 @@ class TestCli:
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "error: " + line.split(" = ")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    # each was accepted by parsing: a negative seed failed later in numpy with
+    # no key named, a repeated scheme or link ran every check twice, and an
+    # overflowing link budget wrote -3000 dB rows
+    @pytest.mark.parametrize("line", ["seed = -1", "schemes = MR,MR", "links = DL,DL",
+                                      "bs_power_w = 1e300", "bs_noise_figure_db = -1e308"])
+    def test_rejected_value_exit_code(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(serialize_config(tiny_config(drops=1)) + line + "\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and line.split(" = ")[0] in errors[0]
         assert not out.exists()
 
     def test_verify_ok_and_usage_error(self, tmp_path, capsys):
