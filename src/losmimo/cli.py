@@ -70,9 +70,10 @@ def main(argv=None) -> int:
             report = verify(cfg, args.symbols)
             for entry in report.entries:
                 status = "ok" if entry.passed(report.threshold) else "FAIL"
+                cell, user = entry.worst_user
                 print(f"{entry.scheme} {entry.link}: max deviation "
-                      f"{entry.max_dev_sigma:.2f} sigma, reconstruction residual "
-                      f"{entry.recon_residual:.1e} [{status}]")
+                      f"{entry.max_dev_sigma:.2f} sigma at (cell {cell}, user {user}), "
+                      f"reconstruction residual {entry.recon_residual:.1e} [{status}]")
             if not report.passed:
                 print(f"verification failed (threshold {report.threshold} sigma, "
                       f"residual {RECON_TOL:.0e})")

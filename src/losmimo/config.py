@@ -7,8 +7,11 @@ then re-serializing is idempotent.
 import math
 from dataclasses import dataclass, fields
 
-from .channel import link_budget
+import numpy as np
+
+from .channel import link_budget, wavelength_m
 from .errors import ConfigurationError
+from .geometry import cluster_reach
 from .linproc import DOWNLINK, UPLINK
 
 _SCHEMES = ("MR", "ZF")
@@ -80,7 +83,36 @@ class ScenarioConfig:
             raise ConfigurationError("at least one scheme and one link required")
         if "ZF" in self.scheme_list() and self.users_per_cell > self.antennas_per_cell:
             raise ConfigurationError("ZF requires users_per_cell <= antennas_per_cell")
+        self._check_geometry()
         self.rho()  # the link budget rejects an SNR that is not finite and positive
+
+    def _check_geometry(self) -> None:
+        """Reject a geometry whose channel entries overflow or vanish: the
+        wavelength, the largest antenna-user distance in wavelengths and the
+        channel amplitude lambda/(4 pi r) at that distance must be finite and
+        nonzero."""
+        wl = np.float64(wavelength_m(self.carrier_ghz))
+        if not 0.0 < wl < np.inf:
+            raise ConfigurationError(f"carrier_ghz gives a wavelength of {wl} m, "
+                                     "not finite and nonzero")
+        keys = ("carrier_ghz, antennas_per_cell, cell_radius_m, bs_array_height_m "
+                "and user_height_m")
+        # an extreme value overflows to inf or underflows to 0, which is
+        # rejected below rather than warned about
+        with np.errstate(over="ignore", under="ignore"):
+            array_radius = self.antennas_per_cell * wl / (4.0 * np.pi)
+            reach = array_radius + cluster_reach(self.cells, self.cell_radius_m)
+            rise = np.float64(self.bs_array_height_m) - self.user_height_m
+            # summed squares, as the channel build takes them
+            distance = np.sqrt(reach * reach + rise * rise)
+            cycles = distance / wl
+            amplitude = wl / (4.0 * np.pi * distance)
+        if not cycles < np.inf:
+            raise ConfigurationError(f"{keys} give a largest antenna-user distance of "
+                                     f"{distance} m ({cycles} wavelengths), not finite")
+        if not amplitude > 0.0:
+            raise ConfigurationError(f"{keys} give a channel amplitude lambda/(4 pi r) of "
+                                     f"{amplitude} at {distance} m, not nonzero")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

@@ -59,6 +59,13 @@ def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
     return CellLayout(cell_count=cell_count, cell_radius=float(cell_radius), centers=centers)
 
 
+def cluster_reach(cell_count: int, cell_radius: float) -> float:
+    """Bound on the horizontal distance from any cell center of the layout to
+    any point of any of its cells: R for one cell, (2 sqrt(3) + 1) R for the
+    7-cell cluster, whose opposite outer centers are 2 sqrt(3) R apart."""
+    return (1.0 + (2.0 * SQRT3 if cell_count == 7 else 0.0)) * cell_radius
+
+
 def circular_array(
     antenna_count: int,
     wavelength: float,

@@ -135,8 +135,18 @@ RECON_TOL = 1e-10
 class VerificationEntry:
     scheme: str
     link: str
-    max_dev_sigma: float
+    deviation: np.ndarray  # (L, K) |simulated - closed-form SINR| in standard errors
     recon_residual: float  # relative power of (signal + interference + noise - received)
+
+    @property
+    def max_dev_sigma(self) -> float:
+        return float(np.max(self.deviation))
+
+    @property
+    def worst_user(self) -> tuple[int, int]:
+        """(cell, user) of the largest deviation."""
+        cell, user = np.unravel_index(np.argmax(self.deviation), self.deviation.shape)
+        return int(cell), int(user)
 
     def passed(self, threshold: float) -> bool:
         return self.max_dev_sigma < threshold and self.recon_residual < RECON_TOL
@@ -157,8 +167,8 @@ def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> Verif
     """Closed-form vs Monte Carlo agreement over one configured drop.
 
     Uses uniform admissible allocations (downlink 1/K per user, uplink full
-    power) and reports the worst deviation in standard-error units, and the
-    simulation's reconstruction residual, which must be below `RECON_TOL`.
+    power) and reports every user's deviation in standard-error units, and
+    the simulation's reconstruction residual, which must be below `RECON_TOL`.
     """
     cfg.validate()
     if n_symbols < 2:
@@ -178,7 +188,7 @@ def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> Verif
             closed = build_pc_system(xg, scheme, link, rho[link]).sinr(alloc[link].eta)
             result = simulate(channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
-            dev = float(np.max(np.abs(result.sinr - closed) / sigma))
-            entries.append(VerificationEntry(scheme=scheme, link=link, max_dev_sigma=dev,
+            dev = np.abs(result.sinr - closed) / sigma
+            entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev,
                                              recon_residual=result.recon_residual))
     return VerificationReport(entries=entries, threshold=threshold, n_symbols=n_symbols)

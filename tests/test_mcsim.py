@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from losmimo import build_pc_system, dl_allocation, simulate, ul_allocation
+from losmimo import build_pc_system, dl_allocation, gram_inverse, simulate, ul_allocation
+from losmimo.mcsim import noise_factor
 
 from conftest import random_channel_set
+from reference_mcsim import simulate_uplink_per_antenna
 
 N = 50_000
 PAIRS = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
@@ -71,6 +73,41 @@ class TestUplink:
         expected = np.real(np.diag(np.linalg.inv(g.conj().T @ g)))
         assert np.allclose(result.noise_power[0], expected, rtol=0.05)
 
+    def test_mr_decoded_noise_variance(self, rng):
+        # silent users: MR decoded noise variance converges to the squared channel norms
+        cs = random_channel_set(rng, cells=1, users=3)
+        alloc = ul_allocation(np.zeros((1, 3)))
+        result = simulate(cs, "MR", alloc, 10.0, N, seed=5)
+        expected = np.linalg.norm(cs.serving(0), axis=0) ** 2
+        assert np.allclose(result.noise_power[0], expected, rtol=0.05)
+
+
+# (scheme, antennas) with 3 users per cell; MR with 2 antennas has r = M < K
+FACTORED = [("MR", 6), ("ZF", 6), ("MR", 2)]
+
+
+class TestFactoredUplinkNoise:
+    @pytest.mark.parametrize("scheme,antennas", FACTORED)
+    def test_decoder_is_factor_times_basis(self, rng, scheme, antennas):
+        g = random_channel_set(rng, cells=1, users=3, antennas=antennas).serving(0)
+        decoder = g.conj().T if scheme == "MR" else gram_inverse(g) @ g.conj().T
+        factor = noise_factor(decoder, g)
+        basis = np.linalg.qr(g)[0]
+        assert factor.shape == (3, min(antennas, 3))
+        assert np.linalg.norm(factor @ basis.conj().T - decoder) <= 1e-12 * np.linalg.norm(decoder)
+
+    @pytest.mark.parametrize("scheme,antennas", FACTORED)
+    def test_matches_per_antenna_reference(self, rng, scheme, antennas):
+        cs = random_channel_set(rng, cells=2, users=3, antennas=antennas)
+        alloc = uniform_allocation("UL")
+        fast = simulate(cs, scheme, alloc, 10.0, N, seed=7)
+        ref = simulate_uplink_per_antenna(cs, scheme, alloc, 10.0, N, seed=8)
+        # two independent estimates of one mean, each with the reference's stderr
+        noise_sigma = np.sqrt(2.0) * ref.noise_stderr
+        assert np.all(np.abs(fast.noise_power - ref.noise_power) < 5 * noise_sigma)
+        sinr_sigma = np.hypot(fast.sinr_stderr, ref.sinr_stderr)
+        assert np.all(np.abs(fast.sinr - ref.sinr) < 5 * sinr_sigma)
+
 
 class TestBothLinks:
     @pytest.mark.parametrize("scheme,link", PAIRS)
@@ -122,6 +159,14 @@ class TestOracleAgreement:
             dev = np.abs(result.sinr - closed) / np.where(result.sinr_stderr > 0,
                                                          result.sinr_stderr, np.inf)
             assert np.max(dev) < 5.0
+
+    def test_mr_uplink_more_users_than_antennas(self, rng):
+        # K > M: the decoded noise has r = M dimensions
+        cs = random_channel_set(rng, cells=2, users=5, antennas=3)
+        alloc = ul_allocation(np.full((2, 5), 0.5))
+        closed = build_pc_system(cs, "MR", "UL", 10.0).sinr(alloc.eta)
+        result = simulate(cs, "MR", alloc, 10.0, N, seed=9)
+        assert np.max(np.abs(result.sinr - closed) / result.sinr_stderr) < 5.0
 
     def test_invalid_symbol_count(self, rng):
         cs = random_channel_set(rng)

@@ -210,6 +210,44 @@ class TestMaxmin:
         assert np.allclose(result.solution.achieved, result.target, rtol=1e-4)
 
 
+class TestMaxminProperties:
+    REL_TOL = 1e-6
+
+    @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
+    @given(log_rho=st.floats(-1.0, 3.0), log_factor=st.floats(0.0, 2.0))
+    @settings(max_examples=10, deadline=None)
+    def test_target_does_not_fall_as_rho_rises(self, scheme, link, log_rho, log_factor):
+        cs = random_channel_set(np.random.default_rng(78), cells=2, users=3)
+        rho = 10.0**log_rho
+        low, high = (
+            maxmin_common_target(build_pc_system(cs, scheme, link, r), self.REL_TOL).target
+            for r in (rho, rho * 10.0**log_factor)
+        )
+        # bisection stops within rel_tol of the optimum, from below
+        assert low <= high / (1.0 - self.REL_TOL)
+
+    @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
+    def test_permuting_users_within_cells(self, rng, scheme, link):
+        cells, users = 3, 4
+        cs = random_channel_set(rng, cells=cells, users=users, antennas=12)
+        perms = [rng.permutation(users) for _ in range(cells)]
+        permuted = cs.matrices.copy()
+        for l, perm in enumerate(perms):
+            permuted[:, l] = cs.matrices[:, l][..., perm]
+        flat_perm = np.concatenate([l * users + perm for l, perm in enumerate(perms)])
+        cs_perm = ChannelSet(matrices=permuted, wavelength=cs.wavelength)
+        system = build_pc_system(cs, scheme, link, 10.0)
+        system_perm = build_pc_system(cs_perm, scheme, link, 10.0)
+        eta = _admissible_eta(rng, cells, users, link).ravel()
+        assert np.allclose(system_perm.sinr(eta[flat_perm]), system.sinr(eta)[flat_perm],
+                           rtol=1e-12)
+        result = maxmin_common_target(system, self.REL_TOL)
+        result_perm = maxmin_common_target(system_perm, self.REL_TOL)
+        assert result_perm.target == pytest.approx(result.target, rel=self.REL_TOL)
+        assert np.allclose(result_perm.solution.achieved, result.solution.achieved[flat_perm],
+                           rtol=self.REL_TOL)
+
+
 class TestSingleCellClosedForms:
     def test_dl_normalization_and_equal_sinr(self, rng):
         for _ in range(10):

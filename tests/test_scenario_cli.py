@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,13 @@ class TestVerify:
         broken = dataclasses.replace(report.entries[0], recon_residual=10 * RECON_TOL)
         assert not dataclasses.replace(report, entries=[broken]).passed
 
+    def test_per_user_deviations(self):
+        cfg = tiny_config(drops=1)
+        for entry in verify(cfg, n_symbols=2000).entries:
+            assert entry.deviation.shape == (cfg.cells, cfg.users_per_cell)
+            cell, user = entry.worst_user
+            assert entry.deviation[cell, user] == entry.max_dev_sigma == np.max(entry.deviation)
+
     def test_deterministic(self):
         cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
         a = verify(cfg, n_symbols=2000)
@@ -214,11 +222,37 @@ class TestCli:
         assert len(errors) == 1 and line.split(" = ")[0] in errors[0]
         assert not out.exists()
 
+    # each passed parsing, then the channel build warned of invalid values and
+    # `run` failed only at "SVD did not converge", which names no key
+    @pytest.mark.parametrize("line", ["carrier_ghz = 1e-300", "cell_radius_m = 1e300",
+                                      "user_height_m = 1e300"])
+    def test_overflowing_geometry_exit_code(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        one_cell = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2, drops=1)
+        cfg_path.write_text(serialize_config(one_cell) + line + "\n")
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and line.split(" = ")[0] in errors[0]
+        assert not out.exists()
+
     def test_verify_ok_and_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
         _write_tiny_config(cfg_path, cells=1, antennas_per_cell=8, users_per_cell=2)
         assert main(["verify", "--config", str(cfg_path), "--symbols", "20000"]) == 0
         assert main(["verify", "--config", str(cfg_path), "--symbols", "1"]) == 1
+
+    def test_verify_reduced_config(self, capsys):
+        # the README's reduced-scale check at its documented symbol count
+        argv = ["verify", "--config", str(SCENARIOS / "reduced.cfg"), "--symbols", "100000"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = [ln for ln in lines if ln.endswith("[ok]")]
+        assert len(checks) == 4
+        assert all(" sigma at (cell " in ln for ln in checks)
 
     def test_seed_and_drops_overrides(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
