@@ -21,6 +21,7 @@ from .errors import (
     ConfigurationError,
     DegenerateChannelError,
     LosMimoError,
+    MaxminError,
     SingularChannelError,
     SingularGeometryError,
 )

@@ -63,8 +63,8 @@ def main(argv=None) -> int:
             table.write_csv(args.out)
             print(f"wrote {args.out}: {summary['drops']} drops, "
                   f"{summary['resampled']} re-sampled")
-            for name, count in summary["series"].items():
-                print(f"  {name}: {count} samples")
+            for name, vals in table.series.items():
+                print(f"  {name}: {len(vals)} samples")
             return 0
         if args.command == "verify":
             report = verify(cfg, args.symbols)

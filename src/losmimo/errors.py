@@ -16,3 +16,8 @@ class DegenerateChannelError(LosMimoError):
 
 class SingularChannelError(LosMimoError):
     """Channel Gram matrix is rank deficient (condition number > 1e12)."""
+
+
+class MaxminError(LosMimoError):
+    """No certified max-min target: D is not finite and positive, C is not
+    finite, or the probe cap was reached."""

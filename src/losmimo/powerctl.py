@@ -9,6 +9,13 @@ Stacking is cell-major: index j = l*K + k.
 All four systems of a drop come from one set of cross-Gram products and
 serving-Gram inverses (`cross_gram`), and every closed-form SINR is
 `PcSystem.sinr`: d * eta / (1 + C eta).
+
+Max-min looks for the largest common target 1/mu: with a common target the
+powers are eta = (mu D - C)^-1 1, feasible iff mu exceeds the Perron root
+rho(D^-1 C) and eta's largest per-cell norm is at most 1 (standard
+interference functions: Yates, IEEE JSAC 1995; Boche & Schubert, IEEE TVT
+2004). `maxmin_common_target` finds it by safeguarded Newton steps in mu,
+each probe certified by the sign of eta, with no eigensolver.
 """
 
 from dataclasses import dataclass, field
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet
+from .errors import MaxminError
 from .linproc import (
     DOWNLINK,
     MR,
@@ -29,6 +37,10 @@ from .linproc import (
 RESIDUAL_TOL = 1e-8
 NEG_SLACK = 1e-12
 NORM_SLACK = 1e-9
+MAX_PROBES = 64  # max-min probes before giving up; bisection alone needs ~45
+POWER_ITERATIONS = 8  # matvecs behind the first bound on rho(D^-1 C)
+PERRON_FLOOR = 1e-12  # relative floor that keeps the power iterate positive
+PERRON_MARGIN = 1e-6  # probes stay relatively this far above the bound on rho
 
 
 @dataclass(frozen=True)
@@ -143,24 +155,29 @@ def build_pc_system(
     )
 
 
+def _solve(system: PcSystem, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A = D - diag(zeta) C and the solution of A eta = zeta, or None if A
+    is singular or the solve is inaccurate."""
+    a = np.diag(system.d) - zeta[:, None] * system.c
+    try:
+        eta = np.linalg.solve(a, zeta)
+    except np.linalg.LinAlgError:
+        return a, None
+    residual = np.linalg.norm(a @ eta - zeta) / max(np.linalg.norm(zeta), 1.0)
+    if not np.all(np.isfinite(eta)) or residual > RESIDUAL_TOL:
+        return a, None
+    return a, eta
+
+
 def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
     """Solve (D - diag(zeta) C) eta = zeta and check admissibility."""
     zeta = np.asarray(targets, dtype=float).ravel()
     n = len(system.d)
     if len(zeta) != n:
         raise ValueError(f"expected {n} targets, got {len(zeta)}")
-    a = np.diag(system.d) - zeta[:, None] * system.c
-    try:
-        eta = np.linalg.solve(a, zeta)
-    except np.linalg.LinAlgError:
-        eta = np.zeros(n)
-        return PcSolution(eta=eta, feasible=False, reason="singular",
-                          per_cell_norms=np.zeros(system.cells),
-                          achieved=np.zeros(n))
-    residual = np.linalg.norm(a @ eta - zeta) / max(np.linalg.norm(zeta), 1.0)
-    if not np.all(np.isfinite(eta)) or residual > RESIDUAL_TOL:
-        eta = np.zeros(n)
-        return PcSolution(eta=eta, feasible=False, reason="singular",
+    _, eta = _solve(system, zeta)
+    if eta is None:
+        return PcSolution(eta=np.zeros(n), feasible=False, reason="singular",
                           per_cell_norms=np.zeros(system.cells),
                           achieved=np.zeros(n))
     ok = bool(np.min(eta) >= -NEG_SLACK)
@@ -171,34 +188,103 @@ def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
                       per_cell_norms=norms, achieved=system.sinr(eta))
 
 
-def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-6) -> MaxminResult:
-    """Largest feasible common SINR target of a built system, by bisection.
+def _binding(system: PcSystem, eta: np.ndarray) -> slice:
+    """Entries of eta whose sum is its largest per-cell norm: the binding
+    cell on the downlink, the binding user on the uplink."""
+    k = system.users_per_cell
+    if system.link == DOWNLINK:
+        cell = int(np.argmax(eta.reshape(-1, k).sum(axis=1)))
+        return slice(cell * k, (cell + 1) * k)
+    user = int(np.argmax(eta))
+    return slice(user, user + 1)
 
-    Upper bound: the best interference-free SINR (max diagonal of D at full
-    power), which no common target can exceed.
+
+def _perron_upper_bound(system: PcSystem) -> float:
+    """Collatz-Wielandt bound max_i (Bx)_i / x_i >= rho(B), B = D^-1 C, for
+    any positive x; x comes from a few power iterations started at 1."""
+    b = system.c / system.d[:, None]
+    x = np.ones(len(system.d))
+    bound = np.inf
+    for _ in range(POWER_ITERATIONS):
+        y = b @ x
+        bound = min(bound, float(np.max(y / x)))
+        top = float(np.max(y))
+        if top == 0.0:
+            return 0.0
+        x = y / top + PERRON_FLOOR  # stays positive where a row of B is zero
+    return bound
+
+
+def _probe(system: PcSystem, mu: float, rel_tol: float) -> tuple[bool, float | None, float]:
+    """Feasibility of the common target 1/mu, the next mu to try, and an
+    upper bound on rho(D^-1 C).
+
+    eta = (mu D - C)^-1 1 holds the target's powers and psi(mu) is their
+    largest per-cell norm; the target is feasible iff eta >= 0 and psi <= 1.
+    A positive eta certifies that mu D - C is a nonsingular M-matrix, i.e.
+    mu > rho(D^-1 C), where psi falls monotonically in mu. Only then are the
+    other two returned (else None and inf). The next mu is a Newton step on
+    1/psi aimed at psi = 1, pushed a quarter tolerance past it so that a
+    converged step crosses the root. The bound is Collatz-Wielandt's at the
+    next inverse-iteration vector x = (mu D - C)^-1 D eta, where
+    D^-1 C x = mu x - eta.
     """
-    n = len(system.d)
+    gamma = 1.0 / mu
+    a, eta = _solve(system, np.full(len(system.d), gamma))
+    if eta is None or not np.all(eta > 0.0):
+        return False, None, np.inf
+    rows = _binding(system, eta)
+    psi = float(np.sum(eta[rows]))
+    x = gamma * np.linalg.solve(a, system.d * eta)  # = -d eta / d mu
+    t = mu + psi * (psi - 1.0) / float(np.sum(x[rows]))
+    nxt = t + np.copysign(0.25 * rel_tol * t, t - mu) if np.isfinite(t) else None
+    return psi <= 1.0, nxt, mu - float(np.min(eta / x))
+
+
+def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-12) -> MaxminResult:
+    """Largest feasible common SINR target of a built system, within rel_tol.
+
+    Works on mu = 1/target with a bracket lo < mu* <= hi. lo starts at the
+    interference-free bound max norm(D^-1 1), below which no target is
+    feasible, and hi at infinity; every probe moves one end. The first probe
+    sits just above a power-iteration bound on rho(D^-1 C). Each next probe
+    is the last probe's Newton step, raised to just above the best bound on
+    rho so far (a probe below rho certifies nothing), or, if that is not
+    inside the bracket or the last probe was not certified, the bracket's
+    midpoint. Once the feasible end hi is within rel_tol of lo, the result
+    is `solve_targets` at the target 1/hi. Raises `MaxminError` if D is not
+    finite and positive or C not finite, or after MAX_PROBES probes.
+    """
+    where = f"{system.scheme} {system.link}"
+    d = system.d
+    if not (np.all(np.isfinite(d) & (d > 0.0)) and np.all(np.isfinite(system.c))):
+        raise MaxminError(f"{where}: max-min needs a finite, positive D and a finite C; "
+                          f"D ranges over [{np.min(d)!r}, {np.max(d)!r}]")
+    cells, users = system.cells, system.users_per_cell
+    lo = float(np.max(per_cell_norms((1.0 / d).reshape(cells, users), system.link)))
+    hi = np.inf
+    perron = _perron_upper_bound(system)
+    mu = max(perron * (1.0 + PERRON_MARGIN), lo)
     trace: list[tuple[float, bool]] = []
-
-    def probe(target: float) -> PcSolution:
-        sol = solve_targets(system, np.full(n, target))
-        trace.append((target, sol.feasible))
-        return sol
-
-    hi = float(np.max(system.d))
-    sol = probe(hi)
-    if sol.feasible:
-        return MaxminResult(target=hi, solution=sol, trace=trace)
-    lo = 0.0
-    best = solve_targets(system, np.zeros(n))
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        sol = probe(mid)
-        if sol.feasible:
-            lo, best = mid, sol
+    for _ in range(MAX_PROBES):
+        feasible, nxt, bound = _probe(system, mu, rel_tol)
+        trace.append((1.0 / mu, feasible))
+        if feasible:
+            hi = mu
         else:
-            hi = mid
-    return MaxminResult(target=lo, solution=best, trace=trace)
+            lo = mu
+        if hi - lo <= rel_tol * hi < np.inf:
+            solution = solve_targets(system, np.full(len(d), 1.0 / hi))
+            if solution.feasible:
+                return MaxminResult(target=1.0 / hi, solution=solution, trace=trace)
+            break
+        perron = min(perron, bound)
+        if nxt is not None:
+            nxt = max(nxt, perron * (1.0 + PERRON_MARGIN))
+        if nxt is None or not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * mu
+        mu = nxt
+    raise MaxminError(f"{where}: no certified max-min target within {len(trace)} probes")
 
 
 def single_cell_zf_maxmin_dl(inv_diag: np.ndarray, rho_d: float) -> tuple[np.ndarray, np.ndarray]:

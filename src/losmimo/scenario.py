@@ -16,7 +16,7 @@ from .channel import ChannelSet, build_channel_set, wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
-from .linproc import DOWNLINK, UPLINK, ZF, dl_allocation, ul_allocation
+from .linproc import DOWNLINK, MR, UPLINK, ZF, dl_allocation, ul_allocation
 from .mcsim import simulate
 from .powerctl import (
     build_pc_system,
@@ -30,6 +30,8 @@ log = logging.getLogger(__name__)
 
 CENTER_CELL = 0
 MAX_RESAMPLES = 100
+# shared by every run, so a kept table holds no name strings of its own
+SERIES_NAMES = {(s, li): f"{s} {li}" for s in (MR, ZF) for li in (DOWNLINK, UPLINK)}
 
 
 @dataclass
@@ -44,7 +46,9 @@ class CdfTable:
         self.series[name] = stacked
 
     def finalize(self) -> None:
-        self.series = {name: np.sort(vals) for name, vals in self.series.items()}
+        # one series at a time, so only one unsorted input is held twice
+        for name, vals in self.series.items():
+            self.series[name] = np.sort(vals)
 
     def rows(self):
         for name in self.series:
@@ -62,7 +66,7 @@ class CdfTable:
 
 
 def _to_db(values: np.ndarray) -> np.ndarray:
-    return 10.0 * np.log10(np.clip(values, 1e-300, None))
+    return 10.0 * np.log10(values)
 
 
 def build_drop_channels(cfg: ScenarioConfig, seed: int) -> ChannelSet:
@@ -102,30 +106,29 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
             xg = cross_gram(channels, invert=with_zf)
             systems = {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}
             drop_series = {
-                f"{s} {li}": _to_db(maxmin_common_target(systems[s, li]).solution.achieved)
-                for s, li in combos
+                SERIES_NAMES[pair]: _to_db(maxmin_common_target(systems[pair]).solution.achieved)
+                for pair in combos
             }
             if single_cell:
                 eta_dl = single_cell_zf_maxmin_dl(xg.inv_diag, rho[DOWNLINK])[0]
                 eta_ul = single_cell_zf_maxmin_ul(xg.inv_diag, rho[UPLINK])[0]
                 drop_series["ZF DL-1"] = _to_db(systems[ZF, DOWNLINK].sinr(eta_dl)[CENTER_CELL])
                 drop_series["ZF UL-1"] = _to_db(systems[ZF, UPLINK].sinr(eta_ul)[CENTER_CELL])
-        except SingularChannelError:
+        except SingularChannelError as exc:
             resampled += 1
             log.warning("rank-deficient drop re-sampled (%d so far)", resampled)
             if resampled > MAX_RESAMPLES:
-                raise
+                raise SingularChannelError(
+                    f"{exc} on {resampled} re-sampled drops ({completed} completed); check "
+                    "carrier_ghz, antennas_per_cell, users_per_cell and cell_radius_m, "
+                    "which set how well the array resolves the users"
+                ) from exc
             continue
         for name, vals in drop_series.items():
             table.add(name, vals)
         completed += 1
     table.finalize()
-    summary = {
-        "drops": completed,
-        "resampled": resampled,
-        "series": {name: len(vals) for name, vals in table.series.items()},
-    }
-    return table, summary
+    return table, {"drops": completed, "resampled": resampled}
 
 
 RECON_TOL = 1e-10

@@ -130,7 +130,7 @@ def test_criterion_4_power_control_round_trip():
 
 
 def test_criterion_5_single_cell_zf_maxmin():
-    """Single-cell closed forms: exact norms, equal SINRs, bisection agrees."""
+    """Single-cell closed forms: exact norms, equal SINRs, max-min agrees."""
     rng = np.random.default_rng(10)
     start = time.time()
     ok = True
@@ -148,14 +148,14 @@ def test_criterion_5_single_cell_zf_maxmin():
         ul_vals = zf_ul.sinr(ul_allocation(eta_ul[None, :]).eta)[0]
         ok &= np.max(np.abs(dl_vals - sinr_dl) / sinr_dl) < 1e-10
         ok &= np.max(np.abs(ul_vals - sinr_ul) / sinr_ul) < 1e-10
-        bis_dl = maxmin_common_target(zf_dl).target
-        bis_ul = maxmin_common_target(zf_ul).target
-        detail.append(abs(bis_dl - sinr_dl) / sinr_dl)
-        detail.append(abs(bis_ul - sinr_ul) / sinr_ul)
-        ok &= detail[-2] < 1e-5 and detail[-1] < 1e-5
+        maxmin_dl = maxmin_common_target(zf_dl).target
+        maxmin_ul = maxmin_common_target(zf_ul).target
+        detail.append(abs(maxmin_dl - sinr_dl) / sinr_dl)
+        detail.append(abs(maxmin_ul - sinr_ul) / sinr_ul)
+        ok &= detail[-2] < 1e-9 and detail[-1] < 1e-9
     elapsed = time.time() - start
     _report(5, ok and elapsed < 5.0,
-            f"worst bisection gap {max(detail):.2e}, {elapsed:.2f}s")
+            f"worst max-min gap {max(detail):.2e}, {elapsed:.2f}s")
 
 
 def test_criterion_6_link_budget_and_geometry_anchors():

@@ -1,10 +1,18 @@
+import dataclasses
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import losmimo.powerctl
 from losmimo import (
     ChannelSet,
+    MaxminError,
+    PcSystem,
+    ScenarioConfig,
+    build_drop_channels,
     build_pc_system,
     cross_gram,
     dl_allocation,
@@ -16,9 +24,20 @@ from losmimo import (
 )
 
 from conftest import random_channel_set
+from reference_maxmin import bisection_maxmin
 from reference_sinr import evaluate_allocation, evaluate_sinr
 
 ALL_SCHEMES = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
+REDUCED_SEEDS = range(1, 21)
+
+
+@cache
+def _reduced_systems(seed: int) -> dict:
+    """The four systems of one drop at the reduced scale (L=7, M=256, K=8)."""
+    cfg = ScenarioConfig(cells=7, antennas_per_cell=256, users_per_cell=8)
+    xg = cross_gram(build_drop_channels(cfg, seed))
+    rho = cfg.rho()
+    return {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in ALL_SCHEMES}
 
 
 def _admissible_eta(rng, cells, users, link):
@@ -182,21 +201,21 @@ class TestMaxmin:
         rho = 8.0
         gain = np.linalg.norm(cs.serving(0)) ** 2
         result = maxmin_common_target(build_pc_system(cs, "MR", "DL", rho))
-        assert result.target == pytest.approx(rho * gain, rel=1e-5)
+        assert result.target == pytest.approx(rho * gain, rel=1e-9)
 
     def test_single_cell_zf_dl_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
         _, closed = single_cell_zf_maxmin_dl(cross_gram(cs).inv_diag[0], rho)
         result = maxmin_common_target(build_pc_system(cs, "ZF", "DL", rho))
-        assert result.target == pytest.approx(closed, rel=1e-5)
+        assert result.target == pytest.approx(closed, rel=1e-9)
 
     def test_single_cell_zf_ul_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
         _, closed = single_cell_zf_maxmin_ul(cross_gram(cs).inv_diag[0], rho)
         result = maxmin_common_target(build_pc_system(cs, "ZF", "UL", rho))
-        assert result.target == pytest.approx(closed, rel=1e-5)
+        assert result.target == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_bisection_trace_monotone(self, rng, scheme, link):
@@ -208,6 +227,88 @@ class TestMaxmin:
             assert max(feasible) < min(infeasible)
         assert result.solution.feasible
         assert np.allclose(result.solution.achieved, result.target, rtol=1e-4)
+
+
+class TestCertifiedMaxmin:
+    """The Newton solve against the bisection reference and the Perron bound,
+    on reduced-scale drops and on small random systems."""
+
+    @staticmethod
+    def _systems():
+        for seed in REDUCED_SEEDS:
+            yield from _reduced_systems(seed).values()
+        rng = np.random.default_rng(99)
+        for _ in range(10):
+            cs = random_channel_set(rng, cells=3, users=2, antennas=8)
+            for scheme, link in ALL_SCHEMES:
+                yield build_pc_system(cs, scheme, link, 10.0 ** rng.uniform(0.0, 3.0))
+
+    def test_at_or_above_bisection_within_its_tolerance(self):
+        for system in self._systems():
+            target = maxmin_common_target(system).target
+            reference = bisection_maxmin(system, rel_tol=1e-6).target
+            assert reference <= target <= reference * (1.0 + 1e-6)
+
+    def test_largest_target_solve_targets_accepts(self):
+        for system in self._systems():
+            result = maxmin_common_target(system)
+            n = len(system.d)
+            assert solve_targets(system, np.full(n, result.target)).feasible
+            assert not solve_targets(system, np.full(n, result.target * (1.0 + 1e-9))).feasible
+            assert np.allclose(result.solution.achieved, result.target, rtol=1e-12)
+
+    def test_below_the_perron_bound(self):
+        # target * rho(D^-1 C) < 1; the eigensolver is used only here
+        for system in self._systems():
+            perron = np.max(np.abs(np.linalg.eigvals(system.c / system.d[:, None])))
+            assert maxmin_common_target(system).target * perron < 1.0
+
+    @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
+    def test_few_probes_and_a_certified_bracket(self, scheme, link):
+        for seed in REDUCED_SEEDS:
+            result = maxmin_common_target(_reduced_systems(seed)[scheme, link])
+            assert len(result.trace) <= 16
+            # both ends were probed: the target itself, and an infeasible
+            # target within rel_tol above it
+            infeasible = min(z for z, ok in result.trace if not ok)
+            assert (result.target, True) in result.trace
+            assert infeasible * (1.0 - 1e-12) <= result.target < infeasible
+
+    @pytest.mark.parametrize("link", ["DL", "UL"])
+    def test_two_cell_closed_form_and_the_certificate(self, link):
+        # D = I and C = [[0, 1/2], [2, 0]]: rho(D^-1 C) = 1, and for mu > 1
+        # eta = ((mu + 1/2), (mu + 2)) / (mu^2 - 1), so the binding user 2
+        # reaches power 1 at mu^2 - mu - 3 = 0
+        system = PcSystem(d=np.ones(2), c=np.array([[0.0, 0.5], [2.0, 0.0]]), scheme="MR",
+                          link=link, rho=1.0, cells=2, users_per_cell=1)
+        result = maxmin_common_target(system)
+        assert result.target == pytest.approx(2.0 / (1.0 + np.sqrt(13.0)), rel=1e-12)
+        # below the Perron root eta is negative: not feasible, and no step
+        # or bound comes from it
+        assert losmimo.powerctl._probe(system, 0.5, 1e-12) == (False, None, np.inf)
+        feasible, _, bound = losmimo.powerctl._probe(system, 4.0, 1e-12)
+        assert feasible and 1.0 <= bound < 4.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_d_not_finite_and_positive(self, bad):
+        system = PcSystem(d=np.array([2.0, bad]), c=np.zeros((2, 2)), scheme="ZF", link="UL",
+                          rho=1.0, cells=1, users_per_cell=2)
+        with pytest.raises(MaxminError, match="ZF UL"):
+            maxmin_common_target(system)
+
+    def test_probe_cap(self, monkeypatch):
+        system = _reduced_systems(1)["MR", "DL"]
+        monkeypatch.setattr(losmimo.powerctl, "MAX_PROBES", 2)
+        with pytest.raises(MaxminError, match="MR DL: no certified max-min target within 2"):
+            maxmin_common_target(system)
+
+    def test_interference_free_system_in_one_probe(self):
+        # C = 0: the interference-free bound is the answer, certified by one probe
+        system = dataclasses.replace(_reduced_systems(1)["ZF", "DL"], c=np.zeros((56, 56)))
+        result = maxmin_common_target(system)
+        assert len(result.trace) == 1
+        per_cell = (1.0 / system.d).reshape(7, 8).sum(axis=1)
+        assert result.target == pytest.approx(1.0 / np.max(per_cell), rel=1e-12)
 
 
 class TestMaxminProperties:

@@ -9,6 +9,7 @@ import pytest
 from losmimo import (
     ConfigurationError,
     ScenarioConfig,
+    build_pc_system,
     load_channel_set,
     load_config,
     parse_config,
@@ -17,7 +18,7 @@ from losmimo import (
     verify,
 )
 from losmimo.cli import main
-from losmimo.scenario import RECON_TOL, build_drop_channels
+from losmimo.scenario import MAX_RESAMPLES, RECON_TOL, build_drop_channels
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIX_SERIES = ["MR DL", "MR UL", "ZF DL", "ZF UL", "ZF DL-1", "ZF UL-1"]
@@ -237,6 +238,40 @@ class TestCli:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
         assert len(errors) == 1 and line.split(" = ")[0] in errors[0]
+        assert not out.exists()
+
+    def test_maxmin_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a D with a zero entry has no max-min target; it must not reach the
+        # CSV as a -3000 dB row
+        import losmimo.scenario
+
+        def zero_d(*args):
+            system = build_pc_system(*args)
+            return dataclasses.replace(system, d=np.where(np.arange(len(system.d)) == 0,
+                                                          0.0, system.d))
+
+        monkeypatch.setattr(losmimo.scenario, "build_pc_system", zero_d)
+        cfg_path = tmp_path / "scenario.cfg"
+        _write_tiny_config(cfg_path, drops=1)
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "MR DL" in errors[0]
+        assert not out.exists()
+
+    def test_always_rank_deficient_exit_code(self, tmp_path, capsys):
+        # a 300 m wavelength that no 8-antenna array resolves: every drop is
+        # re-sampled, and the error names the resample count and the keys
+        cfg_path = tmp_path / "bad.cfg"
+        one_cell = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2, drops=1)
+        cfg_path.write_text(serialize_config(one_cell) + "carrier_ghz = 1e-12\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1
+        assert f"{MAX_RESAMPLES + 1} re-sampled drops" in errors[0]
+        for key in ("carrier_ghz", "antennas_per_cell", "users_per_cell", "cell_radius_m"):
+            assert key in errors[0]
         assert not out.exists()
 
     def test_verify_ok_and_usage_error(self, tmp_path, capsys):
