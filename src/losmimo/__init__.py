@@ -10,10 +10,8 @@ from .channel import (
     LinkBudget,
     build_channel_set,
     dump_channel_set,
-    fspl_db,
     link_budget,
     load_channel_set,
-    los_channel,
     wavelength_m,
 )
 from .config import ScenarioConfig, load_config, parse_config, serialize_config
@@ -36,7 +34,6 @@ from .geometry import (
 )
 from .linproc import (
     PowerAllocation,
-    Precoder,
     dl_allocation,
     gram_inverse,
     mr_precoder,
@@ -55,6 +52,7 @@ from .powerctl import (
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
     solve_targets,
+    stream_cross_gram,
 )
 from .scenario import CdfTable, VerificationReport, build_drop_channels, run_scenario, verify
 

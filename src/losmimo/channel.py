@@ -1,4 +1,4 @@
-"""Spherical-wave LoS channels, free-space path loss, and link budgets.
+"""Spherical-wave LoS channels and link budgets.
 
 Channel entry for antenna m at distance r:
 
@@ -25,20 +25,6 @@ def wavelength_m(carrier_ghz: float) -> float:
     if carrier_ghz <= 0:
         raise ConfigurationError(f"carrier frequency must be positive, got {carrier_ghz} GHz")
     return C_LIGHT / (carrier_ghz * 1e9)
-
-
-# dB form of (4 pi d f / c)^2; the constant is the exact value of the
-# commonly rounded 32.45 so it stays consistent with the channel amplitude
-_FSPL_CONST_DB = 20.0 * np.log10(4.0 * np.pi * 1e9 / C_LIGHT)
-
-
-def fspl_db(freq_ghz: float, distance_m) -> float:
-    """Free-space path loss 32.45 + 20 log10(f_GHz) + 20 log10(d_m), in dB."""
-    distance_m = np.asarray(distance_m, dtype=float)
-    if freq_ghz <= 0 or np.any(distance_m <= 0):
-        raise ConfigurationError("fspl_db requires positive frequency and distance")
-    out = _FSPL_CONST_DB + 20.0 * np.log10(freq_ghz) + 20.0 * np.log10(distance_m)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -81,16 +67,6 @@ def link_budget(
     return LinkBudget(rho_dl=rho_dl, rho_ul=rho_ul)
 
 
-def los_channel(user_position: np.ndarray, array: ArrayGeometry, wavelength: float) -> np.ndarray:
-    """Spherical-wave channel vector from one user to every array antenna."""
-    user_position = np.asarray(user_position, dtype=float)
-    r = np.linalg.norm(array.positions - user_position[None, :], axis=1)
-    if np.any(r < 1e-9):
-        raise SingularGeometryError("user position coincides with an antenna position")
-    amp = wavelength / (4.0 * np.pi)
-    return amp * np.exp(2j * np.pi * r / wavelength) / r
-
-
 @dataclass(frozen=True)
 class ChannelSet:
     """All L*L channel matrices of one drop.
@@ -119,38 +95,55 @@ class ChannelSet:
         return self.matrices[cell, cell]
 
 
+def station_channels(
+    array: ArrayGeometry,
+    drop: UserDrop,
+    wavelength: float,
+    out: np.ndarray,
+    r: np.ndarray,
+    tmp: np.ndarray,
+) -> np.ndarray:
+    """Fill `out` (L, M, K) with the channels from every cell's users to one
+    base station's array, in place.
+
+    `r` and `tmp` are float (L, M, K) scratch buffers; on return `r` holds
+    the antenna-user distances. Entry (cell, m, k) is g_m of user (cell, k).
+    """
+    ax, ay, az = (col[None, :, None] for col in array.positions.T)
+    ux, uy, uz = (col[:, None, :] for col in np.moveaxis(drop.positions, -1, 0))
+    np.subtract(ax, ux, out=tmp)
+    np.multiply(tmp, tmp, out=r)
+    for a, u in ((ay, uy), (az, uz)):
+        np.subtract(a, u, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        r += tmp
+    np.sqrt(r, out=r)
+    if r.min() < 1e-9:
+        raise SingularGeometryError("user position coincides with an antenna position")
+    np.multiply(2j * np.pi, r, out=out)
+    out /= wavelength
+    np.exp(out, out=out)
+    out *= wavelength / (4.0 * np.pi)
+    out /= r
+    return out
+
+
 def build_channel_set(
     layout: CellLayout,
     arrays: list[ArrayGeometry],
     drop: UserDrop,
     wavelength: float,
 ) -> ChannelSet:
-    """Fill the full L x L grid of channel matrices for one user drop.
-
-    Each M x K block is `los_channel` for all K users at once, with the same
-    operations in the same order, so the entries are bit-identical to it.
-    """
+    """Fill the full L x L grid of channel matrices for one user drop, one
+    base station at a time with `station_channels`."""
     cells = layout.cell_count
     if len(arrays) != cells or drop.positions.shape[0] != cells:
         raise ConfigurationError("layout, arrays, and drop disagree on cell count")
-    antennas = arrays[0].antenna_count
-    users = drop.users_per_cell
-    amp = wavelength / (4.0 * np.pi)
-    matrices = np.empty((cells, cells, antennas, users), dtype=np.complex128)
+    shape = (cells, arrays[0].antenna_count, drop.users_per_cell)
+    matrices = np.empty((cells, *shape), dtype=np.complex128)
+    r, tmp = np.empty(shape), np.empty(shape)
     for bs in range(cells):
-        ax, ay, az = (np.ascontiguousarray(col)[:, None] for col in arrays[bs].positions.T)
-        for cell in range(cells):
-            ux, uy, uz = (col[None, :] for col in drop.positions[cell].T)
-            dx, dy, dz = ax - ux, ay - uy, az - uz
-            r = np.sqrt(dx * dx + dy * dy + dz * dz)
-            if np.any(r < 1e-9):
-                raise SingularGeometryError("user position coincides with an antenna position")
-            block = matrices[bs, cell]
-            np.multiply(2j * np.pi, r, out=block)
-            block /= wavelength
-            np.exp(block, out=block)
-            block *= amp
-            block /= r
+        station_channels(arrays[bs], drop, wavelength, matrices[bs], r, tmp)
     return ChannelSet(matrices=matrices, wavelength=wavelength)
 
 

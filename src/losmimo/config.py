@@ -14,6 +14,9 @@ from .errors import ConfigurationError
 from .geometry import cluster_reach
 from .linproc import DOWNLINK, UPLINK
 
+# L^2 M K complex channel entries: the tensor `verify` and `dump-channels`
+# hold, 1 GiB of complex128 (the published Table 1 scale is 3.6 M entries)
+MAX_CHANNEL_ENTRIES = 2**26
 _SCHEMES = ("MR", "ZF")
 _LINKS = ("DL", "UL")
 
@@ -66,6 +69,12 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cells not in (1, 7):
             raise ConfigurationError(f"cells must be 1 or 7, got {self.cells}")
+        entries = self.cells**2 * self.antennas_per_cell * self.users_per_cell
+        if entries > MAX_CHANNEL_ENTRIES:
+            raise ConfigurationError(
+                f"cells, antennas_per_cell and users_per_cell give {entries} channel entries "
+                f"(cells^2 * antennas_per_cell * users_per_cell), over the limit of "
+                f"{MAX_CHANNEL_ENTRIES}")
         if self.min_bs_distance_m < 0 or self.min_bs_distance_m >= self.cell_radius_m:
             raise ConfigurationError("min_bs_distance_m must be in [0, cell_radius_m)")
         if self.seed < 0:

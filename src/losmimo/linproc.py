@@ -59,38 +59,29 @@ def ul_allocation(eta: np.ndarray) -> PowerAllocation:
     return PowerAllocation(eta=np.atleast_2d(eta), link=UPLINK)
 
 
-@dataclass(frozen=True)
-class Precoder:
-    matrix: np.ndarray  # (M, K)
-    scheme: str
-
-
-def gram_inverse(serving: np.ndarray) -> np.ndarray:
-    """Inverse of G^H G with a rank-deficiency guard."""
-    if serving.shape[1] > serving.shape[0]:
-        raise SingularChannelError(
-            f"need K <= M for ZF, got K={serving.shape[1]}, M={serving.shape[0]}"
-        )
-    gram = serving.conj().T @ serving
+def gram_inverse(gram: np.ndarray, antennas: int) -> np.ndarray:
+    """Inverse of the K x K Gram matrix G^H G of an M x K serving matrix
+    (M = `antennas`), with a rank-deficiency guard."""
+    if gram.shape[0] > antennas:
+        raise SingularChannelError(f"need K <= M for ZF, got K={gram.shape[0]}, M={antennas}")
     if np.linalg.cond(gram) > COND_LIMIT:
         raise SingularChannelError("channel Gram matrix is rank deficient")
     return np.linalg.inv(gram)
 
 
-def mr_precoder(serving: np.ndarray, eta: np.ndarray) -> Precoder:
-    """Column k: conj(g_k) * sqrt(eta_k) / ||g_k||. Transmit power = sum(eta)."""
+def mr_precoder(serving: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(M, K) matrix with column k conj(g_k) * sqrt(eta_k) / ||g_k||.
+    Transmit power = sum(eta)."""
     norms = np.linalg.norm(serving, axis=0)
     if np.any(norms == 0):
         raise DegenerateChannelError("zero channel column")
-    matrix = serving.conj() * (np.sqrt(np.asarray(eta, dtype=float)) / norms)[None, :]
-    return Precoder(matrix=matrix, scheme=MR)
+    return serving.conj() * (np.sqrt(np.asarray(eta, dtype=float)) / norms)[None, :]
 
 
-def zf_precoder(serving: np.ndarray, eta: np.ndarray) -> Precoder:
-    """Zero-forcing precoder: G^T times it is diagonal with entries
+def zf_precoder(serving: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """(M, K) zero-forcing precoder: G^T times it is diagonal with entries
     sqrt(eta_k / [(G^H G)^-1]_kk); transmit power = sum(eta)."""
-    igram = gram_inverse(serving)
+    igram = gram_inverse(serving.conj().T @ serving, serving.shape[0])
     d = np.real(np.diag(igram))
     scale = np.sqrt(np.asarray(eta, dtype=float) / d)
-    matrix = (serving.conj() @ igram.conj()) * scale[None, :]
-    return Precoder(matrix=matrix, scheme=ZF)
+    return (serving.conj() @ igram.conj()) * scale[None, :]

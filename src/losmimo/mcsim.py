@@ -121,7 +121,7 @@ def simulate(
     if alloc.link == DOWNLINK:
         precode = mr_precoder if scheme == MR else zf_precoder
         precoders = np.stack(
-            [precode(channels.serving(l), alloc.eta[l]).matrix for l in range(cells)]
+            [precode(channels.serving(l), alloc.eta[l]) for l in range(cells)]
         )  # (L, M, K)
         eff = root_rho * (channels.matrices.transpose(1, 0, 3, 2) @ precoders)
         noise_map = None
@@ -136,7 +136,7 @@ def simulate(
         if scheme == MR:
             decoders = [g.conj().T for g in serving]
         else:
-            decoders = [gram_inverse(g) @ g.conj().T for g in serving]
+            decoders = [gram_inverse(g.conj().T @ g, len(g)) @ g.conj().T for g in serving]
         # sqrt(eta) is applied at the transmitters, column (lp, k') of eff
         eff = np.stack([decoders[l] @ channels.matrices[l] for l in range(cells)])
         eff *= root_rho * np.sqrt(alloc.eta)[None, :, None, :]

@@ -7,8 +7,9 @@ cell's power norm (1-norm downlink, inf-norm uplink) is at most 1.
 Stacking is cell-major: index j = l*K + k.
 
 All four systems of a drop come from one set of cross-Gram products and
-serving-Gram inverses (`cross_gram`), and every closed-form SINR is
-`PcSystem.sinr`: d * eta / (1 + C eta).
+serving-Gram inverses (`cross_gram`, or `stream_cross_gram` straight from
+the geometry), and every closed-form SINR is `PcSystem.sinr`:
+d * eta / (1 + C eta).
 
 Max-min looks for the largest common target 1/mu: with a common target the
 powers are eta = (mu D - C)^-1 1, feasible iff mu exceeds the Perron root
@@ -18,12 +19,15 @@ interference functions: Yates, IEEE JSAC 1995; Boche & Schubert, IEEE TVT
 each probe certified by the sign of eta, with no eigensolver.
 """
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet
+from .channel import ChannelSet, station_channels
 from .errors import MaxminError
+from .geometry import ArrayGeometry, UserDrop
 from .linproc import (
     DOWNLINK,
     MR,
@@ -41,6 +45,11 @@ MAX_PROBES = 64  # max-min probes before giving up; bisection alone needs ~45
 POWER_ITERATIONS = 8  # matvecs behind the first bound on rho(D^-1 C)
 PERRON_FLOOR = 1e-12  # relative floor that keeps the power iterate positive
 PERRON_MARGIN = 1e-6  # probes stay relatively this far above the bound on rho
+WORKERS = len(os.sched_getaffinity(0))  # threads that build a drop's channels, at most L
+
+_local = threading.local()  # each thread's station buffers, kept across drops
+_pool = None  # (threads, executor), made the first time more than one worker runs
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -62,18 +71,79 @@ class CrossGram:
         return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
 
 
+def _with_inverses(z: np.ndarray, antennas: int, invert: bool) -> CrossGram:
+    """The guarded serving-Gram inverses from z[l, l], if `invert` (ZF needs
+    them, MR allows K > M)."""
+    igram = None
+    if invert:
+        igram = np.stack([gram_inverse(z[l, l], antennas) for l in range(len(z))])
+    return CrossGram(z=z, igram=igram)
+
+
 def cross_gram(channels: ChannelSet, invert: bool = True) -> CrossGram:
     """Cross-Gram products, one serving cell at a time so the only transient
-    is that cell's conjugated M x K matrix; the guarded Gram inverses are
-    computed only if `invert` (ZF needs them, MR allows K > M)."""
+    is that cell's conjugated M x K matrix, and the Gram inverses if `invert`."""
     cells, users = channels.cell_count, channels.users_per_cell
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
     for l in range(cells):
         np.matmul(channels.serving(l).conj().T, channels.matrices[l], out=z[l])
-    igram = None
-    if invert:
-        igram = np.stack([gram_inverse(channels.serving(l)) for l in range(cells)])
-    return CrossGram(z=z, igram=igram)
+    return _with_inverses(z, channels.antenna_count, invert)
+
+
+def _stream_stations(stations, arrays, drop, wavelength, z) -> None:
+    """z[l] = G[l, l]^H G[l, :] for each base station l, with G[l] built in
+    this thread's (L, M, K) buffers, which are kept across drops."""
+    shape = (len(arrays), arrays[0].antenna_count, drop.users_per_cell)
+    buffers = getattr(_local, "buffers", None)
+    if buffers is None or buffers[0].shape != shape:
+        buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
+        _local.buffers = buffers
+    block, r, tmp = buffers
+    for l in stations:
+        station_channels(arrays[l], drop, wavelength, block, r, tmp)
+        np.matmul(block[l].conj().T, block, out=z[l])
+
+
+def _executor(threads: int):
+    """The shared thread pool, made on first use and remade only to grow."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="losmimo-station"))
+        return _pool[1]
+
+
+def stream_cross_gram(
+    arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float, invert: bool = True
+) -> CrossGram:
+    """`cross_gram` of a drop's channels without the (L, L, M, K) tensor.
+
+    Each base station's (L, M, K) channels are built into a per-thread
+    buffer and reduced to its row of z at once. min(WORKERS, L) threads
+    share the stations round-robin; the calling thread takes the first share
+    and then the Gram inverses. z is bit-identical to `cross_gram` of
+    `build_channel_set` for any worker count. An error in any share is
+    raised once every share has ended.
+    """
+    cells, users = len(arrays), drop.users_per_cell
+    z = np.empty((cells, cells, users, users), dtype=np.complex128)
+    workers = min(WORKERS, cells)
+    shares = [range(w, cells, workers) for w in range(workers)]
+    futures = []
+    if workers > 1:
+        pool = _executor(workers - 1)
+        futures = [pool.submit(_stream_stations, share, arrays, drop, wavelength, z)
+                   for share in shares[1:]]
+    try:
+        _stream_stations(shares[0], arrays, drop, wavelength, z)
+    finally:
+        for future in futures:  # wait for every share before raising
+            future.exception()
+    for future in futures:
+        future.result()
+    return _with_inverses(z, arrays[0].antenna_count, invert)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .powerctl import (
     maxmin_common_target,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
+    stream_cross_gram,
 )
 
 log = logging.getLogger(__name__)
@@ -36,19 +37,29 @@ SERIES_NAMES = {(s, li): f"{s} {li}" for s in (MR, ZF) for li in (DOWNLINK, UPLI
 
 @dataclass
 class CdfTable:
-    """Sorted per-series SINR samples in dB with empirical probabilities."""
+    """Sorted per-series SINR samples in dB with empirical probabilities.
+
+    `add` collects a series' samples; `finalize` merges them into `series`
+    and sorts them.
+    """
 
     series: dict[str, np.ndarray] = field(default_factory=dict)
+    _pending: dict[str, list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
     def add(self, name: str, values_db: np.ndarray) -> None:
-        prev = self.series.get(name)
-        stacked = values_db if prev is None else np.concatenate([prev, values_db])
-        self.series[name] = stacked
+        self._pending.setdefault(name, []).append(values_db)
 
     def finalize(self) -> None:
-        # one series at a time, so only one unsorted input is held twice
-        for name, vals in self.series.items():
-            self.series[name] = np.sort(vals)
+        pending, self._pending = self._pending, {}
+        # one series at a time, so only one series' samples are held twice
+        for name in list(pending):
+            parts = pending.pop(name)
+            if name in self.series:
+                parts.insert(0, self.series[name])
+            vals = np.concatenate(parts)
+            del parts
+            vals.sort()
+            self.series[name] = vals
 
     def rows(self):
         for name in self.series:
@@ -69,20 +80,32 @@ def _to_db(values: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(values)
 
 
-def build_drop_channels(cfg: ScenarioConfig, seed: int) -> ChannelSet:
-    """One drop's full channel set from scenario parameters."""
+def _geometry(cfg: ScenarioConfig) -> tuple:
+    """Wavelength, cell layout and base-station arrays, shared by all drops."""
     wl = wavelength_m(cfg.carrier_ghz)
     layout = hex_centers(cfg.cells, cfg.cell_radius_m)
     arrays = [
         circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, center)
         for center in layout.centers
     ]
-    drop = drop_users(layout, cfg.users_per_cell, cfg.min_bs_distance_m, cfg.user_height_m, seed)
-    return build_channel_set(layout, arrays, drop, wl)
+    return wl, layout, arrays
+
+
+def _drop(cfg: ScenarioConfig, layout, seed: int):
+    return drop_users(layout, cfg.users_per_cell, cfg.min_bs_distance_m, cfg.user_height_m, seed)
+
+
+def build_drop_channels(cfg: ScenarioConfig, seed: int) -> ChannelSet:
+    """One drop's full channel set from scenario parameters."""
+    wl, layout, arrays = _geometry(cfg)
+    return build_channel_set(layout, arrays, _drop(cfg, layout, seed), wl)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     """Run all configured drops and aggregate per-user SINRs into CDF series.
+
+    Each drop's channels are streamed into its cross-Gram tensor
+    (`stream_cross_gram`) and never held whole.
 
     Drops that hit a rank-deficient ZF Gram matrix are re-sampled with a
     fresh derived seed and counted in the summary.
@@ -95,6 +118,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     # the single-cell series are evaluated with both multi-cell ZF systems
     pairs = list(dict.fromkeys(combos + ([(ZF, DOWNLINK), (ZF, UPLINK)] if single_cell else [])))
 
+    wl, layout, arrays = _geometry(cfg)
     seed_stream = np.random.default_rng(cfg.seed)
     table = CdfTable()
     resampled = 0
@@ -102,8 +126,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     while completed < cfg.drops:
         drop_seed = int(seed_stream.integers(2**63))
         try:
-            channels = build_drop_channels(cfg, drop_seed)
-            xg = cross_gram(channels, invert=with_zf)
+            xg = stream_cross_gram(arrays, _drop(cfg, layout, drop_seed), wl, invert=with_zf)
             systems = {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}
             drop_series = {
                 SERIES_NAMES[pair]: _to_db(maxmin_common_target(systems[pair]).solution.achieved)

@@ -21,6 +21,10 @@ from losmimo.linproc import (
 from losmimo.powerctl import PcSolution, PcSystem
 
 
+def _gram_inverse(serving: np.ndarray) -> np.ndarray:
+    return gram_inverse(serving.conj().T @ serving, serving.shape[0])
+
+
 def _check_link(alloc: PowerAllocation, link: str) -> None:
     if alloc.link != link:
         raise ValueError(f"{link} SINR needs a {link} allocation, got {alloc.link}")
@@ -80,7 +84,7 @@ def zf_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> Si
     cells leak through their own ZF precoders."""
     _check_link(alloc, DOWNLINK)
     cells = channels.cell_count
-    igrams = [gram_inverse(channels.serving(l)) for l in range(cells)]
+    igrams = [_gram_inverse(channels.serving(l)) for l in range(cells)]
     dinv = np.stack([np.real(np.diag(ig)) for ig in igrams])  # (L, K)
     values = np.empty_like(alloc.eta)
     for l in range(cells):
@@ -101,7 +105,7 @@ def zf_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> Si
     cells = channels.cell_count
     values = np.empty_like(alloc.eta)
     for l in range(cells):
-        igram = gram_inverse(channels.serving(l))
+        igram = _gram_inverse(channels.serving(l))
         dinv = np.real(np.diag(igram))
         decode = igram @ channels.serving(l).conj().T  # (K, M)
         op = np.zeros(channels.users_per_cell)

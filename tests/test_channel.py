@@ -13,13 +13,13 @@ from losmimo import (
     circular_array,
     drop_users,
     dump_channel_set,
-    fspl_db,
     hex_centers,
     link_budget,
     load_channel_set,
-    los_channel,
     wavelength_m,
 )
+
+from reference_channel import fspl_db, los_channel
 
 
 class TestFspl:

@@ -49,13 +49,13 @@ class TestPrecoders:
     def test_mr_single_user(self, rng):
         g = _random_matrix(rng, users=1)
         p = mr_precoder(g, np.array([1.0]))
-        assert np.allclose(p.matrix[:, 0], g[:, 0].conj() / np.linalg.norm(g))
-        assert np.linalg.norm(p.matrix) ** 2 == pytest.approx(1.0, rel=1e-12)
+        assert np.allclose(p[:, 0], g[:, 0].conj() / np.linalg.norm(g))
+        assert np.linalg.norm(p) ** 2 == pytest.approx(1.0, rel=1e-12)
 
     def test_mr_zero_power(self, rng):
         g = _random_matrix(rng)
         p = mr_precoder(g, np.zeros(4))
-        assert np.all(p.matrix == 0)
+        assert np.all(p == 0)
 
     def test_mr_zero_column_raises(self, rng):
         g = _random_matrix(rng)
@@ -70,14 +70,14 @@ class TestPrecoders:
             g = _random_matrix(rng)
             eta = rng.uniform(0, 0.25, 4)
             p = factory(g, eta)
-            assert np.linalg.norm(p.matrix) ** 2 == pytest.approx(np.sum(eta), rel=1e-12)
+            assert np.linalg.norm(p) ** 2 == pytest.approx(np.sum(eta), rel=1e-12)
 
     def test_zf_nulling(self, rng):
         for _ in range(20):
             g = _random_matrix(rng)
             eta = rng.uniform(0.01, 0.25, 4)
             p = zf_precoder(g, eta)
-            crosstalk = g.T @ p.matrix
+            crosstalk = g.T @ p
             diag = np.abs(np.diag(crosstalk))
             off = np.abs(crosstalk - np.diag(np.diag(crosstalk)))
             assert np.max(off) < 1e-10 * np.min(diag)
@@ -88,18 +88,18 @@ class TestPrecoders:
         p = zf_precoder(g, eta)
         igram = np.linalg.inv(g.conj().T @ g)
         expected = np.sqrt(eta / np.real(np.diag(igram)))
-        assert np.allclose(np.diag(g.T @ p.matrix), expected, rtol=1e-10)
+        assert np.allclose(np.diag(g.T @ p), expected, rtol=1e-10)
 
     def test_zf_equals_mr_for_orthogonal_columns(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
         g = q * rng.uniform(0.5, 2.0, 4)[None, :]
         eta = rng.uniform(0.01, 0.25, 4)
-        assert np.allclose(zf_precoder(g, eta).matrix, mr_precoder(g, eta).matrix, atol=1e-12)
+        assert np.allclose(zf_precoder(g, eta), mr_precoder(g, eta), atol=1e-12)
 
     def test_zf_single_user_equals_mr(self, rng):
         g = _random_matrix(rng, users=1)
         eta = np.array([0.7])
-        assert np.allclose(zf_precoder(g, eta).matrix, mr_precoder(g, eta).matrix)
+        assert np.allclose(zf_precoder(g, eta), mr_precoder(g, eta))
 
     def test_zf_rank_deficient_raises(self, rng):
         g = _random_matrix(rng)

@@ -90,7 +90,9 @@ class TestFactoredUplinkNoise:
     @pytest.mark.parametrize("scheme,antennas", FACTORED)
     def test_decoder_is_factor_times_basis(self, rng, scheme, antennas):
         g = random_channel_set(rng, cells=1, users=3, antennas=antennas).serving(0)
-        decoder = g.conj().T if scheme == "MR" else gram_inverse(g) @ g.conj().T
+        decoder = g.conj().T
+        if scheme == "ZF":
+            decoder = gram_inverse(g.conj().T @ g, len(g)) @ decoder
         factor = noise_factor(decoder, g)
         basis = np.linalg.qr(g)[0]
         assert factor.shape == (3, min(antennas, 3))

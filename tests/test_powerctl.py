@@ -1,5 +1,9 @@
 import dataclasses
+import subprocess
+import sys
+import threading
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,22 @@ from losmimo import (
     MaxminError,
     PcSystem,
     ScenarioConfig,
+    SingularGeometryError,
+    build_channel_set,
     build_drop_channels,
     build_pc_system,
+    circular_array,
     cross_gram,
     dl_allocation,
+    drop_users,
+    hex_centers,
     maxmin_common_target,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
     solve_targets,
+    stream_cross_gram,
     ul_allocation,
+    wavelength_m,
 )
 
 from conftest import random_channel_set
@@ -146,6 +157,127 @@ class TestSystemStructure:
         cs = random_channel_set(rng, cells=1, users=3)
         for link in ("DL", "UL"):
             assert np.all(build_pc_system(cs, "ZF", link, 5.0).c == 0)
+
+
+def _scene(antennas, users, seed=5):
+    wl = wavelength_m(60.0)
+    layout = hex_centers(7, 200.0)
+    arrays = [circular_array(antennas, wl, 30.0, c) for c in layout.centers]
+    return layout, arrays, drop_users(layout, users, 10.0, 1.5, seed=seed), wl
+
+
+class TestStreamCrossGram:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
+    def test_bit_identical_to_cross_gram_of_channel_set(self, monkeypatch, workers,
+                                                        antennas, users):
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", workers)
+        layout, arrays, drop, wl = _scene(antennas, users)
+        channels = build_channel_set(layout, arrays, drop, wl)
+        want = cross_gram(channels)
+        got = stream_cross_gram(arrays, drop, wl)
+        assert np.array_equal(got.z, want.z)
+        assert np.array_equal(got.igram, want.igram)
+        # z[l, l] is the Gram matrix G^H G, so each inverse is that of G^H G
+        for l in range(7):
+            serving = channels.serving(l)
+            assert np.array_equal(got.igram[l], np.linalg.inv(serving.conj().T @ serving))
+        assert stream_cross_gram(arrays, drop, wl, invert=False).igram is None
+
+    def test_mr_allows_more_users_than_antennas(self, monkeypatch):
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        layout, arrays, drop, wl = _scene(antennas=2, users=3)
+        got = stream_cross_gram(arrays, drop, wl, invert=False)
+        assert np.array_equal(got.z, cross_gram(build_channel_set(layout, arrays, drop, wl),
+                                                invert=False).z)
+
+    def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        layout, arrays, drop, wl = _scene(32, 4)
+        error = SingularGeometryError("user position coincides with an antenna position")
+        raised_on = []
+        kernel = losmimo.powerctl.station_channels
+
+        def failing_on_station_1(array, *args):
+            if array is arrays[1]:
+                raised_on.append(threading.current_thread())
+                raise error
+            return kernel(array, *args)
+
+        monkeypatch.setattr(losmimo.powerctl, "station_channels", failing_on_station_1)
+        with pytest.raises(SingularGeometryError) as caught:
+            stream_cross_gram(arrays, drop, wl)
+        assert caught.value is error
+        assert raised_on and raised_on[0] is not threading.current_thread()
+        monkeypatch.setattr(losmimo.powerctl, "station_channels", kernel)
+        # the pool and the buffers still serve the next drop
+        assert np.array_equal(stream_cross_gram(arrays, drop, wl).z,
+                              cross_gram(build_channel_set(layout, arrays, drop, wl)).z)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_user_on_antenna_raises(self, monkeypatch, workers):
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", workers)
+        _, arrays, drop, wl = _scene(32, 4)
+        positions = drop.positions.copy()
+        positions[3, 1] = arrays[5].positions[7]
+        with pytest.raises(SingularGeometryError):
+            stream_cross_gram(arrays, dataclasses.replace(drop, positions=positions), wl)
+
+    def test_pool_made_once_and_only_for_more_than_one_worker(self, monkeypatch):
+        monkeypatch.setattr(losmimo.powerctl, "_pool", None)
+        _, arrays, drop, wl = _scene(32, 4)
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 1)
+        stream_cross_gram(arrays, drop, wl)
+        assert losmimo.powerctl._pool is None
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        stream_cross_gram(arrays, drop, wl)
+        pool = losmimo.powerctl._pool
+        stream_cross_gram(arrays, drop, wl)
+        assert pool is not None and losmimo.powerctl._pool is pool
+        losmimo.powerctl._pool[1].shutdown()
+
+    def test_concurrent_callers_under_fast_thread_switching(self, monkeypatch):
+        # more workers than cores, three callers at once, a switch every microsecond:
+        # a row written by the wrong share or a buffer shared across threads shows in z
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 4)
+        scenes = [_scene(32, 4, seed=seed) for seed in (1, 2, 3)]
+        want = [cross_gram(build_channel_set(*scene)) for scene in scenes]
+        failures = []
+
+        def caller(i):
+            _, arrays, drop, wl = scenes[i]
+            try:
+                for _ in range(20):
+                    got = stream_cross_gram(arrays, drop, wl)
+                    if not (np.array_equal(got.z, want[i].z)
+                            and np.array_equal(got.igram, want[i].igram)):
+                        failures.append(i)
+            except Exception as exc:  # kept for the assert, not lost with the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_verify_starts_no_thread_pool(self):
+        # verify builds the whole channel tensor on the calling thread alone
+        code = ("import sys, losmimo\n"
+                "losmimo.verify(losmimo.ScenarioConfig(cells=7, antennas_per_cell=16, "
+                "users_per_cell=2), 200)\n"
+                "print('concurrent.futures' in sys.modules)\n")
+        src = Path(losmimo.__file__).resolve().parents[1]
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": str(src)}, timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestSolveTargets:

@@ -1,15 +1,23 @@
 import csv
 import dataclasses
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import losmimo.powerctl
+import losmimo.scenario
 from losmimo import (
+    CdfTable,
     ConfigurationError,
     ScenarioConfig,
+    SingularChannelError,
+    build_channel_set,
     build_pc_system,
+    cross_gram,
+    hex_centers,
     load_channel_set,
     load_config,
     parse_config,
@@ -18,6 +26,7 @@ from losmimo import (
     verify,
 )
 from losmimo.cli import main
+from losmimo.config import MAX_CHANNEL_ENTRIES
 from losmimo.scenario import MAX_RESAMPLES, RECON_TOL, build_drop_channels
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -54,6 +63,17 @@ class TestConfig:
             parse_config("drops = x\n")
         with pytest.raises(ConfigurationError):
             parse_config("antennas_per_cell = 4\nusers_per_cell = 8\n")
+
+    def test_channel_entries_bounded(self):
+        # cells^2 * antennas_per_cell * users_per_cell complex entries
+        half = MAX_CHANNEL_ENTRIES // 2
+        at_limit = f"cells = 1\nantennas_per_cell = {half}\nusers_per_cell = 2\n"
+        assert parse_config(at_limit).antennas_per_cell == half
+        over = f"cells = 7\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // 49 // 18 + 1}\n"
+        with pytest.raises(ConfigurationError) as caught:
+            parse_config(over)
+        for key in ("cells", "antennas_per_cell", "users_per_cell"):
+            assert key in str(caught.value)
 
     def test_round_trip_idempotent(self):
         text = "cells = 1\nantennas_per_cell = 48\nusers_per_cell = 6\nseed = 9\n"
@@ -120,6 +140,51 @@ class TestRunScenario:
         for series_probs in probs.values():
             assert series_probs[-1] == pytest.approx(1.0)
             assert np.all(np.diff(series_probs) > 0)
+
+    def test_cdf_table_merges_each_series_once(self, rng):
+        parts = {name: [rng.standard_normal(int(n)) for n in rng.integers(0, 9, 5)]
+                 for name in ("ZF UL", "MR DL", "a", "ZF DL-1")}
+        table = CdfTable()
+        for i in range(5):
+            for name, arrays in parts.items():
+                table.add(name, arrays[i])
+        table.finalize()
+        assert list(table.series) == list(parts)
+        for name, arrays in parts.items():
+            assert np.array_equal(table.series[name], np.sort(np.concatenate(arrays)))
+        # samples added after a finalize merge with the sorted ones
+        table.add("MR DL", np.array([-1e9, 1e9]))
+        table.finalize()
+        assert list(table.series) == list(parts)
+        assert np.array_equal(table.series["MR DL"],
+                              np.sort(np.concatenate(parts["MR DL"] + [[-1e9, 1e9]])))
+
+    def test_rank_deficient_drop_resampled_with_two_workers(self, monkeypatch):
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        cfg = tiny_config(drops=2)
+        clean, clean_summary = run_scenario(cfg)
+        assert clean_summary == {"drops": 2, "resampled": 0}
+        inverse = losmimo.powerctl.gram_inverse
+        calls = []
+
+        def singular_first_drop(gram, antennas):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SingularChannelError("channel Gram matrix is rank deficient")
+            return inverse(gram, antennas)
+
+        monkeypatch.setattr(losmimo.powerctl, "gram_inverse", singular_first_drop)
+        table, summary = run_scenario(cfg)
+        assert summary == {"drops": 2, "resampled": 1}
+        for name, vals in table.series.items():
+            assert len(vals) == len(clean.series[name])
+
+    def test_always_rank_deficient_with_two_workers(self, monkeypatch):
+        # a 300 m wavelength that no 8-antenna array resolves, in all 7 cells
+        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        cfg = tiny_config(antennas_per_cell=8, users_per_cell=2, drops=1, carrier_ghz=1e-12)
+        with pytest.raises(SingularChannelError, match=f"on {MAX_RESAMPLES + 1} re-sampled"):
+            run_scenario(cfg)
 
     def test_deterministic(self):
         cfg = tiny_config(drops=1)
@@ -192,6 +257,40 @@ class TestCli:
         main(["run", "--config", str(cfg_path), "--out", str(out1)])
         main(["run", "--config", str(cfg_path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_csv_byte_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+        cfg_path = SCENARIOS / "reduced.cfg"
+        cfg = load_config(cfg_path)
+        assert cfg.drops > 1
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(losmimo.powerctl, "WORKERS", workers)
+            out = tmp_path / f"workers{workers}.csv"
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+
+        def whole_tensor(arrays, drop, wl, invert=True):
+            layout = hex_centers(cfg.cells, cfg.cell_radius_m)
+            return cross_gram(build_channel_set(layout, arrays, drop, wl), invert=invert)
+
+        monkeypatch.setattr(losmimo.scenario, "stream_cross_gram", whole_tensor)
+        out = tmp_path / "tensor.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert outputs[0] == outputs[1] == outputs[2] == out.read_bytes()
+
+    def test_oversized_channel_exit_code(self, tmp_path, capsys):
+        # 2e8 complex entries (3 GiB) once passed parsing and then ran for minutes
+        cfg_path = tmp_path / "big.cfg"
+        cfg_path.write_text("cells = 1\nantennas_per_cell = 100000000\nusers_per_cell = 2\n")
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 10.0
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1
+        for key in ("cells", "antennas_per_cell", "users_per_cell"):
+            assert key in errors[0]
+        assert not out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
