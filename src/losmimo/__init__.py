@@ -7,11 +7,9 @@ closed form.
 
 from .channel import (
     ChannelSet,
-    LinkBudget,
     build_channel_set,
     dump_channel_set,
     link_budget,
-    load_channel_set,
     wavelength_m,
 )
 from .config import ScenarioConfig, load_config, parse_config, serialize_config

@@ -27,12 +27,6 @@ def wavelength_m(carrier_ghz: float) -> float:
     return C_LIGHT / (carrier_ghz * 1e9)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    rho_dl: float  # linear
-    rho_ul: float  # linear
-
-
 def link_budget(
     carrier_ghz: float,
     bandwidth_hz: float,
@@ -40,8 +34,8 @@ def link_budget(
     mobile_power_w: float,
     bs_noise_figure_db: float,
     mobile_noise_figure_db: float,
-) -> LinkBudget:
-    """Normalized SNRs from radiated powers and thermal noise.
+) -> tuple[float, float]:
+    """Normalized SNRs (rho_dl, rho_ul) from radiated powers and thermal noise.
 
     Noise power (dBm) = -174 + 10 log10(bandwidth) + noise figure.
     DL noise uses the mobile receiver's noise figure; UL uses the base
@@ -64,7 +58,7 @@ def link_budget(
     ):
         if not 0.0 < rho < np.inf:
             raise ConfigurationError(f"{keys} give {name} = {rho}, not finite and positive")
-    return LinkBudget(rho_dl=rho_dl, rho_ul=rho_ul)
+    return rho_dl, rho_ul
 
 
 @dataclass(frozen=True)
@@ -167,19 +161,3 @@ def dump_channel_set(channels: ChannelSet, path) -> None:
                 for row in inter:
                     fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
-
-def load_channel_set(path) -> ChannelSet:
-    with open(path) as fh:
-        magic = fh.readline().strip()
-        if magic != _DUMP_MAGIC:
-            raise ConfigurationError(f"not a channel-set dump: bad header {magic!r}")
-        cells, antennas, users = (int(v) for v in fh.readline().split())
-        wl = float(fh.readline())
-        matrices = np.empty((cells, cells, antennas, users), dtype=np.complex128)
-        for lp in range(cells):
-            for l in range(cells):
-                rows = np.array(
-                    [[float(v) for v in fh.readline().split()] for _ in range(antennas)]
-                )
-                matrices[l, lp] = rows[:, 0::2] + 1j * rows[:, 1::2]
-    return ChannelSet(matrices=matrices, wavelength=wl)

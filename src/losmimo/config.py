@@ -11,7 +11,7 @@ import numpy as np
 
 from .channel import link_budget, wavelength_m
 from .errors import ConfigurationError
-from .geometry import cluster_reach
+from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
 # L^2 M K complex channel entries: the tensor `verify` and `dump-channels`
@@ -50,11 +50,11 @@ class ScenarioConfig:
 
     def rho(self) -> dict[str, float]:
         """Normalized SNR of each link from the link budget: {DL: rho_dl, UL: rho_ul}."""
-        budget = link_budget(
+        rho_dl, rho_ul = link_budget(
             self.carrier_ghz, self.bandwidth_hz, self.bs_power_w, self.mobile_power_w,
             self.bs_noise_figure_db, self.mobile_noise_figure_db,
         )
-        return {DOWNLINK: budget.rho_dl, UPLINK: budget.rho_ul}
+        return {DOWNLINK: rho_dl, UPLINK: rho_ul}
 
     def validate(self) -> None:
         for f in fields(self):
@@ -75,8 +75,8 @@ class ScenarioConfig:
                 f"cells, antennas_per_cell and users_per_cell give {entries} channel entries "
                 f"(cells^2 * antennas_per_cell * users_per_cell), over the limit of "
                 f"{MAX_CHANNEL_ENTRIES}")
-        if self.min_bs_distance_m < 0 or self.min_bs_distance_m >= self.cell_radius_m:
-            raise ConfigurationError("min_bs_distance_m must be in [0, cell_radius_m)")
+        if not 0 <= self.min_bs_distance_m < inradius(self.cell_radius_m):  # disk inside the cell
+            raise ConfigurationError("min_bs_distance_m must be in [0, sqrt(3)/2 * cell_radius_m)")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         for s in self.scheme_list():

@@ -34,14 +34,12 @@ class CellLayout:
 class ArrayGeometry:
     antenna_count: int
     positions: np.ndarray  # (M, 3)
-    height: float
 
 
 @dataclass(frozen=True)
 class UserDrop:
     users_per_cell: int
     positions: np.ndarray  # (L, K, 3)
-    seed: int
 
 
 def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
@@ -57,6 +55,11 @@ def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
     else:
         raise ConfigurationError(f"unsupported cell count {cell_count}; use 1 or 7")
     return CellLayout(cell_count=cell_count, cell_radius=float(cell_radius), centers=centers)
+
+
+def inradius(cell_radius: float) -> float:
+    """Center-to-edge distance of a hexagon with circumradius `cell_radius`."""
+    return SQRT3 / 2.0 * cell_radius
 
 
 def cluster_reach(cell_count: int, cell_radius: float) -> float:
@@ -92,7 +95,7 @@ def circular_array(
         ],
         axis=1,
     )
-    return ArrayGeometry(antenna_count=antenna_count, positions=positions, height=float(height))
+    return ArrayGeometry(antenna_count=antenna_count, positions=positions)
 
 
 def in_hexagon(points: np.ndarray, center: np.ndarray, cell_radius: float, tol: float = 1e-9) -> np.ndarray:
@@ -114,14 +117,13 @@ def drop_users(
 
     Points are drawn from the hexagon's bounding box and kept if they fall
     inside the hexagon at horizontal distance >= d_min from the cell center
-    (where the base station stands). Deterministic given the seed.
+    (where the base station stands). d_min must be below the inradius, so
+    that at least 7 % of the box is kept. Deterministic given the seed.
     """
     if users_per_cell < 1:
         raise ConfigurationError(f"users_per_cell must be >= 1, got {users_per_cell}")
-    if d_min >= layout.cell_radius:
-        raise ConfigurationError(
-            f"d_min={d_min} must be smaller than the cell radius {layout.cell_radius}"
-        )
+    if d_min >= inradius(layout.cell_radius):
+        raise ConfigurationError(f"d_min={d_min} must be below the inradius sqrt(3)/2 R")
     rng = np.random.default_rng(seed)
     radius = layout.cell_radius
     half_h = SQRT3 * radius / 2.0
@@ -145,4 +147,4 @@ def drop_users(
         pts = np.concatenate(accepted)[:users_per_cell] + center
         positions[l, :, :2] = pts
         positions[l, :, 2] = user_height
-    return UserDrop(users_per_cell=users_per_cell, positions=positions, seed=int(seed))
+    return UserDrop(users_per_cell=users_per_cell, positions=positions)

@@ -41,10 +41,11 @@ class PowerAllocation:
         object.__setattr__(self, "eta", eta)
         if self.link not in (DOWNLINK, UPLINK):
             raise ValueError(f"unknown link {self.link!r}")
-        if np.any(eta < 0):
-            raise ValueError("power coefficients must be nonnegative")
+        # written so that a NaN coefficient fails both checks
+        if not np.all(eta >= 0):
+            raise ValueError("power coefficients must be nonnegative and not NaN")
         norms = self.per_cell_norms()
-        if np.any(norms > 1.0 + 1e-9):
+        if not np.all(norms <= 1.0 + 1e-9):
             raise ValueError(f"per-cell power constraint violated: norms {norms}")
 
     def per_cell_norms(self) -> np.ndarray:

@@ -42,9 +42,6 @@ class SimResult:
     recon_residual: float  # relative power of (signal+interf+noise - received)
     tx_power: np.ndarray  # DL: (L,) mean ||s_l||^2; UL: (L, K) mean per-user power
     tx_power_stderr: np.ndarray
-    n_symbols: int
-    seed: int
-    scheme: str
     link: str
 
 
@@ -186,8 +183,5 @@ def simulate(
         recon_residual=recon_num / max(float(np.sum(total.s1)), 1e-300),
         tx_power=tx.mean(),
         tx_power_stderr=tx.stderr(),
-        n_symbols=n_symbols,
-        seed=int(seed),
-        scheme=scheme,
         link=alloc.link,
     )

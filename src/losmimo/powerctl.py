@@ -6,10 +6,10 @@ vector is achievable iff the solution is elementwise nonnegative and each
 cell's power norm (1-norm downlink, inf-norm uplink) is at most 1.
 Stacking is cell-major: index j = l*K + k.
 
-All four systems of a drop come from one set of cross-Gram products and
-serving-Gram inverses (`cross_gram`, or `stream_cross_gram` straight from
-the geometry), and every closed-form SINR is `PcSystem.sinr`:
-d * eta / (1 + C eta).
+All four systems of a drop come from one `CrossGram` (`cross_gram`, or
+`stream_cross_gram` straight from the geometry), which takes its
+serving-Gram inverses the first time ZF reads them, and every closed-form
+SINR is `PcSystem.sinr`: d * eta / (1 + C eta).
 
 Max-min looks for the largest common target 1/mu: with a common target the
 powers are eta = (mu D - C)^-1 1, feasible iff mu exceeds the Perron root
@@ -22,6 +22,7 @@ each probe certified by the sign of eta, with no eigensolver.
 import os
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .linproc import (
     MR,
     UPLINK,
     ZF,
-    PowerAllocation,
     gram_inverse,
     per_cell_norms,
 )
@@ -54,40 +54,35 @@ _pool_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class CrossGram:
-    """One drop's cross-Gram products and serving-Gram inverses.
+    """One drop's cross-Gram products, with its serving-Gram inverses taken
+    on first use (only ZF needs them; MR allows K > M).
 
     z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
     taken at base station l; z[l, l] is cell l's Gram matrix.
     """
 
     z: np.ndarray  # (L, L, K, K) complex
-    igram: np.ndarray | None  # (L, K, K) serving-Gram inverses, None if not inverted
+    antennas: int  # M
+
+    @cached_property
+    def igram(self) -> np.ndarray:
+        """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
+        return np.stack([gram_inverse(self.z[l, l], self.antennas) for l in range(len(self.z))])
 
     @property
     def inv_diag(self) -> np.ndarray:
         """(L, K) real diagonals of the serving-Gram inverses."""
-        if self.igram is None:
-            raise ValueError("cross-Gram built without Gram inverses (invert=False)")
         return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
 
 
-def _with_inverses(z: np.ndarray, antennas: int, invert: bool) -> CrossGram:
-    """The guarded serving-Gram inverses from z[l, l], if `invert` (ZF needs
-    them, MR allows K > M)."""
-    igram = None
-    if invert:
-        igram = np.stack([gram_inverse(z[l, l], antennas) for l in range(len(z))])
-    return CrossGram(z=z, igram=igram)
-
-
-def cross_gram(channels: ChannelSet, invert: bool = True) -> CrossGram:
+def cross_gram(channels: ChannelSet) -> CrossGram:
     """Cross-Gram products, one serving cell at a time so the only transient
-    is that cell's conjugated M x K matrix, and the Gram inverses if `invert`."""
+    is that cell's conjugated M x K matrix."""
     cells, users = channels.cell_count, channels.users_per_cell
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
     for l in range(cells):
         np.matmul(channels.serving(l).conj().T, channels.matrices[l], out=z[l])
-    return _with_inverses(z, channels.antenna_count, invert)
+    return CrossGram(z=z, antennas=channels.antenna_count)
 
 
 def _stream_stations(stations, arrays, drop, wavelength, z) -> None:
@@ -115,17 +110,14 @@ def _executor(threads: int):
         return _pool[1]
 
 
-def stream_cross_gram(
-    arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float, invert: bool = True
-) -> CrossGram:
+def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> CrossGram:
     """`cross_gram` of a drop's channels without the (L, L, M, K) tensor.
 
     Each base station's (L, M, K) channels are built into a per-thread
     buffer and reduced to its row of z at once. min(WORKERS, L) threads
-    share the stations round-robin; the calling thread takes the first share
-    and then the Gram inverses. z is bit-identical to `cross_gram` of
-    `build_channel_set` for any worker count. An error in any share is
-    raised once every share has ended.
+    share the stations round-robin, and the calling thread takes the first
+    share. z is bit-identical to `cross_gram` of `build_channel_set` for any
+    worker count. An error in any share is raised once every share has ended.
     """
     cells, users = len(arrays), drop.users_per_cell
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
@@ -143,7 +135,7 @@ def stream_cross_gram(
             future.exception()
     for future in futures:
         future.result()
-    return _with_inverses(z, arrays[0].antenna_count, invert)
+    return CrossGram(z=z, antennas=arrays[0].antenna_count)
 
 
 @dataclass(frozen=True)
@@ -171,11 +163,6 @@ class PcSolution:
     per_cell_norms: np.ndarray  # (L,)
     achieved: np.ndarray  # (KL,) D eta / (1 + C eta)
 
-    def allocation(self, system: PcSystem) -> PowerAllocation:
-        return PowerAllocation(
-            eta=self.eta.reshape(system.cells, system.users_per_cell), link=system.link
-        )
-
 
 @dataclass(frozen=True)
 class MaxminResult:
@@ -184,12 +171,10 @@ class MaxminResult:
     trace: list = field(default_factory=list)  # (probed target, feasible) pairs
 
 
-def build_pc_system(
-    source: CrossGram | ChannelSet, scheme: str, link: str, rho: float
-) -> PcSystem:
-    """Construct D and C for one of the four scheme/link pairs.
+def build_pc_system(xg: CrossGram, scheme: str, link: str, rho: float) -> PcSystem:
+    """Construct D and C for one of the four scheme/link pairs from a drop's
+    cross-Gram products; only ZF reads (and so computes) the Gram inverses.
 
-    `source` is a drop's `CrossGram`, or its channels to compute one from.
     Uplink entries, row (l, k), column (lp, k'):
       MR  d = ||g_lk||^2,           c = |z[l, lp][k, k']|^2 / ||g_lk||^2
       ZF  d = 1 / [Gram_l^-1]_kk,   c = d_lk |(Gram_l^-1 z[l, lp])[k, k']|^2
@@ -197,20 +182,18 @@ def build_pc_system(
     has the same D and the transposed C (uplink/downlink duality); both
     are then scaled by the link's rho.
     """
-    if isinstance(source, ChannelSet):
-        source = cross_gram(source, invert=scheme == ZF)
     if link not in (DOWNLINK, UPLINK):
         raise ValueError(f"unknown link {link!r}")
-    cells, _, users, _ = source.z.shape
+    cells, _, users, _ = xg.z.shape
     own = np.arange(cells)
     if scheme == MR:
-        v = np.real(np.diagonal(source.z[own, own], axis1=1, axis2=2))
-        power = np.abs(source.z) ** 2
+        v = np.real(np.diagonal(xg.z[own, own], axis1=1, axis2=2))
+        power = np.abs(xg.z) ** 2
         power[own[:, None], own[:, None], np.arange(users), np.arange(users)] = 0.0
         c = power / v[:, None, :, None]
     elif scheme == ZF:
-        v = 1.0 / source.inv_diag
-        power = np.abs(source.igram[:, None] @ source.z) ** 2
+        v = 1.0 / xg.inv_diag
+        power = np.abs(xg.igram[:, None] @ xg.z) ** 2
         power[own, own] = 0.0
         c = v[:, None, :, None] * power
     else:

@@ -113,8 +113,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     cfg.validate()
     rho = cfg.rho()
     combos = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
-    with_zf = ZF in cfg.scheme_list()
-    single_cell = cfg.single_cell_series and with_zf
+    single_cell = cfg.single_cell_series and ZF in cfg.scheme_list()
     # the single-cell series are evaluated with both multi-cell ZF systems
     pairs = list(dict.fromkeys(combos + ([(ZF, DOWNLINK), (ZF, UPLINK)] if single_cell else [])))
 
@@ -126,7 +125,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     while completed < cfg.drops:
         drop_seed = int(seed_stream.integers(2**63))
         try:
-            xg = stream_cross_gram(arrays, _drop(cfg, layout, drop_seed), wl, invert=with_zf)
+            xg = stream_cross_gram(arrays, _drop(cfg, layout, drop_seed), wl)
             systems = {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}
             drop_series = {
                 SERIES_NAMES[pair]: _to_db(maxmin_common_target(systems[pair]).solution.achieved)
@@ -182,7 +181,6 @@ class VerificationEntry:
 class VerificationReport:
     entries: list[VerificationEntry]
     threshold: float
-    n_symbols: int
 
     @property
     def passed(self) -> bool:
@@ -206,7 +204,7 @@ def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> Verif
         UPLINK: ul_allocation(np.ones(shape)),
     }
     rho = cfg.rho()
-    xg = cross_gram(channels, invert=ZF in cfg.scheme_list())
+    xg = cross_gram(channels)
 
     entries = []
     for scheme in cfg.scheme_list():
@@ -217,4 +215,4 @@ def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> Verif
             dev = np.abs(result.sinr - closed) / sigma
             entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev,
                                              recon_residual=result.recon_residual))
-    return VerificationReport(entries=entries, threshold=threshold, n_symbols=n_symbols)
+    return VerificationReport(entries=entries, threshold=threshold)

@@ -141,7 +141,8 @@ def evaluate_allocation(
     channels: ChannelSet, system: PcSystem, solution: PcSolution
 ) -> np.ndarray:
     """Closed-form SINRs (flat, cell-major) for a solved allocation."""
-    report = evaluate_sinr(
-        channels, system.scheme, system.link, solution.allocation(system), system.rho
+    alloc = PowerAllocation(
+        eta=solution.eta.reshape(system.cells, system.users_per_cell), link=system.link
     )
+    report = evaluate_sinr(channels, system.scheme, system.link, alloc, system.rho)
     return report.values.ravel()

@@ -127,6 +127,17 @@ class TestDropUsers:
         with pytest.raises(ConfigurationError):
             drop_users(hex_centers(1, 200.0), 4, 250.0, 1.5, seed=0)
 
+    def test_d_min_bounded_by_inradius(self):
+        # sqrt(3)/2 R = 173.2 m: inside it, at least 7 % of the sampled box is kept
+        layout = hex_centers(7, 200.0)
+        with pytest.raises(ConfigurationError):
+            drop_users(layout, 4, 173.3, 1.5, seed=0)
+        drop = drop_users(layout, 4, 173.2, 1.5, seed=0)
+        for l, center in enumerate(layout.centers):
+            dist = np.linalg.norm(drop.positions[l, :, :2] - center, axis=1)
+            assert np.all(dist >= 173.2)
+            assert in_hexagon(drop.positions[l, :, :2], center, 200.0).all()
+
     def test_uniformity_mean_near_center(self):
         # 1e5 samples in one hexagon: sample mean within 3 standard errors
         layout = hex_centers(1, 200.0)

@@ -6,6 +6,7 @@ from losmimo import (
     DegenerateChannelError,
     SingularChannelError,
     build_pc_system,
+    cross_gram,
     dl_allocation,
     mr_precoder,
     ul_allocation,
@@ -18,7 +19,7 @@ from conftest import random_channel_set
 
 def closed_sinr(cs, scheme, link, alloc, rho):
     """The package's closed-form SINRs (L, K) of an allocation."""
-    return build_pc_system(cs, scheme, link, rho).sinr(alloc.eta)
+    return build_pc_system(cross_gram(cs), scheme, link, rho).sinr(alloc.eta)
 
 
 def _random_matrix(rng, antennas=16, users=4):
@@ -35,6 +36,12 @@ class TestAllocations:
             dl_allocation(np.array([[0.7, 0.7]]))  # 1-norm > 1
         with pytest.raises(ValueError):
             ul_allocation(np.array([[1.2, 0.3]]))  # inf-norm > 1
+
+    def test_rejects_nan(self):
+        # NaN compares False both to 0 and to the norm bound
+        for allocation in (dl_allocation, ul_allocation):
+            with pytest.raises(ValueError):
+                allocation(np.array([[np.nan, 0.1]]))
 
     def test_ul_total_above_one_allowed(self):
         alloc = ul_allocation(np.array([[1.0, 1.0, 1.0]]))

@@ -3,7 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from losmimo import build_pc_system, dl_allocation, gram_inverse, simulate, ul_allocation
+from losmimo import (
+    build_pc_system,
+    cross_gram,
+    dl_allocation,
+    gram_inverse,
+    simulate,
+    ul_allocation,
+)
 from losmimo.mcsim import noise_factor
 
 from conftest import random_channel_set
@@ -24,7 +31,7 @@ class TestDownlink:
         cs = random_channel_set(rng, cells=1, users=1)
         alloc = dl_allocation(np.array([[0.9]]))
         rho = 10.0
-        expected = build_pc_system(cs, "MR", "DL", rho).sinr(alloc.eta)
+        expected = build_pc_system(cross_gram(cs), "MR", "DL", rho).sinr(alloc.eta)
         result = simulate(cs, "MR", alloc, rho, N, seed=5)
         assert np.all(np.abs(result.sinr - expected) < 3 * result.sinr_stderr)
 
@@ -156,7 +163,7 @@ class TestOracleAgreement:
                 eta /= np.sum(eta, axis=1, keepdims=True) * 1.1
             rho = 10.0 ** rng.uniform(0.5, 1.5)
             alloc = make(eta)
-            closed = build_pc_system(cs, scheme, link, rho).sinr(alloc.eta)
+            closed = build_pc_system(cross_gram(cs), scheme, link, rho).sinr(alloc.eta)
             result = simulate(cs, scheme, alloc, rho, N, seed=100 + trial)
             dev = np.abs(result.sinr - closed) / np.where(result.sinr_stderr > 0,
                                                          result.sinr_stderr, np.inf)
@@ -166,7 +173,7 @@ class TestOracleAgreement:
         # K > M: the decoded noise has r = M dimensions
         cs = random_channel_set(rng, cells=2, users=5, antennas=3)
         alloc = ul_allocation(np.full((2, 5), 0.5))
-        closed = build_pc_system(cs, "MR", "UL", 10.0).sinr(alloc.eta)
+        closed = build_pc_system(cross_gram(cs), "MR", "UL", 10.0).sinr(alloc.eta)
         result = simulate(cs, "MR", alloc, 10.0, N, seed=9)
         assert np.max(np.abs(result.sinr - closed) / result.sinr_stderr) < 5.0
 

@@ -16,6 +16,7 @@ from losmimo import (
     MaxminError,
     PcSystem,
     ScenarioConfig,
+    SingularChannelError,
     SingularGeometryError,
     build_channel_set,
     build_drop_channels,
@@ -86,7 +87,7 @@ class TestSystemStructure:
         # closed-form SINR == [D eta]_j / (1 + [C eta]_j) for admissible eta
         for _ in range(5):
             cs = random_channel_set(rng, cells=3, users=2, antennas=12)
-            system = build_pc_system(cs, scheme, link, 20.0)
+            system = build_pc_system(cross_gram(cs), scheme, link, 20.0)
             eta = _admissible_eta(rng, 3, 2, link)
             make = dl_allocation if link == "DL" else ul_allocation
             closed = evaluate_sinr(cs, scheme, link, make(eta), 20.0).values.ravel()
@@ -100,8 +101,9 @@ class TestSystemStructure:
         # and read back from the reference formulas
         cs = random_channel_set(rng, cells=2, users=3, antennas=12)
         rho_u, rho_d = 7.0, 20.0
-        ul, dl = build_pc_system(cs, scheme, "UL", rho_u), build_pc_system(cs, scheme, "DL", rho_d)
-        same_rho = build_pc_system(cs, scheme, "DL", rho_u)
+        xg = cross_gram(cs)
+        ul, dl = build_pc_system(xg, scheme, "UL", rho_u), build_pc_system(xg, scheme, "DL", rho_d)
+        same_rho = build_pc_system(xg, scheme, "DL", rho_u)
         assert np.array_equal(ul.c, same_rho.c.T) and np.array_equal(ul.d, same_rho.d)
         ref_ul_d, ref_ul_c = _reference_system(cs, scheme, "UL", rho_u)
         ref_dl_d, ref_dl_c = _reference_system(cs, scheme, "DL", rho_d)
@@ -119,28 +121,54 @@ class TestSystemStructure:
             for lp in range(3):
                 assert np.allclose(xg.z[l, lp], cs.serving(l).conj().T @ cs.matrices[l, lp],
                                    rtol=1e-13, atol=1e-15)
+        # xg keeps its inverses once a ZF system has read them; a fresh one has none yet
         for scheme, link in ALL_SCHEMES:
-            a, b = build_pc_system(cs, scheme, link, 9.0), build_pc_system(xg, scheme, link, 9.0)
+            a = build_pc_system(cross_gram(cs), scheme, link, 9.0)
+            b = build_pc_system(xg, scheme, link, 9.0)
             assert np.array_equal(a.d, b.d) and np.array_equal(a.c, b.c)
 
-    def test_zf_needs_gram_inverses(self, rng):
-        xg = cross_gram(random_channel_set(rng), invert=False)
-        assert xg.igram is None
-        build_pc_system(xg, "MR", "DL", 5.0)
-        with pytest.raises(ValueError):
-            build_pc_system(xg, "ZF", "DL", 5.0)
+    def test_mr_never_inverts_a_gram(self, rng, monkeypatch):
+        def no_inverse(*args):
+            raise AssertionError("MR called gram_inverse")
+
+        monkeypatch.setattr(losmimo.powerctl, "gram_inverse", no_inverse)
+        for antennas in (16, 2):  # K = 3 > M = 2: no inverse exists
+            xg = cross_gram(random_channel_set(rng, antennas=antennas))
+            for link in ("DL", "UL"):
+                maxmin_common_target(build_pc_system(xg, "MR", link, 5.0))
+            assert "igram" not in vars(xg)
+
+    def test_gram_inverses_taken_once_on_first_zf_read(self, rng, monkeypatch):
+        calls = []
+        inverse = losmimo.powerctl.gram_inverse
+
+        def counted(*args):
+            calls.append(threading.current_thread())
+            return inverse(*args)
+
+        monkeypatch.setattr(losmimo.powerctl, "gram_inverse", counted)
+        cs = random_channel_set(rng, cells=3)
+        xg = cross_gram(cs)
+        assert calls == []
+        for scheme, link in ALL_SCHEMES:
+            build_pc_system(xg, scheme, link, 5.0)
+        xg.inv_diag
+        assert calls == [threading.current_thread()] * 3
+        for l in range(3):
+            serving = cs.serving(l)
+            assert np.array_equal(xg.igram[l], np.linalg.inv(serving.conj().T @ serving))
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_c_nonnegative_and_d_positive(self, rng, scheme, link):
         cs = random_channel_set(rng)
-        system = build_pc_system(cs, scheme, link, 5.0)
+        system = build_pc_system(cross_gram(cs), scheme, link, 5.0)
         assert np.all(system.d > 0)
         assert np.all(system.c >= 0)
 
     def test_mr_diagonal_blocks_have_zero_diagonal(self, rng):
         cs = random_channel_set(rng, cells=2, users=3)
         for link in ("DL", "UL"):
-            system = build_pc_system(cs, "MR", link, 5.0)
+            system = build_pc_system(cross_gram(cs), "MR", link, 5.0)
             for l in range(2):
                 block = system.c[l * 3:(l + 1) * 3, l * 3:(l + 1) * 3]
                 assert np.all(np.diag(block) == 0)
@@ -149,14 +177,14 @@ class TestSystemStructure:
     def test_zf_diagonal_blocks_are_zero(self, rng):
         cs = random_channel_set(rng, cells=2, users=3)
         for link in ("DL", "UL"):
-            system = build_pc_system(cs, "ZF", link, 5.0)
+            system = build_pc_system(cross_gram(cs), "ZF", link, 5.0)
             for l in range(2):
                 assert np.all(system.c[l * 3:(l + 1) * 3, l * 3:(l + 1) * 3] == 0)
 
     def test_single_cell_zf_c_is_zero(self, rng):
         cs = random_channel_set(rng, cells=1, users=3)
         for link in ("DL", "UL"):
-            assert np.all(build_pc_system(cs, "ZF", link, 5.0).c == 0)
+            assert np.all(build_pc_system(cross_gram(cs), "ZF", link, 5.0).c == 0)
 
 
 def _scene(antennas, users, seed=5):
@@ -182,14 +210,14 @@ class TestStreamCrossGram:
         for l in range(7):
             serving = channels.serving(l)
             assert np.array_equal(got.igram[l], np.linalg.inv(serving.conj().T @ serving))
-        assert stream_cross_gram(arrays, drop, wl, invert=False).igram is None
 
     def test_mr_allows_more_users_than_antennas(self, monkeypatch):
         monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
         layout, arrays, drop, wl = _scene(antennas=2, users=3)
-        got = stream_cross_gram(arrays, drop, wl, invert=False)
-        assert np.array_equal(got.z, cross_gram(build_channel_set(layout, arrays, drop, wl),
-                                                invert=False).z)
+        got = stream_cross_gram(arrays, drop, wl)
+        assert np.array_equal(got.z, cross_gram(build_channel_set(layout, arrays, drop, wl)).z)
+        with pytest.raises(SingularChannelError):  # only ZF, which needs K <= M, reads these
+            got.igram
 
     def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
         monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
@@ -285,7 +313,7 @@ class TestSolveTargets:
         cs = random_channel_set(rng, cells=1, users=1)
         rho = 8.0
         gain = np.linalg.norm(cs.serving(0)) ** 2
-        system = build_pc_system(cs, "MR", "DL", rho)
+        system = build_pc_system(cross_gram(cs), "MR", "DL", rho)
         zeta = 0.5 * rho * gain
         sol = solve_targets(system, np.array([zeta]))
         assert sol.feasible
@@ -295,7 +323,7 @@ class TestSolveTargets:
 
     def test_zero_targets(self, rng):
         cs = random_channel_set(rng)
-        system = build_pc_system(cs, "MR", "UL", 8.0)
+        system = build_pc_system(cross_gram(cs), "MR", "UL", 8.0)
         sol = solve_targets(system, np.zeros(6))
         assert sol.feasible
         assert np.all(sol.eta == 0)
@@ -306,7 +334,7 @@ class TestSolveTargets:
         # feasible targets; solving must reproduce them
         cs = random_channel_set(rng, cells=3, users=4, antennas=16)
         rho = 15.0
-        system = build_pc_system(cs, scheme, link, rho)
+        system = build_pc_system(cross_gram(cs), scheme, link, rho)
         eta = _admissible_eta(rng, 3, 4, link)
         flat = eta.ravel()
         zeta = system.d * flat / (1.0 + system.c @ flat)
@@ -321,7 +349,7 @@ class TestSolveTargets:
     def test_feasibility_monotone_in_scaling(self, c):
         rng = np.random.default_rng(77)
         cs = random_channel_set(rng, cells=2, users=3)
-        system = build_pc_system(cs, "MR", "DL", 10.0)
+        system = build_pc_system(cross_gram(cs), "MR", "DL", 10.0)
         eta = _admissible_eta(rng, 2, 3, "DL")
         zeta = system.d * eta.ravel() / (1.0 + system.c @ eta.ravel())
         assert solve_targets(system, c * zeta).feasible
@@ -332,27 +360,27 @@ class TestMaxmin:
         cs = random_channel_set(rng, cells=1, users=1)
         rho = 8.0
         gain = np.linalg.norm(cs.serving(0)) ** 2
-        result = maxmin_common_target(build_pc_system(cs, "MR", "DL", rho))
+        result = maxmin_common_target(build_pc_system(cross_gram(cs), "MR", "DL", rho))
         assert result.target == pytest.approx(rho * gain, rel=1e-9)
 
     def test_single_cell_zf_dl_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
         _, closed = single_cell_zf_maxmin_dl(cross_gram(cs).inv_diag[0], rho)
-        result = maxmin_common_target(build_pc_system(cs, "ZF", "DL", rho))
+        result = maxmin_common_target(build_pc_system(cross_gram(cs), "ZF", "DL", rho))
         assert result.target == pytest.approx(closed, rel=1e-9)
 
     def test_single_cell_zf_ul_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
         _, closed = single_cell_zf_maxmin_ul(cross_gram(cs).inv_diag[0], rho)
-        result = maxmin_common_target(build_pc_system(cs, "ZF", "UL", rho))
+        result = maxmin_common_target(build_pc_system(cross_gram(cs), "ZF", "UL", rho))
         assert result.target == pytest.approx(closed, rel=1e-9)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_bisection_trace_monotone(self, rng, scheme, link):
         cs = random_channel_set(rng, cells=2, users=3)
-        result = maxmin_common_target(build_pc_system(cs, scheme, link, 10.0))
+        result = maxmin_common_target(build_pc_system(cross_gram(cs), scheme, link, 10.0))
         feasible = [z for z, ok in result.trace if ok]
         infeasible = [z for z, ok in result.trace if not ok]
         if feasible and infeasible:
@@ -373,7 +401,7 @@ class TestCertifiedMaxmin:
         for _ in range(10):
             cs = random_channel_set(rng, cells=3, users=2, antennas=8)
             for scheme, link in ALL_SCHEMES:
-                yield build_pc_system(cs, scheme, link, 10.0 ** rng.uniform(0.0, 3.0))
+                yield build_pc_system(cross_gram(cs), scheme, link, 10.0 ** rng.uniform(0.0, 3.0))
 
     def test_at_or_above_bisection_within_its_tolerance(self):
         for system in self._systems():
@@ -451,9 +479,9 @@ class TestMaxminProperties:
     @settings(max_examples=10, deadline=None)
     def test_target_does_not_fall_as_rho_rises(self, scheme, link, log_rho, log_factor):
         cs = random_channel_set(np.random.default_rng(78), cells=2, users=3)
-        rho = 10.0**log_rho
+        xg, rho = cross_gram(cs), 10.0**log_rho
         low, high = (
-            maxmin_common_target(build_pc_system(cs, scheme, link, r), self.REL_TOL).target
+            maxmin_common_target(build_pc_system(xg, scheme, link, r), self.REL_TOL).target
             for r in (rho, rho * 10.0**log_factor)
         )
         # bisection stops within rel_tol of the optimum, from below
@@ -469,8 +497,8 @@ class TestMaxminProperties:
             permuted[:, l] = cs.matrices[:, l][..., perm]
         flat_perm = np.concatenate([l * users + perm for l, perm in enumerate(perms)])
         cs_perm = ChannelSet(matrices=permuted, wavelength=cs.wavelength)
-        system = build_pc_system(cs, scheme, link, 10.0)
-        system_perm = build_pc_system(cs_perm, scheme, link, 10.0)
+        system = build_pc_system(cross_gram(cs), scheme, link, 10.0)
+        system_perm = build_pc_system(cross_gram(cs_perm), scheme, link, 10.0)
         eta = _admissible_eta(rng, cells, users, link).ravel()
         assert np.allclose(system_perm.sinr(eta[flat_perm]), system.sinr(eta)[flat_perm],
                            rtol=1e-12)
@@ -487,20 +515,22 @@ class TestSingleCellClosedForms:
             cs = random_channel_set(rng, cells=1, users=4, antennas=16)
             g = cs.serving(0)
             rho = 12.0
-            eta, sinr = single_cell_zf_maxmin_dl(cross_gram(cs).inv_diag[0], rho)
+            xg = cross_gram(cs)
+            eta, sinr = single_cell_zf_maxmin_dl(xg.inv_diag[0], rho)
             assert np.sum(eta) == pytest.approx(1.0, abs=1e-14)
             igram = np.linalg.inv(g.conj().T @ g)
             assert sinr == pytest.approx(rho / np.sum(np.real(np.diag(igram))), rel=1e-12)
-            values = build_pc_system(cs, "ZF", "DL", rho).sinr(dl_allocation(eta[None, :]).eta)
+            values = build_pc_system(xg, "ZF", "DL", rho).sinr(dl_allocation(eta[None, :]).eta)
             assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_ul_normalization_and_equal_sinr(self, rng):
         for _ in range(10):
             cs = random_channel_set(rng, cells=1, users=4, antennas=16)
             rho = 12.0
-            eta, sinr = single_cell_zf_maxmin_ul(cross_gram(cs).inv_diag[0], rho)
+            xg = cross_gram(cs)
+            eta, sinr = single_cell_zf_maxmin_ul(xg.inv_diag[0], rho)
             assert np.max(eta) == 1.0  # worst user at full power, exactly
-            values = build_pc_system(cs, "ZF", "UL", rho).sinr(ul_allocation(eta[None, :]).eta)
+            values = build_pc_system(xg, "ZF", "UL", rho).sinr(ul_allocation(eta[None, :]).eta)
             assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_symmetric_channels_give_uniform_power(self, rng):

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import losmimo.powerctl
 import losmimo.scenario
@@ -18,7 +20,6 @@ from losmimo import (
     build_pc_system,
     cross_gram,
     hex_centers,
-    load_channel_set,
     load_config,
     parse_config,
     run_scenario,
@@ -28,6 +29,8 @@ from losmimo import (
 from losmimo.cli import main
 from losmimo.config import MAX_CHANNEL_ENTRIES
 from losmimo.scenario import MAX_RESAMPLES, RECON_TOL, build_drop_channels
+
+from reference_channel import load_channel_dump
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIX_SERIES = ["MR DL", "MR UL", "ZF DL", "ZF UL", "ZF DL-1", "ZF UL-1"]
@@ -82,21 +85,57 @@ class TestConfig:
         assert once == twice
 
 
+_DEFAULTS = dataclasses.asdict(ScenarioConfig())
+_EDGE_VALUES = ["0", "-0", "1", "-1", "7", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
+                "1e-300", "5e-324", "1.7976931348623157e308", str(10**30), "9" * 5000, "0x10",
+                "1_000", "true", "no", "MR", "ZF,MR", "DL", "UL,DL", "MR,,ZF", "", "abc", "1.5.2",
+                "= 3", "# comment"]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.integers(-(10**40), 10**40).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=12),
+)
+
+
+def _near_default(key):
+    """Values around the key's default, so that some texts parse."""
+    default = _DEFAULTS[key]
+    if isinstance(default, (bool, str)):
+        return st.just(str(default))
+    return st.floats(0.0, 2.0).map(lambda f: str(type(default)(default * f)))
+
+
+_LINES = st.sampled_from(list(_DEFAULTS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.one_of(_VALUES, _near_default(key))))
+
+
+class TestConfigFuzz:
+    @given(st.lists(_LINES, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_config_text_parses_to_a_valid_config_or_is_rejected(self, lines):
+        text = "".join(f"{key} = {value}\n" for key, value in lines)
+        try:
+            cfg = parse_config(text)
+        except ConfigurationError:
+            return
+        cfg.validate()
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
 class TestRunScenario:
     def test_degenerate_single_user_cdf(self):
-        from losmimo import build_pc_system, link_budget, maxmin_common_target
+        from losmimo import build_pc_system, maxmin_common_target
         cfg = tiny_config(cells=1, users_per_cell=1, drops=1, schemes="MR", links="DL",
                           single_cell_series=False)
         table, summary = run_scenario(cfg)
         assert list(table.series) == ["MR DL"]
         assert len(table.series["MR DL"]) == 1
         # the single sample is the closed-form max-min SINR of that drop
-        budget = link_budget(cfg.carrier_ghz, cfg.bandwidth_hz, cfg.bs_power_w,
-                             cfg.mobile_power_w, cfg.bs_noise_figure_db,
-                             cfg.mobile_noise_figure_db)
         drop_seed = int(np.random.default_rng(cfg.seed).integers(2**63))
         channels = build_drop_channels(cfg, drop_seed)
-        result = maxmin_common_target(build_pc_system(channels, "MR", "DL", budget.rho_dl))
+        result = maxmin_common_target(build_pc_system(cross_gram(channels), "MR", "DL",
+                                                      cfg.rho()["DL"]))
         assert table.series["MR DL"][0] == pytest.approx(10 * np.log10(result.target), abs=1e-6)
 
     def test_all_six_series(self):
@@ -269,9 +308,9 @@ class TestCli:
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
 
-        def whole_tensor(arrays, drop, wl, invert=True):
+        def whole_tensor(arrays, drop, wl):
             layout = hex_centers(cfg.cells, cfg.cell_radius_m)
-            return cross_gram(build_channel_set(layout, arrays, drop, wl), invert=invert)
+            return cross_gram(build_channel_set(layout, arrays, drop, wl))
 
         monkeypatch.setattr(losmimo.scenario, "stream_cross_gram", whole_tensor)
         out = tmp_path / "tensor.csv"
@@ -291,6 +330,25 @@ class TestCli:
         for key in ("cells", "antennas_per_cell", "users_per_cell"):
             assert key in errors[0]
         assert not out.exists()
+
+    def test_min_distance_near_cell_radius_exit_code(self, tmp_path, capsys):
+        # rejection sampling once ran for minutes here: the user-free disk
+        # covered almost all of the cell
+        cfg = tiny_config(antennas_per_cell=16, users_per_cell=2, drops=1)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(serialize_config(cfg) + "min_bs_distance_m = 199.9999\n")
+        out = tmp_path / "x.csv"
+        start = time.perf_counter()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 10.0
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1
+        assert "min_bs_distance_m" in errors[0] and "cell_radius_m" in errors[0]
+        assert not out.exists()
+        # just inside the inradius (173.2 m at R = 200 m) still runs
+        cfg_path.write_text(serialize_config(cfg) + "min_bs_distance_m = 173\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
@@ -401,7 +459,7 @@ class TestCli:
         cfg = _write_tiny_config(cfg_path, cells=1, antennas_per_cell=8, users_per_cell=2)
         out = tmp_path / "channels.txt"
         assert main(["dump-channels", "--config", str(cfg_path), "--out", str(out)]) == 0
-        loaded = load_channel_set(out)
+        loaded = load_channel_dump(out)
         assert loaded.matrices.shape == (1, 1, 8, 2)
         direct = build_drop_channels(cfg, cfg.seed)
         assert np.array_equal(loaded.matrices, direct.matrices)
