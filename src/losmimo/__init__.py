@@ -7,9 +7,12 @@ closed form.
 
 from .channel import (
     ChannelSet,
+    CrossGram,
     build_channel_set,
+    cross_gram,
     dump_channel_set,
     link_budget,
+    stream_cross_gram,
     wavelength_m,
 )
 from .config import ScenarioConfig, load_config, parse_config, serialize_config
@@ -40,17 +43,14 @@ from .linproc import (
 )
 from .mcsim import SimResult, simulate
 from .powerctl import (
-    CrossGram,
     MaxminResult,
     PcSolution,
     PcSystem,
     build_pc_system,
-    cross_gram,
     maxmin_common_target,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
     solve_targets,
-    stream_cross_gram,
 )
 from .scenario import CdfTable, VerificationReport, build_drop_channels, run_scenario, verify
 

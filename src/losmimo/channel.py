@@ -1,4 +1,4 @@
-"""Spherical-wave LoS channels and link budgets.
+"""Spherical-wave LoS channels, their cross-Gram products, and link budgets.
 
 Channel entry for antenna m at distance r:
 
@@ -7,16 +7,24 @@ Channel entry for antenna m at distance r:
 The lambda/(4 pi) amplitude makes the per-antenna power gain equal to the
 inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
 plain transmit-power-to-noise-power ratios.
+
+Power control sees a drop only through its `CrossGram`: `cross_gram` of a
+`ChannelSet`, or `stream_cross_gram` straight from the geometry.
 """
 
+import os
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, SingularGeometryError
-from .geometry import ArrayGeometry, CellLayout, UserDrop
+from .geometry import ArrayGeometry, UserDrop
+from .linproc import gram_inverse
 
 C_LIGHT = 299792458.0  # m/s
+WORKERS = len(os.sched_getaffinity(0))  # threads that build a drop's channels, at most L
 
 _DUMP_MAGIC = "losmimo-channelset-v1"
 
@@ -122,23 +130,109 @@ def station_channels(
     return out
 
 
-def build_channel_set(
-    layout: CellLayout,
-    arrays: list[ArrayGeometry],
-    drop: UserDrop,
-    wavelength: float,
-) -> ChannelSet:
+def build_channel_set(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> ChannelSet:
     """Fill the full L x L grid of channel matrices for one user drop, one
     base station at a time with `station_channels`."""
-    cells = layout.cell_count
-    if len(arrays) != cells or drop.positions.shape[0] != cells:
-        raise ConfigurationError("layout, arrays, and drop disagree on cell count")
+    cells = len(arrays)
+    if drop.positions.shape[0] != cells:
+        raise ConfigurationError("arrays and drop disagree on cell count")
     shape = (cells, arrays[0].antenna_count, drop.users_per_cell)
     matrices = np.empty((cells, *shape), dtype=np.complex128)
     r, tmp = np.empty(shape), np.empty(shape)
     for bs in range(cells):
         station_channels(arrays[bs], drop, wavelength, matrices[bs], r, tmp)
     return ChannelSet(matrices=matrices, wavelength=wavelength)
+
+
+_local = threading.local()  # each thread's station buffers, kept across drops
+_pool = None  # (threads, executor), made the first time more than one worker runs
+_pool_lock = threading.Lock()
+
+
+@dataclass(frozen=True)
+class CrossGram:
+    """One drop's cross-Gram products, with its serving-Gram inverses taken
+    on first use (only ZF needs them; MR allows K > M).
+
+    z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
+    taken at base station l; z[l, l] is cell l's Gram matrix.
+    """
+
+    z: np.ndarray  # (L, L, K, K) complex
+    antennas: int  # M
+
+    @cached_property
+    def igram(self) -> np.ndarray:
+        """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
+        return np.stack([gram_inverse(self.z[l, l], self.antennas) for l in range(len(self.z))])
+
+    @property
+    def inv_diag(self) -> np.ndarray:
+        """(L, K) real diagonals of the serving-Gram inverses."""
+        return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
+
+
+def cross_gram(channels: ChannelSet) -> CrossGram:
+    """Cross-Gram products, one serving cell at a time so the only transient
+    is that cell's conjugated M x K matrix."""
+    cells, users = channels.cell_count, channels.users_per_cell
+    z = np.empty((cells, cells, users, users), dtype=np.complex128)
+    for l in range(cells):
+        np.matmul(channels.serving(l).conj().T, channels.matrices[l], out=z[l])
+    return CrossGram(z=z, antennas=channels.antenna_count)
+
+
+def _stream_stations(stations, arrays, drop, wavelength, z) -> None:
+    """z[l] = G[l, l]^H G[l, :] for each base station l, with G[l] built in
+    this thread's (L, M, K) buffers, which are kept across drops."""
+    shape = (len(arrays), arrays[0].antenna_count, drop.users_per_cell)
+    buffers = getattr(_local, "buffers", None)
+    if buffers is None or buffers[0].shape != shape:
+        buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
+        _local.buffers = buffers
+    block, r, tmp = buffers
+    for l in stations:
+        station_channels(arrays[l], drop, wavelength, block, r, tmp)
+        np.matmul(block[l].conj().T, block, out=z[l])
+
+
+def _executor(threads: int):
+    """The shared thread pool, made on first use and remade only to grow."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] < threads:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="losmimo-station"))
+        return _pool[1]
+
+
+def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> CrossGram:
+    """`cross_gram` of a drop's channels without the (L, L, M, K) tensor.
+
+    Each base station's (L, M, K) channels are built into a per-thread
+    buffer and reduced to its row of z at once. min(WORKERS, L) threads
+    share the stations round-robin, and the calling thread takes the first
+    share. z is bit-identical to `cross_gram` of `build_channel_set` for any
+    worker count. An error in any share is raised once every share has ended.
+    """
+    cells, users = len(arrays), drop.users_per_cell
+    z = np.empty((cells, cells, users, users), dtype=np.complex128)
+    workers = min(WORKERS, cells)
+    shares = [range(w, cells, workers) for w in range(workers)]
+    futures = []
+    if workers > 1:
+        pool = _executor(workers - 1)
+        futures = [pool.submit(_stream_stations, share, arrays, drop, wavelength, z)
+                   for share in shares[1:]]
+    try:
+        _stream_stations(shares[0], arrays, drop, wavelength, z)
+    finally:
+        for future in futures:  # wait for every share before raising
+            future.exception()
+    for future in futures:
+        future.result()
+    return CrossGram(z=z, antennas=arrays[0].antenna_count)
 
 
 def dump_channel_set(channels: ChannelSet, path) -> None:

@@ -14,8 +14,10 @@ from .errors import ConfigurationError
 from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
-# L^2 M K complex channel entries: the tensor `verify` and `dump-channels`
-# hold, 1 GiB of complex128 (the published Table 1 scale is 3.6 M entries)
+# L^2 K max(M, K) complex entries, 1 GiB of complex128: the L^2 M K channel
+# tensor that `verify` and `dump-channels` hold, or, when K > M (MR only), the
+# L^2 K^2 cross-Gram tensor and power-control matrices of every drop (the
+# published Table 1 scale is 3.6 M entries)
 MAX_CHANNEL_ENTRIES = 2**26
 _SCHEMES = ("MR", "ZF")
 _LINKS = ("DL", "UL")
@@ -69,12 +71,13 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cells not in (1, 7):
             raise ConfigurationError(f"cells must be 1 or 7, got {self.cells}")
-        entries = self.cells**2 * self.antennas_per_cell * self.users_per_cell
+        users = self.users_per_cell
+        entries = self.cells**2 * users * max(self.antennas_per_cell, users)
         if entries > MAX_CHANNEL_ENTRIES:
             raise ConfigurationError(
-                f"cells, antennas_per_cell and users_per_cell give {entries} channel entries "
-                f"(cells^2 * antennas_per_cell * users_per_cell), over the limit of "
-                f"{MAX_CHANNEL_ENTRIES}")
+                f"cells, antennas_per_cell and users_per_cell give {entries} entries per drop "
+                f"(cells^2 * users_per_cell * max(antennas_per_cell, users_per_cell)), over "
+                f"the limit of {MAX_CHANNEL_ENTRIES}")
         if not 0 <= self.min_bs_distance_m < inradius(self.cell_radius_m):  # disk inside the cell
             raise ConfigurationError("min_bs_distance_m must be in [0, sqrt(3)/2 * cell_radius_m)")
         if self.seed < 0:

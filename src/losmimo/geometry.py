@@ -49,9 +49,7 @@ def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
     if cell_count == 1:
         centers = np.zeros((1, 2))
     elif cell_count == 7:
-        angles = np.deg2rad(30.0 + 60.0 * np.arange(6))
-        outer = SQRT3 * cell_radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        centers = np.vstack([np.zeros((1, 2)), outer])
+        centers = np.vstack([np.zeros((1, 2)), SQRT3 * cell_radius * _HEX_NORMALS])
     else:
         raise ConfigurationError(f"unsupported cell count {cell_count}; use 1 or 7")
     return CellLayout(cell_count=cell_count, cell_radius=float(cell_radius), centers=centers)
@@ -101,9 +99,8 @@ def circular_array(
 def in_hexagon(points: np.ndarray, center: np.ndarray, cell_radius: float, tol: float = 1e-9) -> np.ndarray:
     """Membership test for a flat-top hexagon via six half-plane checks."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))[:, :2] - np.asarray(center, dtype=float)[:2]
-    apothem = SQRT3 * cell_radius / 2.0
     proj = pts @ _HEX_NORMALS.T  # (N, 6)
-    return np.max(proj, axis=1) <= apothem + tol
+    return np.max(proj, axis=1) <= inradius(cell_radius) + tol
 
 
 def drop_users(
@@ -126,7 +123,7 @@ def drop_users(
         raise ConfigurationError(f"d_min={d_min} must be below the inradius sqrt(3)/2 R")
     rng = np.random.default_rng(seed)
     radius = layout.cell_radius
-    half_h = SQRT3 * radius / 2.0
+    half_h = inradius(radius)
     batch = max(4 * users_per_cell, 64)
     positions = np.empty((layout.cell_count, users_per_cell, 3))
     for l, center in enumerate(layout.centers):

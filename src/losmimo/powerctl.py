@@ -6,10 +6,9 @@ vector is achievable iff the solution is elementwise nonnegative and each
 cell's power norm (1-norm downlink, inf-norm uplink) is at most 1.
 Stacking is cell-major: index j = l*K + k.
 
-All four systems of a drop come from one `CrossGram` (`cross_gram`, or
-`stream_cross_gram` straight from the geometry), which takes its
-serving-Gram inverses the first time ZF reads them, and every closed-form
-SINR is `PcSystem.sinr`: d * eta / (1 + C eta).
+All four systems of a drop come from one `channel.CrossGram`, which takes
+its serving-Gram inverses the first time ZF reads them, and every
+closed-form SINR is `PcSystem.sinr`: d * eta / (1 + C eta).
 
 Max-min looks for the largest common target 1/mu: with a common target the
 powers are eta = (mu D - C)^-1 1, feasible iff mu exceeds the Perron root
@@ -19,24 +18,13 @@ interference functions: Yates, IEEE JSAC 1995; Boche & Schubert, IEEE TVT
 each probe certified by the sign of eta, with no eigensolver.
 """
 
-import os
-import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelSet, station_channels
+from .channel import CrossGram
 from .errors import MaxminError
-from .geometry import ArrayGeometry, UserDrop
-from .linproc import (
-    DOWNLINK,
-    MR,
-    UPLINK,
-    ZF,
-    gram_inverse,
-    per_cell_norms,
-)
+from .linproc import DOWNLINK, MR, UPLINK, ZF, per_cell_norms
 
 RESIDUAL_TOL = 1e-8
 NEG_SLACK = 1e-12
@@ -45,97 +33,6 @@ MAX_PROBES = 64  # max-min probes before giving up; bisection alone needs ~45
 POWER_ITERATIONS = 8  # matvecs behind the first bound on rho(D^-1 C)
 PERRON_FLOOR = 1e-12  # relative floor that keeps the power iterate positive
 PERRON_MARGIN = 1e-6  # probes stay relatively this far above the bound on rho
-WORKERS = len(os.sched_getaffinity(0))  # threads that build a drop's channels, at most L
-
-_local = threading.local()  # each thread's station buffers, kept across drops
-_pool = None  # (threads, executor), made the first time more than one worker runs
-_pool_lock = threading.Lock()
-
-
-@dataclass(frozen=True)
-class CrossGram:
-    """One drop's cross-Gram products, with its serving-Gram inverses taken
-    on first use (only ZF needs them; MR allows K > M).
-
-    z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
-    taken at base station l; z[l, l] is cell l's Gram matrix.
-    """
-
-    z: np.ndarray  # (L, L, K, K) complex
-    antennas: int  # M
-
-    @cached_property
-    def igram(self) -> np.ndarray:
-        """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
-        return np.stack([gram_inverse(self.z[l, l], self.antennas) for l in range(len(self.z))])
-
-    @property
-    def inv_diag(self) -> np.ndarray:
-        """(L, K) real diagonals of the serving-Gram inverses."""
-        return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
-
-
-def cross_gram(channels: ChannelSet) -> CrossGram:
-    """Cross-Gram products, one serving cell at a time so the only transient
-    is that cell's conjugated M x K matrix."""
-    cells, users = channels.cell_count, channels.users_per_cell
-    z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    for l in range(cells):
-        np.matmul(channels.serving(l).conj().T, channels.matrices[l], out=z[l])
-    return CrossGram(z=z, antennas=channels.antenna_count)
-
-
-def _stream_stations(stations, arrays, drop, wavelength, z) -> None:
-    """z[l] = G[l, l]^H G[l, :] for each base station l, with G[l] built in
-    this thread's (L, M, K) buffers, which are kept across drops."""
-    shape = (len(arrays), arrays[0].antenna_count, drop.users_per_cell)
-    buffers = getattr(_local, "buffers", None)
-    if buffers is None or buffers[0].shape != shape:
-        buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
-        _local.buffers = buffers
-    block, r, tmp = buffers
-    for l in stations:
-        station_channels(arrays[l], drop, wavelength, block, r, tmp)
-        np.matmul(block[l].conj().T, block, out=z[l])
-
-
-def _executor(threads: int):
-    """The shared thread pool, made on first use and remade only to grow."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="losmimo-station"))
-        return _pool[1]
-
-
-def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> CrossGram:
-    """`cross_gram` of a drop's channels without the (L, L, M, K) tensor.
-
-    Each base station's (L, M, K) channels are built into a per-thread
-    buffer and reduced to its row of z at once. min(WORKERS, L) threads
-    share the stations round-robin, and the calling thread takes the first
-    share. z is bit-identical to `cross_gram` of `build_channel_set` for any
-    worker count. An error in any share is raised once every share has ended.
-    """
-    cells, users = len(arrays), drop.users_per_cell
-    z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    workers = min(WORKERS, cells)
-    shares = [range(w, cells, workers) for w in range(workers)]
-    futures = []
-    if workers > 1:
-        pool = _executor(workers - 1)
-        futures = [pool.submit(_stream_stations, share, arrays, drop, wavelength, z)
-                   for share in shares[1:]]
-    try:
-        _stream_stations(shares[0], arrays, drop, wavelength, z)
-    finally:
-        for future in futures:  # wait for every share before raising
-            future.exception()
-    for future in futures:
-        future.result()
-    return CrossGram(z=z, antennas=arrays[0].antenna_count)
 
 
 @dataclass(frozen=True)
@@ -159,8 +56,6 @@ class PcSystem:
 class PcSolution:
     eta: np.ndarray  # (KL,) clamped to >= 0
     feasible: bool
-    reason: str | None  # None | "singular" | "constraint"
-    per_cell_norms: np.ndarray  # (L,)
     achieved: np.ndarray  # (KL,) D eta / (1 + C eta)
 
 
@@ -230,15 +125,12 @@ def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
         raise ValueError(f"expected {n} targets, got {len(zeta)}")
     _, eta = _solve(system, zeta)
     if eta is None:
-        return PcSolution(eta=np.zeros(n), feasible=False, reason="singular",
-                          per_cell_norms=np.zeros(system.cells),
-                          achieved=np.zeros(n))
+        return PcSolution(eta=np.zeros(n), feasible=False, achieved=np.zeros(n))
     ok = bool(np.min(eta) >= -NEG_SLACK)
     eta = np.clip(eta, 0.0, None)
     norms = per_cell_norms(eta.reshape(system.cells, system.users_per_cell), system.link)
     ok = ok and bool(np.all(norms <= 1.0 + NORM_SLACK))
-    return PcSolution(eta=eta, feasible=ok, reason=None if ok else "constraint",
-                      per_cell_norms=norms, achieved=system.sinr(eta))
+    return PcSolution(eta=eta, feasible=ok, achieved=system.sinr(eta))
 
 
 def _binding(system: PcSystem, eta: np.ndarray) -> slice:

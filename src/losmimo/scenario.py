@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, build_channel_set, wavelength_m
+from .channel import ChannelSet, build_channel_set, cross_gram, stream_cross_gram, wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
@@ -20,11 +20,9 @@ from .linproc import DOWNLINK, MR, UPLINK, ZF, dl_allocation, ul_allocation
 from .mcsim import simulate
 from .powerctl import (
     build_pc_system,
-    cross_gram,
     maxmin_common_target,
     single_cell_zf_maxmin_dl,
     single_cell_zf_maxmin_ul,
-    stream_cross_gram,
 )
 
 log = logging.getLogger(__name__)
@@ -98,7 +96,7 @@ def _drop(cfg: ScenarioConfig, layout, seed: int):
 def build_drop_channels(cfg: ScenarioConfig, seed: int) -> ChannelSet:
     """One drop's full channel set from scenario parameters."""
     wl, layout, arrays = _geometry(cfg)
-    return build_channel_set(layout, arrays, _drop(cfg, layout, seed), wl)
+    return build_channel_set(arrays, _drop(cfg, layout, seed), wl)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:

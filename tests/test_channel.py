@@ -98,13 +98,13 @@ def _small_scene(seed=5, antennas=32, users=4):
     layout = hex_centers(7, 200.0)
     arrays = [circular_array(antennas, wl, 30.0, c) for c in layout.centers]
     drop = drop_users(layout, users, 10.0, 1.5, seed=seed)
-    return layout, arrays, drop, wl
+    return arrays, drop, wl
 
 
 class TestChannelSet:
     def test_dimensions_and_columns(self):
-        layout, arrays, drop, wl = _small_scene()
-        cs = build_channel_set(layout, arrays, drop, wl)
+        arrays, drop, wl = _small_scene()
+        cs = build_channel_set(arrays, drop, wl)
         assert cs.matrices.shape == (7, 7, 32, 4)
         # column k of block (bs, cell) is the LoS vector of user (cell, k) at bs
         g = los_channel(drop.positions[2, 1], arrays[5], wl)
@@ -112,8 +112,8 @@ class TestChannelSet:
 
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
     def test_bit_identical_to_per_user_los_channel(self, antennas, users):
-        layout, arrays, drop, wl = _small_scene(antennas=antennas, users=users)
-        cs = build_channel_set(layout, arrays, drop, wl)
+        arrays, drop, wl = _small_scene(antennas=antennas, users=users)
+        cs = build_channel_set(arrays, drop, wl)
         stacked = np.stack([
             np.stack([
                 np.stack([los_channel(u, arrays[bs], wl) for u in drop.positions[cell]], axis=1)
@@ -124,21 +124,21 @@ class TestChannelSet:
         assert np.array_equal(cs.matrices, stacked)
 
     def test_user_on_antenna_raises(self):
-        layout, arrays, drop, wl = _small_scene()
+        arrays, drop, wl = _small_scene()
         positions = drop.positions.copy()
         positions[3, 1] = arrays[5].positions[7]
         with pytest.raises(SingularGeometryError):
-            build_channel_set(layout, arrays, dataclasses.replace(drop, positions=positions), wl)
+            build_channel_set(arrays, dataclasses.replace(drop, positions=positions), wl)
 
     def test_deterministic(self):
-        layout, arrays, drop, wl = _small_scene()
-        a = build_channel_set(layout, arrays, drop, wl)
-        b = build_channel_set(layout, arrays, drop, wl)
+        arrays, drop, wl = _small_scene()
+        a = build_channel_set(arrays, drop, wl)
+        b = build_channel_set(arrays, drop, wl)
         assert np.array_equal(a.matrices, b.matrices)
 
     def test_recompute_from_positions(self):
-        layout, arrays, drop, wl = _small_scene()
-        cs = build_channel_set(layout, arrays, drop, wl)
+        arrays, drop, wl = _small_scene()
+        cs = build_channel_set(arrays, drop, wl)
         r = np.linalg.norm(arrays[3].positions[:, None, :] - drop.positions[0][None, :, :], axis=2)
         mags = wl / (4 * np.pi * r)
         assert np.allclose(np.abs(cs.matrices[3, 0]), mags, rtol=1e-12)
@@ -153,8 +153,8 @@ class TestChannelSet:
         assert np.all(np.diff(norms) < 0)
 
     def test_dump_roundtrip(self, tmp_path):
-        layout, arrays, drop, wl = _small_scene()
-        cs = build_channel_set(layout, arrays, drop, wl)
+        arrays, drop, wl = _small_scene()
+        cs = build_channel_set(arrays, drop, wl)
         path = tmp_path / "channels.txt"
         dump_channel_set(cs, path)
         loaded = load_channel_dump(path)

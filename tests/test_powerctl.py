@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import losmimo.channel
 import losmimo.powerctl
 from losmimo import (
     ChannelSet,
@@ -131,7 +132,7 @@ class TestSystemStructure:
         def no_inverse(*args):
             raise AssertionError("MR called gram_inverse")
 
-        monkeypatch.setattr(losmimo.powerctl, "gram_inverse", no_inverse)
+        monkeypatch.setattr(losmimo.channel, "gram_inverse", no_inverse)
         for antennas in (16, 2):  # K = 3 > M = 2: no inverse exists
             xg = cross_gram(random_channel_set(rng, antennas=antennas))
             for link in ("DL", "UL"):
@@ -140,13 +141,13 @@ class TestSystemStructure:
 
     def test_gram_inverses_taken_once_on_first_zf_read(self, rng, monkeypatch):
         calls = []
-        inverse = losmimo.powerctl.gram_inverse
+        inverse = losmimo.channel.gram_inverse
 
         def counted(*args):
             calls.append(threading.current_thread())
             return inverse(*args)
 
-        monkeypatch.setattr(losmimo.powerctl, "gram_inverse", counted)
+        monkeypatch.setattr(losmimo.channel, "gram_inverse", counted)
         cs = random_channel_set(rng, cells=3)
         xg = cross_gram(cs)
         assert calls == []
@@ -191,7 +192,7 @@ def _scene(antennas, users, seed=5):
     wl = wavelength_m(60.0)
     layout = hex_centers(7, 200.0)
     arrays = [circular_array(antennas, wl, 30.0, c) for c in layout.centers]
-    return layout, arrays, drop_users(layout, users, 10.0, 1.5, seed=seed), wl
+    return arrays, drop_users(layout, users, 10.0, 1.5, seed=seed), wl
 
 
 class TestStreamCrossGram:
@@ -199,9 +200,9 @@ class TestStreamCrossGram:
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
     def test_bit_identical_to_cross_gram_of_channel_set(self, monkeypatch, workers,
                                                         antennas, users):
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", workers)
-        layout, arrays, drop, wl = _scene(antennas, users)
-        channels = build_channel_set(layout, arrays, drop, wl)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+        arrays, drop, wl = _scene(antennas, users)
+        channels = build_channel_set(arrays, drop, wl)
         want = cross_gram(channels)
         got = stream_cross_gram(arrays, drop, wl)
         assert np.array_equal(got.z, want.z)
@@ -212,19 +213,19 @@ class TestStreamCrossGram:
             assert np.array_equal(got.igram[l], np.linalg.inv(serving.conj().T @ serving))
 
     def test_mr_allows_more_users_than_antennas(self, monkeypatch):
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
-        layout, arrays, drop, wl = _scene(antennas=2, users=3)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
+        arrays, drop, wl = _scene(antennas=2, users=3)
         got = stream_cross_gram(arrays, drop, wl)
-        assert np.array_equal(got.z, cross_gram(build_channel_set(layout, arrays, drop, wl)).z)
+        assert np.array_equal(got.z, cross_gram(build_channel_set(arrays, drop, wl)).z)
         with pytest.raises(SingularChannelError):  # only ZF, which needs K <= M, reads these
             got.igram
 
     def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
-        layout, arrays, drop, wl = _scene(32, 4)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
+        arrays, drop, wl = _scene(32, 4)
         error = SingularGeometryError("user position coincides with an antenna position")
         raised_on = []
-        kernel = losmimo.powerctl.station_channels
+        kernel = losmimo.channel.station_channels
 
         def failing_on_station_1(array, *args):
             if array is arrays[1]:
@@ -232,48 +233,48 @@ class TestStreamCrossGram:
                 raise error
             return kernel(array, *args)
 
-        monkeypatch.setattr(losmimo.powerctl, "station_channels", failing_on_station_1)
+        monkeypatch.setattr(losmimo.channel, "station_channels", failing_on_station_1)
         with pytest.raises(SingularGeometryError) as caught:
             stream_cross_gram(arrays, drop, wl)
         assert caught.value is error
         assert raised_on and raised_on[0] is not threading.current_thread()
-        monkeypatch.setattr(losmimo.powerctl, "station_channels", kernel)
+        monkeypatch.setattr(losmimo.channel, "station_channels", kernel)
         # the pool and the buffers still serve the next drop
         assert np.array_equal(stream_cross_gram(arrays, drop, wl).z,
-                              cross_gram(build_channel_set(layout, arrays, drop, wl)).z)
+                              cross_gram(build_channel_set(arrays, drop, wl)).z)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_user_on_antenna_raises(self, monkeypatch, workers):
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", workers)
-        _, arrays, drop, wl = _scene(32, 4)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+        arrays, drop, wl = _scene(32, 4)
         positions = drop.positions.copy()
         positions[3, 1] = arrays[5].positions[7]
         with pytest.raises(SingularGeometryError):
             stream_cross_gram(arrays, dataclasses.replace(drop, positions=positions), wl)
 
     def test_pool_made_once_and_only_for_more_than_one_worker(self, monkeypatch):
-        monkeypatch.setattr(losmimo.powerctl, "_pool", None)
-        _, arrays, drop, wl = _scene(32, 4)
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 1)
+        monkeypatch.setattr(losmimo.channel, "_pool", None)
+        arrays, drop, wl = _scene(32, 4)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 1)
         stream_cross_gram(arrays, drop, wl)
-        assert losmimo.powerctl._pool is None
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        assert losmimo.channel._pool is None
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
         stream_cross_gram(arrays, drop, wl)
-        pool = losmimo.powerctl._pool
+        pool = losmimo.channel._pool
         stream_cross_gram(arrays, drop, wl)
-        assert pool is not None and losmimo.powerctl._pool is pool
-        losmimo.powerctl._pool[1].shutdown()
+        assert pool is not None and losmimo.channel._pool is pool
+        losmimo.channel._pool[1].shutdown()
 
     def test_concurrent_callers_under_fast_thread_switching(self, monkeypatch):
         # more workers than cores, three callers at once, a switch every microsecond:
         # a row written by the wrong share or a buffer shared across threads shows in z
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 4)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 4)
         scenes = [_scene(32, 4, seed=seed) for seed in (1, 2, 3)]
         want = [cross_gram(build_channel_set(*scene)) for scene in scenes]
         failures = []
 
         def caller(i):
-            _, arrays, drop, wl = scenes[i]
+            arrays, drop, wl = scenes[i]
             try:
                 for _ in range(20):
                     got = stream_cross_gram(arrays, drop, wl)

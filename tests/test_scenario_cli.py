@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import dataclasses
+import io
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import losmimo.powerctl
+import losmimo.channel
 import losmimo.scenario
 from losmimo import (
     CdfTable,
@@ -19,7 +22,6 @@ from losmimo import (
     build_channel_set,
     build_pc_system,
     cross_gram,
-    hex_centers,
     load_config,
     parse_config,
     run_scenario,
@@ -68,15 +70,23 @@ class TestConfig:
             parse_config("antennas_per_cell = 4\nusers_per_cell = 8\n")
 
     def test_channel_entries_bounded(self):
-        # cells^2 * antennas_per_cell * users_per_cell complex entries
+        # cells^2 * users_per_cell * max(antennas_per_cell, users_per_cell) complex entries
         half = MAX_CHANNEL_ENTRIES // 2
         at_limit = f"cells = 1\nantennas_per_cell = {half}\nusers_per_cell = 2\n"
         assert parse_config(at_limit).antennas_per_cell == half
-        over = f"cells = 7\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // 49 // 18 + 1}\n"
-        with pytest.raises(ConfigurationError) as caught:
-            parse_config(over)
-        for key in ("cells", "antennas_per_cell", "users_per_cell"):
-            assert key in str(caught.value)
+        # MR allows K > M, where the K x K cross-Gram blocks outgrow the channels;
+        # parsed only: running this one takes 1 GiB of cross-Gram and 8192^2 solves
+        mr_at_limit = "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 8192\nschemes = MR\n"
+        assert parse_config(mr_at_limit).users_per_cell == 8192
+        for over in (
+            f"cells = 7\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // 49 // 18 + 1}\n",
+            "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 8193\nschemes = MR\n",
+            "cells = 7\nantennas_per_cell = 16\nusers_per_cell = 4000\nschemes = MR\n",
+        ):
+            with pytest.raises(ConfigurationError) as caught:
+                parse_config(over)
+            for key in ("cells", "antennas_per_cell", "users_per_cell"):
+                assert key in str(caught.value)
 
     def test_round_trip_idempotent(self):
         text = "cells = 1\nantennas_per_cell = 48\nusers_per_cell = 6\nseed = 9\n"
@@ -121,6 +131,30 @@ class TestConfigFuzz:
             return
         cfg.validate()
         assert parse_config(serialize_config(cfg)) == cfg
+
+    @given(st.lists(_LINES, max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_config_exits_1_from_every_command(self, lines):
+        text = "".join(f"{key} = {value}\n" for key, value in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = Path(tmp) / "fuzz.cfg"
+            cfg_path.write_text(text)
+            try:
+                load_config(cfg_path)
+            except ConfigurationError:
+                pass
+            else:
+                return  # a config that parses would run; only rejections are checked
+            out = Path(tmp) / "out"
+            for command, extra in (("run", ["--out", str(out)]), ("verify", []),
+                                   ("dump-channels", ["--out", str(out)])):
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    assert main([command, "--config", str(cfg_path), *extra]) == 1
+                err = stderr.getvalue()
+                assert len([ln for ln in err.splitlines() if ln.startswith("error: ")]) == 1
+                assert "Traceback" not in err
+                assert not out.exists()
 
 
 class TestRunScenario:
@@ -199,11 +233,11 @@ class TestRunScenario:
                               np.sort(np.concatenate(parts["MR DL"] + [[-1e9, 1e9]])))
 
     def test_rank_deficient_drop_resampled_with_two_workers(self, monkeypatch):
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
         cfg = tiny_config(drops=2)
         clean, clean_summary = run_scenario(cfg)
         assert clean_summary == {"drops": 2, "resampled": 0}
-        inverse = losmimo.powerctl.gram_inverse
+        inverse = losmimo.channel.gram_inverse
         calls = []
 
         def singular_first_drop(gram, antennas):
@@ -212,7 +246,7 @@ class TestRunScenario:
                 raise SingularChannelError("channel Gram matrix is rank deficient")
             return inverse(gram, antennas)
 
-        monkeypatch.setattr(losmimo.powerctl, "gram_inverse", singular_first_drop)
+        monkeypatch.setattr(losmimo.channel, "gram_inverse", singular_first_drop)
         table, summary = run_scenario(cfg)
         assert summary == {"drops": 2, "resampled": 1}
         for name, vals in table.series.items():
@@ -220,7 +254,7 @@ class TestRunScenario:
 
     def test_always_rank_deficient_with_two_workers(self, monkeypatch):
         # a 300 m wavelength that no 8-antenna array resolves, in all 7 cells
-        monkeypatch.setattr(losmimo.powerctl, "WORKERS", 2)
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
         cfg = tiny_config(antennas_per_cell=8, users_per_cell=2, drops=1, carrier_ghz=1e-12)
         with pytest.raises(SingularChannelError, match=f"on {MAX_RESAMPLES + 1} re-sampled"):
             run_scenario(cfg)
@@ -303,14 +337,13 @@ class TestCli:
         assert cfg.drops > 1
         outputs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(losmimo.powerctl, "WORKERS", workers)
+            monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
             out = tmp_path / f"workers{workers}.csv"
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
 
         def whole_tensor(arrays, drop, wl):
-            layout = hex_centers(cfg.cells, cfg.cell_radius_m)
-            return cross_gram(build_channel_set(layout, arrays, drop, wl))
+            return cross_gram(build_channel_set(arrays, drop, wl))
 
         monkeypatch.setattr(losmimo.scenario, "stream_cross_gram", whole_tensor)
         out = tmp_path / "tensor.csv"
@@ -318,18 +351,22 @@ class TestCli:
         assert outputs[0] == outputs[1] == outputs[2] == out.read_bytes()
 
     def test_oversized_channel_exit_code(self, tmp_path, capsys):
-        # 2e8 complex entries (3 GiB) once passed parsing and then ran for minutes
-        cfg_path = tmp_path / "big.cfg"
-        cfg_path.write_text("cells = 1\nantennas_per_cell = 100000000\nusers_per_cell = 2\n")
-        out = tmp_path / "x.csv"
-        start = time.perf_counter()
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert time.perf_counter() - start < 10.0
-        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
-        assert len(errors) == 1
-        for key in ("cells", "antennas_per_cell", "users_per_cell"):
-            assert key in errors[0]
-        assert not out.exists()
+        # both once passed parsing: 2e8 complex channel entries (3 GiB), which
+        # then ran for minutes, and an MR config with K >> M, whose cross-Gram
+        # tensor alone takes 149 GiB
+        for text in ("cells = 1\nantennas_per_cell = 100000000\nusers_per_cell = 2\n",
+                     "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 100000\nschemes = MR\n"):
+            cfg_path = tmp_path / "big.cfg"
+            cfg_path.write_text(text)
+            out = tmp_path / "x.csv"
+            start = time.perf_counter()
+            assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+            assert time.perf_counter() - start < 10.0
+            errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+            assert len(errors) == 1
+            for key in ("cells", "antennas_per_cell", "users_per_cell"):
+                assert key in errors[0]
+            assert not out.exists()
 
     def test_min_distance_near_cell_radius_exit_code(self, tmp_path, capsys):
         # rejection sampling once ran for minutes here: the user-free disk
