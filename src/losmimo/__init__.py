@@ -48,8 +48,7 @@ from .powerctl import (
     PcSystem,
     build_pc_system,
     maxmin_common_target,
-    single_cell_zf_maxmin_dl,
-    single_cell_zf_maxmin_ul,
+    single_cell_zf_maxmin,
     solve_targets,
 )
 from .scenario import CdfTable, VerificationReport, build_drop_channels, run_scenario, verify

@@ -36,7 +36,6 @@ def wavelength_m(carrier_ghz: float) -> float:
 
 
 def link_budget(
-    carrier_ghz: float,
     bandwidth_hz: float,
     bs_power_w: float,
     mobile_power_w: float,
@@ -49,8 +48,8 @@ def link_budget(
     DL noise uses the mobile receiver's noise figure; UL uses the base
     station's. Both ratios are returned in linear scale.
     """
-    if min(carrier_ghz, bandwidth_hz, bs_power_w, mobile_power_w) <= 0:
-        raise ConfigurationError("link_budget requires positive powers, bandwidth, frequency")
+    if min(bandwidth_hz, bs_power_w, mobile_power_w) <= 0:
+        raise ConfigurationError("link_budget requires positive powers and bandwidth")
     dl_noise_dbm = -174.0 + 10.0 * np.log10(bandwidth_hz) + mobile_noise_figure_db
     ul_noise_dbm = -174.0 + 10.0 * np.log10(bandwidth_hz) + bs_noise_figure_db
     bs_dbm = 10.0 * np.log10(bs_power_w * 1e3)

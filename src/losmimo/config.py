@@ -53,14 +53,14 @@ class ScenarioConfig:
     def rho(self) -> dict[str, float]:
         """Normalized SNR of each link from the link budget: {DL: rho_dl, UL: rho_ul}."""
         rho_dl, rho_ul = link_budget(
-            self.carrier_ghz, self.bandwidth_hz, self.bs_power_w, self.mobile_power_w,
+            self.bandwidth_hz, self.bs_power_w, self.mobile_power_w,
             self.bs_noise_figure_db, self.mobile_noise_figure_db,
         )
         return {DOWNLINK: rho_dl, UPLINK: rho_ul}
 
     def validate(self) -> None:
         for f in fields(self):
-            if f.type in (float, "float") and not math.isfinite(getattr(self, f.name)):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
                 raise ConfigurationError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         positive = [
             "antennas_per_cell", "users_per_cell", "carrier_ghz", "bandwidth_hz",
@@ -132,15 +132,15 @@ _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}
 
 def _parse_value(name: str, raw: str):
     kind = _FIELD_TYPES[name]
-    if kind in (bool, "bool"):
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ConfigurationError(f"bad boolean for {name}: {raw!r}")
-    if kind in (int, "int"):
+    if kind is int:
         return int(raw)
-    if kind in (float, "float"):
+    if kind is float:
         return float(raw)
     return raw
 

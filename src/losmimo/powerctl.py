@@ -29,6 +29,7 @@ from .linproc import DOWNLINK, MR, UPLINK, ZF, per_cell_norms
 RESIDUAL_TOL = 1e-8
 NEG_SLACK = 1e-12
 NORM_SLACK = 1e-9
+REL_TOL = 1e-12  # max-min stops once its bracket on 1/target is this tight
 MAX_PROBES = 64  # max-min probes before giving up; bisection alone needs ~45
 POWER_ITERATIONS = 8  # matvecs behind the first bound on rho(D^-1 C)
 PERRON_FLOOR = 1e-12  # relative floor that keeps the power iterate positive
@@ -160,9 +161,9 @@ def _perron_upper_bound(system: PcSystem) -> float:
     return bound
 
 
-def _probe(system: PcSystem, mu: float, rel_tol: float) -> tuple[bool, float | None, float]:
-    """Feasibility of the common target 1/mu, the next mu to try, and an
-    upper bound on rho(D^-1 C).
+def _probe(system: PcSystem, mu: float) -> tuple[np.ndarray | None, float | None, float]:
+    """Powers of the common target 1/mu if it is feasible (else None), the
+    next mu to try, and an upper bound on rho(D^-1 C).
 
     eta = (mu D - C)^-1 1 holds the target's powers and psi(mu) is their
     largest per-cell norm; the target is feasible iff eta >= 0 and psi <= 1.
@@ -177,17 +178,17 @@ def _probe(system: PcSystem, mu: float, rel_tol: float) -> tuple[bool, float | N
     gamma = 1.0 / mu
     a, eta = _solve(system, np.full(len(system.d), gamma))
     if eta is None or not np.all(eta > 0.0):
-        return False, None, np.inf
+        return None, None, np.inf
     rows = _binding(system, eta)
     psi = float(np.sum(eta[rows]))
     x = gamma * np.linalg.solve(a, system.d * eta)  # = -d eta / d mu
     t = mu + psi * (psi - 1.0) / float(np.sum(x[rows]))
-    nxt = t + np.copysign(0.25 * rel_tol * t, t - mu) if np.isfinite(t) else None
-    return psi <= 1.0, nxt, mu - float(np.min(eta / x))
+    nxt = t + np.copysign(0.25 * REL_TOL * t, t - mu) if np.isfinite(t) else None
+    return (eta if psi <= 1.0 else None), nxt, mu - float(np.min(eta / x))
 
 
-def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-12) -> MaxminResult:
-    """Largest feasible common SINR target of a built system, within rel_tol.
+def maxmin_common_target(system: PcSystem) -> MaxminResult:
+    """Largest feasible common SINR target of a built system, within REL_TOL.
 
     Works on mu = 1/target with a bracket lo < mu* <= hi. lo starts at the
     interference-free bound max norm(D^-1 1), below which no target is
@@ -196,9 +197,10 @@ def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-12) -> MaxminResu
     is the last probe's Newton step, raised to just above the best bound on
     rho so far (a probe below rho certifies nothing), or, if that is not
     inside the bracket or the last probe was not certified, the bracket's
-    midpoint. Once the feasible end hi is within rel_tol of lo, the result
-    is `solve_targets` at the target 1/hi. Raises `MaxminError` if D is not
-    finite and positive or C not finite, or after MAX_PROBES probes.
+    midpoint. Once the feasible end hi is within REL_TOL of lo, the result
+    is the target 1/hi with the powers its probe certified. Raises
+    `MaxminError` if D is not finite and positive or C not finite, or after
+    MAX_PROBES probes.
     """
     where = f"{system.scheme} {system.link}"
     d = system.d
@@ -212,17 +214,15 @@ def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-12) -> MaxminResu
     mu = max(perron * (1.0 + PERRON_MARGIN), lo)
     trace: list[tuple[float, bool]] = []
     for _ in range(MAX_PROBES):
-        feasible, nxt, bound = _probe(system, mu, rel_tol)
-        trace.append((1.0 / mu, feasible))
-        if feasible:
-            hi = mu
+        eta, nxt, bound = _probe(system, mu)
+        trace.append((1.0 / mu, eta is not None))
+        if eta is not None:
+            hi, best = mu, eta
         else:
             lo = mu
-        if hi - lo <= rel_tol * hi < np.inf:
-            solution = solve_targets(system, np.full(len(d), 1.0 / hi))
-            if solution.feasible:
-                return MaxminResult(target=1.0 / hi, solution=solution, trace=trace)
-            break
+        if hi - lo <= REL_TOL * hi < np.inf:
+            solution = PcSolution(eta=best, feasible=True, achieved=system.sinr(best))
+            return MaxminResult(target=1.0 / hi, solution=solution, trace=trace)
         perron = min(perron, bound)
         if nxt is not None:
             nxt = max(nxt, perron * (1.0 + PERRON_MARGIN))
@@ -232,17 +232,9 @@ def maxmin_common_target(system: PcSystem, rel_tol: float = 1e-12) -> MaxminResu
     raise MaxminError(f"{where}: no certified max-min target within {len(trace)} probes")
 
 
-def single_cell_zf_maxmin_dl(inv_diag: np.ndarray, rho_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-cell ZF downlink max-min from the inverse-Gram diagonals
-    (..., K): eta_k proportional to them, total power 1 per cell; every user
-    of a cell gets the same SINR. Returns eta (..., K) and the SINRs (...)."""
-    total = np.sum(inv_diag, axis=-1, keepdims=True)
-    return inv_diag / total, rho_d / total[..., 0]
-
-
-def single_cell_zf_maxmin_ul(inv_diag: np.ndarray, rho_u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-cell ZF uplink max-min from the inverse-Gram diagonals
-    (..., K): the worst user of a cell transmits at full power; every user
-    of a cell gets the same SINR. Returns eta (..., K) and the SINRs (...)."""
-    peak = np.max(inv_diag, axis=-1, keepdims=True)
-    return inv_diag / peak, rho_u / peak[..., 0]
+def single_cell_zf_maxmin(inv_diag: np.ndarray, link: str) -> np.ndarray:
+    """Single-cell ZF max-min powers (L, K) from the inverse-Gram diagonals
+    (L, K): eta_k proportional to them, each cell's `per_cell_norms` exactly
+    1 (total power on the downlink, the worst user at full power on the
+    uplink), so every user of a cell gets the same single-cell SINR."""
+    return inv_diag / per_cell_norms(inv_diag, link)[:, None]

@@ -18,12 +18,7 @@ from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
 from .linproc import DOWNLINK, MR, UPLINK, ZF, dl_allocation, ul_allocation
 from .mcsim import simulate
-from .powerctl import (
-    build_pc_system,
-    maxmin_common_target,
-    single_cell_zf_maxmin_dl,
-    single_cell_zf_maxmin_ul,
-)
+from .powerctl import build_pc_system, maxmin_common_target, single_cell_zf_maxmin
 
 log = logging.getLogger(__name__)
 
@@ -130,10 +125,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
                 for pair in combos
             }
             if single_cell:
-                eta_dl = single_cell_zf_maxmin_dl(xg.inv_diag, rho[DOWNLINK])[0]
-                eta_ul = single_cell_zf_maxmin_ul(xg.inv_diag, rho[UPLINK])[0]
-                drop_series["ZF DL-1"] = _to_db(systems[ZF, DOWNLINK].sinr(eta_dl)[CENTER_CELL])
-                drop_series["ZF UL-1"] = _to_db(systems[ZF, UPLINK].sinr(eta_ul)[CENTER_CELL])
+                for link in (DOWNLINK, UPLINK):
+                    eta = single_cell_zf_maxmin(xg.inv_diag, link)
+                    drop_series[f"ZF {link}-1"] = _to_db(systems[ZF, link].sinr(eta)[CENTER_CELL])
         except SingularChannelError as exc:
             resampled += 1
             log.warning("rank-deficient drop re-sampled (%d so far)", resampled)
@@ -152,6 +146,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
 
 
 RECON_TOL = 1e-10
+SIGMA_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
@@ -185,12 +180,13 @@ class VerificationReport:
         return all(e.passed(self.threshold) for e in self.entries)
 
 
-def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> VerificationReport:
+def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     """Closed-form vs Monte Carlo agreement over one configured drop.
 
     Uses uniform admissible allocations (downlink 1/K per user, uplink full
-    power) and reports every user's deviation in standard-error units, and
-    the simulation's reconstruction residual, which must be below `RECON_TOL`.
+    power) and reports every user's deviation in standard-error units, which
+    must be below `SIGMA_THRESHOLD`, and the simulation's reconstruction
+    residual, which must be below `RECON_TOL`.
     """
     cfg.validate()
     if n_symbols < 2:
@@ -213,4 +209,4 @@ def verify(cfg: ScenarioConfig, n_symbols: int, threshold: float = 5.0) -> Verif
             dev = np.abs(result.sinr - closed) / sigma
             entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev,
                                              recon_residual=result.recon_residual))
-    return VerificationReport(entries=entries, threshold=threshold)
+    return VerificationReport(entries=entries, threshold=SIGMA_THRESHOLD)

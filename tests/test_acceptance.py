@@ -20,8 +20,7 @@ from losmimo import (
     mr_precoder,
     run_scenario,
     simulate,
-    single_cell_zf_maxmin_dl,
-    single_cell_zf_maxmin_ul,
+    single_cell_zf_maxmin,
     solve_targets,
     ul_allocation,
     wavelength_m,
@@ -137,9 +136,11 @@ def test_criterion_5_single_cell_zf_maxmin():
     detail = []
     for _ in range(5):
         cs = random_channel_set(rng, cells=1, users=4, antennas=16)
-        inv_diag = cross_gram(cs).inv_diag[0]
-        eta_dl, sinr_dl = single_cell_zf_maxmin_dl(inv_diag, 12.0)
-        eta_ul, sinr_ul = single_cell_zf_maxmin_ul(inv_diag, 12.0)
+        inv_diag = cross_gram(cs).inv_diag
+        eta_dl = single_cell_zf_maxmin(inv_diag, "DL")[0]
+        eta_ul = single_cell_zf_maxmin(inv_diag, "UL")[0]
+        sinr_dl = 12.0 / np.sum(inv_diag[0])
+        sinr_ul = 12.0 / np.max(inv_diag[0])
         ok &= abs(np.sum(eta_dl) - 1.0) < 1e-14
         ok &= np.max(eta_ul) == 1.0
         zf_dl = build_pc_system(cross_gram(cs), "ZF", "DL", 12.0)
@@ -165,7 +166,7 @@ def test_criterion_6_link_budget_and_geometry_anchors():
     arr = circular_array(4096, wl, 30.0)
     xy = arr.positions[:, :2]
     diameter = 2 * np.max(np.linalg.norm(xy - xy.mean(axis=0), axis=1))
-    rho_dl, rho_ul = link_budget(60.0, 50e6, 2.0, 0.2, 9.0, 9.0)
+    rho_dl, rho_ul = link_budget(50e6, 2.0, 0.2, 9.0, 9.0)
     rho_d_db = 10 * np.log10(rho_dl)
     rho_u_db = 10 * np.log10(rho_ul)
     ok = (

@@ -44,18 +44,18 @@ class TestFspl:
 
 class TestLinkBudget:
     def test_table_values(self):
-        rho_dl, rho_ul = link_budget(60.0, 50e6, 2.0, 0.2, 9.0, 9.0)
+        rho_dl, rho_ul = link_budget(50e6, 2.0, 0.2, 9.0, 9.0)
         assert 10 * np.log10(rho_dl) == pytest.approx(121.02, abs=0.01)
         assert 10 * np.log10(rho_ul) == pytest.approx(111.02, abs=0.01)
 
     def test_power_ratio(self):
         # only the radiated powers differ by 10x, same noise floor
-        rho_dl, rho_ul = link_budget(60.0, 50e6, 2.0, 0.2, 9.0, 9.0)
+        rho_dl, rho_ul = link_budget(50e6, 2.0, 0.2, 9.0, 9.0)
         assert rho_dl / rho_ul == pytest.approx(10.0, rel=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigurationError):
-            link_budget(60.0, 0.0, 2.0, 0.2, 9.0, 9.0)
+            link_budget(0.0, 2.0, 0.2, 9.0, 9.0)
 
 
 class TestLosChannel:

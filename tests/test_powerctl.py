@@ -28,8 +28,7 @@ from losmimo import (
     drop_users,
     hex_centers,
     maxmin_common_target,
-    single_cell_zf_maxmin_dl,
-    single_cell_zf_maxmin_ul,
+    single_cell_zf_maxmin,
     solve_targets,
     stream_cross_gram,
     ul_allocation,
@@ -367,14 +366,14 @@ class TestMaxmin:
     def test_single_cell_zf_dl_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
-        _, closed = single_cell_zf_maxmin_dl(cross_gram(cs).inv_diag[0], rho)
+        closed = rho / np.sum(cross_gram(cs).inv_diag[0])
         result = maxmin_common_target(build_pc_system(cross_gram(cs), "ZF", "DL", rho))
         assert result.target == pytest.approx(closed, rel=1e-9)
 
     def test_single_cell_zf_ul_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=4)
         rho = 12.0
-        _, closed = single_cell_zf_maxmin_ul(cross_gram(cs).inv_diag[0], rho)
+        closed = rho / np.max(cross_gram(cs).inv_diag[0])
         result = maxmin_common_target(build_pc_system(cross_gram(cs), "ZF", "UL", rho))
         assert result.target == pytest.approx(closed, rel=1e-9)
 
@@ -414,7 +413,9 @@ class TestCertifiedMaxmin:
         for system in self._systems():
             result = maxmin_common_target(system)
             n = len(system.d)
-            assert solve_targets(system, np.full(n, result.target)).feasible
+            solution = solve_targets(system, np.full(n, result.target))
+            assert solution.feasible
+            assert np.array_equal(solution.eta, result.solution.eta)
             assert not solve_targets(system, np.full(n, result.target * (1.0 + 1e-9))).feasible
             assert np.allclose(result.solution.achieved, result.target, rtol=1e-12)
 
@@ -446,9 +447,9 @@ class TestCertifiedMaxmin:
         assert result.target == pytest.approx(2.0 / (1.0 + np.sqrt(13.0)), rel=1e-12)
         # below the Perron root eta is negative: not feasible, and no step
         # or bound comes from it
-        assert losmimo.powerctl._probe(system, 0.5, 1e-12) == (False, None, np.inf)
-        feasible, _, bound = losmimo.powerctl._probe(system, 4.0, 1e-12)
-        assert feasible and 1.0 <= bound < 4.0
+        assert losmimo.powerctl._probe(system, 0.5) == (None, None, np.inf)
+        eta, _, bound = losmimo.powerctl._probe(system, 4.0)
+        assert eta is not None and 1.0 <= bound < 4.0
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_d_not_finite_and_positive(self, bad):
@@ -471,6 +472,23 @@ class TestCertifiedMaxmin:
         per_cell = (1.0 / system.d).reshape(7, 8).sum(axis=1)
         assert result.target == pytest.approx(1.0 / np.max(per_cell), rel=1e-12)
 
+    def test_high_snr_corner_is_still_certified(self):
+        # at rho = 1e11, mu* lies ~1e-10 rho above rho(D^-1 C), where mu D - C
+        # is nearly singular; the answer must still be a certified probe that
+        # solve_targets accepts with the same powers
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            cs = random_channel_set(rng, cells=2, users=1)
+            for scheme, link in ALL_SCHEMES:
+                system = build_pc_system(cross_gram(cs), scheme, link, 1e11)
+                result = maxmin_common_target(system)
+                assert (result.target, True) in result.trace
+                solution = solve_targets(system, np.full(2, result.target))
+                assert solution.feasible
+                assert np.array_equal(solution.eta, result.solution.eta)
+                perron = np.max(np.abs(np.linalg.eigvals(system.c / system.d[:, None])))
+                assert result.target * perron < 1.0
+
 
 class TestMaxminProperties:
     REL_TOL = 1e-6
@@ -482,10 +500,10 @@ class TestMaxminProperties:
         cs = random_channel_set(np.random.default_rng(78), cells=2, users=3)
         xg, rho = cross_gram(cs), 10.0**log_rho
         low, high = (
-            maxmin_common_target(build_pc_system(xg, scheme, link, r), self.REL_TOL).target
+            maxmin_common_target(build_pc_system(xg, scheme, link, r)).target
             for r in (rho, rho * 10.0**log_factor)
         )
-        # bisection stops within rel_tol of the optimum, from below
+        # max-min stops within its tolerance of the optimum, from below
         assert low <= high / (1.0 - self.REL_TOL)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
@@ -503,8 +521,8 @@ class TestMaxminProperties:
         eta = _admissible_eta(rng, cells, users, link).ravel()
         assert np.allclose(system_perm.sinr(eta[flat_perm]), system.sinr(eta)[flat_perm],
                            rtol=1e-12)
-        result = maxmin_common_target(system, self.REL_TOL)
-        result_perm = maxmin_common_target(system_perm, self.REL_TOL)
+        result = maxmin_common_target(system)
+        result_perm = maxmin_common_target(system_perm)
         assert result_perm.target == pytest.approx(result.target, rel=self.REL_TOL)
         assert np.allclose(result_perm.solution.achieved, result.solution.achieved[flat_perm],
                            rtol=self.REL_TOL)
@@ -517,9 +535,10 @@ class TestSingleCellClosedForms:
             g = cs.serving(0)
             rho = 12.0
             xg = cross_gram(cs)
-            eta, sinr = single_cell_zf_maxmin_dl(xg.inv_diag[0], rho)
+            eta = single_cell_zf_maxmin(xg.inv_diag, "DL")[0]
             assert np.sum(eta) == pytest.approx(1.0, abs=1e-14)
             igram = np.linalg.inv(g.conj().T @ g)
+            sinr = rho / np.sum(xg.inv_diag[0])
             assert sinr == pytest.approx(rho / np.sum(np.real(np.diag(igram))), rel=1e-12)
             values = build_pc_system(xg, "ZF", "DL", rho).sinr(dl_allocation(eta[None, :]).eta)
             assert np.allclose(values[0], sinr, rtol=1e-10)
@@ -529,15 +548,16 @@ class TestSingleCellClosedForms:
             cs = random_channel_set(rng, cells=1, users=4, antennas=16)
             rho = 12.0
             xg = cross_gram(cs)
-            eta, sinr = single_cell_zf_maxmin_ul(xg.inv_diag[0], rho)
+            eta = single_cell_zf_maxmin(xg.inv_diag, "UL")[0]
+            sinr = rho / np.max(xg.inv_diag[0])
             assert np.max(eta) == 1.0  # worst user at full power, exactly
             values = build_pc_system(xg, "ZF", "UL", rho).sinr(ul_allocation(eta[None, :]).eta)
             assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_symmetric_channels_give_uniform_power(self, rng):
         q, _ = np.linalg.qr((rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))))
-        inv_diag = cross_gram(ChannelSet(matrices=q[None, None], wavelength=0.005)).inv_diag[0]
-        eta_dl, _ = single_cell_zf_maxmin_dl(inv_diag, 10.0)
-        eta_ul, _ = single_cell_zf_maxmin_ul(inv_diag, 10.0)
+        inv_diag = cross_gram(ChannelSet(matrices=q[None, None], wavelength=0.005)).inv_diag
+        eta_dl = single_cell_zf_maxmin(inv_diag, "DL")
+        eta_ul = single_cell_zf_maxmin(inv_diag, "UL")
         assert np.allclose(eta_dl, 0.25, rtol=1e-10)
         assert np.allclose(eta_ul, 1.0, rtol=1e-10)
