@@ -14,8 +14,9 @@ Power control sees a drop only through its `CrossGram`: `cross_gram` of a
 
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -129,23 +130,51 @@ def station_channels(
     return out
 
 
-def build_channel_set(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> ChannelSet:
-    """Fill the full L x L grid of channel matrices for one user drop, one
-    base station at a time with `station_channels`."""
+_local = threading.local()  # each thread's station buffers, kept across drops
+
+
+@cache
+def _pool() -> ThreadPoolExecutor:
+    """The station pool of WORKERS - 1 threads, made on first use."""
+    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="losmimo-station")
+
+
+def _each_station(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float, visit) -> None:
+    """Call visit(l, block) on each base station l's (L, M, K) channels, built by
+    `station_channels` into a per-thread buffer that the thread's next station
+    overwrites. min(WORKERS, L) threads share the stations round-robin, the
+    calling thread taking the first share and the pool the rest; an error in
+    any share is raised once every share has ended."""
     cells = len(arrays)
     if drop.positions.shape[0] != cells:
         raise ConfigurationError("arrays and drop disagree on cell count")
     shape = (cells, arrays[0].antenna_count, drop.users_per_cell)
-    matrices = np.empty((cells, *shape), dtype=np.complex128)
-    r, tmp = np.empty(shape), np.empty(shape)
-    for bs in range(cells):
-        station_channels(arrays[bs], drop, wavelength, matrices[bs], r, tmp)
+
+    def share(stations):
+        buffers = getattr(_local, "buffers", None)
+        if buffers is None or buffers[0].shape != shape:
+            buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
+            _local.buffers = buffers
+        for l in stations:
+            visit(l, station_channels(arrays[l], drop, wavelength, *buffers))
+
+    workers = min(WORKERS, cells)
+    shares = [range(w, cells, workers) for w in range(workers)]
+    futures = [_pool().submit(share, stations) for stations in shares[1:]]
+    try:
+        share(shares[0])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def build_channel_set(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> ChannelSet:
+    """The full L x L grid of channel matrices for one user drop."""
+    shape = (len(arrays), len(arrays), arrays[0].antenna_count, drop.users_per_cell)
+    matrices = np.empty(shape, dtype=np.complex128)
+    _each_station(arrays, drop, wavelength, lambda l, block: np.copyto(matrices[l], block))
     return ChannelSet(matrices=matrices, wavelength=wavelength)
-
-
-_local = threading.local()  # each thread's station buffers, kept across drops
-_pool = None  # (threads, executor), made the first time more than one worker runs
-_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -171,66 +200,29 @@ class CrossGram:
         return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
 
 
+def _gram_row(z: np.ndarray, l: int, block: np.ndarray) -> None:
+    """z[l] = G[l, l]^H G[l, :] from base station l's (L, M, K) channels."""
+    np.matmul(block[l].conj().T, block, out=z[l])
+
+
 def cross_gram(channels: ChannelSet) -> CrossGram:
     """Cross-Gram products, one serving cell at a time so the only transient
     is that cell's conjugated M x K matrix."""
     cells, users = channels.cell_count, channels.users_per_cell
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    for l in range(cells):
-        np.matmul(channels.serving(l).conj().T, channels.matrices[l], out=z[l])
+    for l, block in enumerate(channels.matrices):
+        _gram_row(z, l, block)
     return CrossGram(z=z, antennas=channels.antenna_count)
 
 
-def _stream_stations(stations, arrays, drop, wavelength, z) -> None:
-    """z[l] = G[l, l]^H G[l, :] for each base station l, with G[l] built in
-    this thread's (L, M, K) buffers, which are kept across drops."""
-    shape = (len(arrays), arrays[0].antenna_count, drop.users_per_cell)
-    buffers = getattr(_local, "buffers", None)
-    if buffers is None or buffers[0].shape != shape:
-        buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
-        _local.buffers = buffers
-    block, r, tmp = buffers
-    for l in stations:
-        station_channels(arrays[l], drop, wavelength, block, r, tmp)
-        np.matmul(block[l].conj().T, block, out=z[l])
-
-
-def _executor(threads: int):
-    """The shared thread pool, made on first use and remade only to grow."""
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] < threads:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="losmimo-station"))
-        return _pool[1]
-
-
 def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> CrossGram:
-    """`cross_gram` of a drop's channels without the (L, L, M, K) tensor.
-
-    Each base station's (L, M, K) channels are built into a per-thread
-    buffer and reduced to its row of z at once. min(WORKERS, L) threads
-    share the stations round-robin, and the calling thread takes the first
-    share. z is bit-identical to `cross_gram` of `build_channel_set` for any
-    worker count. An error in any share is raised once every share has ended.
-    """
+    """`cross_gram` of a drop's channels without the (L, L, M, K) tensor: each
+    station's channels become its row of z as soon as they are built, with the
+    row function of `cross_gram`, so z is bit-identical to `cross_gram` of
+    `build_channel_set` for any worker count."""
     cells, users = len(arrays), drop.users_per_cell
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    workers = min(WORKERS, cells)
-    shares = [range(w, cells, workers) for w in range(workers)]
-    futures = []
-    if workers > 1:
-        pool = _executor(workers - 1)
-        futures = [pool.submit(_stream_stations, share, arrays, drop, wavelength, z)
-                   for share in shares[1:]]
-    try:
-        _stream_stations(shares[0], arrays, drop, wavelength, z)
-    finally:
-        for future in futures:  # wait for every share before raising
-            future.exception()
-    for future in futures:
-        future.result()
+    _each_station(arrays, drop, wavelength, partial(_gram_row, z))
     return CrossGram(z=z, antennas=arrays[0].antenna_count)
 
 

@@ -18,9 +18,16 @@ from .errors import LosMimoError
 from .scenario import RECON_TOL, build_drop_channels, run_scenario, verify
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (and so do its subparsers): 2 is a failed verification."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="losmimo")
-    parser.add_argument("-v", "--verbose", action="store_true")
+    parser = _Parser(prog="losmimo")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -54,8 +61,7 @@ def _load(args) -> ScenarioConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _load(args)
         if args.command == "run":

@@ -1,21 +1,8 @@
 import numpy as np
 import pytest
 
+import losmimo.channel
 from losmimo import ChannelSet
-
-
-def pytest_addoption(parser):
-    parser.addoption("--runslow", action="store_true", default=False,
-                     help="run slow full-scale checks")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
 
 
 def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> ChannelSet:
@@ -31,3 +18,22 @@ def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> Channe
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _drop_station_pool():
+    if losmimo.channel._pool.cache_info().currsize:
+        losmimo.channel._pool().shutdown()
+    losmimo.channel._pool.cache_clear()
+
+
+@pytest.fixture
+def set_workers(monkeypatch):
+    """set_workers(n) builds channels on n threads, with a station pool made
+    for n; the pool is shut down when the test ends."""
+
+    def set_workers(n):
+        monkeypatch.setattr(losmimo.channel, "WORKERS", n)
+        _drop_station_pool()
+
+    yield set_workers
+    _drop_station_pool()

@@ -1,13 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. The full-scale pipeline
-check is behind the `slow` marker (`--runslow`).
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import time
 
 import numpy as np
-import pytest
 
 from losmimo import (
     ScenarioConfig,
@@ -197,7 +195,6 @@ def test_criterion_7_reduced_scale_pipeline():
     _report(7, ok, f"six series, {summary['resampled']} re-sampled drops, {elapsed:.1f}s")
 
 
-@pytest.mark.slow
 def test_criterion_7_full_scale_completes():
     """Full published scale (M=4096, K=18, L=7) runs without error."""
     cfg = ScenarioConfig(drops=2, seed=5)

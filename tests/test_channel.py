@@ -111,9 +111,8 @@ class TestChannelSet:
         assert np.array_equal(cs.matrices[5, 2][:, 1], g)
 
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
-    def test_bit_identical_to_per_user_los_channel(self, antennas, users):
+    def test_bit_identical_to_per_user_los_channel(self, set_workers, antennas, users):
         arrays, drop, wl = _small_scene(antennas=antennas, users=users)
-        cs = build_channel_set(arrays, drop, wl)
         stacked = np.stack([
             np.stack([
                 np.stack([los_channel(u, arrays[bs], wl) for u in drop.positions[cell]], axis=1)
@@ -121,7 +120,9 @@ class TestChannelSet:
             ])
             for bs in range(7)
         ])
-        assert np.array_equal(cs.matrices, stacked)
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            assert np.array_equal(build_channel_set(arrays, drop, wl).matrices, stacked), workers
 
     def test_user_on_antenna_raises(self):
         arrays, drop, wl = _small_scene()

@@ -1,9 +1,7 @@
 import dataclasses
-import subprocess
 import sys
 import threading
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +12,7 @@ import losmimo.channel
 import losmimo.powerctl
 from losmimo import (
     ChannelSet,
+    ConfigurationError,
     MaxminError,
     PcSystem,
     ScenarioConfig,
@@ -197,9 +196,9 @@ def _scene(antennas, users, seed=5):
 class TestStreamCrossGram:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
-    def test_bit_identical_to_cross_gram_of_channel_set(self, monkeypatch, workers,
+    def test_bit_identical_to_cross_gram_of_channel_set(self, set_workers, workers,
                                                         antennas, users):
-        monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+        set_workers(workers)
         arrays, drop, wl = _scene(antennas, users)
         channels = build_channel_set(arrays, drop, wl)
         want = cross_gram(channels)
@@ -211,17 +210,21 @@ class TestStreamCrossGram:
             serving = channels.serving(l)
             assert np.array_equal(got.igram[l], np.linalg.inv(serving.conj().T @ serving))
 
-    def test_mr_allows_more_users_than_antennas(self, monkeypatch):
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
+    def test_mr_allows_more_users_than_antennas(self, set_workers):
+        set_workers(2)
         arrays, drop, wl = _scene(antennas=2, users=3)
         got = stream_cross_gram(arrays, drop, wl)
         assert np.array_equal(got.z, cross_gram(build_channel_set(arrays, drop, wl)).z)
         with pytest.raises(SingularChannelError):  # only ZF, which needs K <= M, reads these
             got.igram
 
-    def test_worker_error_reaches_caller_unchanged(self, monkeypatch):
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
+    @pytest.mark.parametrize("build,field", [(build_channel_set, "matrices"),
+                                             (stream_cross_gram, "z")],
+                             ids=["build_channel_set", "stream_cross_gram"])
+    def test_worker_error_reaches_caller_unchanged(self, set_workers, monkeypatch, build, field):
+        set_workers(2)
         arrays, drop, wl = _scene(32, 4)
+        want = getattr(build(arrays, drop, wl), field)
         error = SingularGeometryError("user position coincides with an antenna position")
         raised_on = []
         kernel = losmimo.channel.station_channels
@@ -234,40 +237,59 @@ class TestStreamCrossGram:
 
         monkeypatch.setattr(losmimo.channel, "station_channels", failing_on_station_1)
         with pytest.raises(SingularGeometryError) as caught:
-            stream_cross_gram(arrays, drop, wl)
+            build(arrays, drop, wl)
         assert caught.value is error
         assert raised_on and raised_on[0] is not threading.current_thread()
         monkeypatch.setattr(losmimo.channel, "station_channels", kernel)
         # the pool and the buffers still serve the next drop
-        assert np.array_equal(stream_cross_gram(arrays, drop, wl).z,
-                              cross_gram(build_channel_set(arrays, drop, wl)).z)
+        assert np.array_equal(getattr(build(arrays, drop, wl), field), want)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_user_on_antenna_raises(self, monkeypatch, workers):
-        monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+    def test_user_on_antenna_raises(self, set_workers, workers):
+        set_workers(workers)
         arrays, drop, wl = _scene(32, 4)
         positions = drop.positions.copy()
         positions[3, 1] = arrays[5].positions[7]
-        with pytest.raises(SingularGeometryError):
-            stream_cross_gram(arrays, dataclasses.replace(drop, positions=positions), wl)
+        for build in (build_channel_set, stream_cross_gram):
+            with pytest.raises(SingularGeometryError):
+                build(arrays, dataclasses.replace(drop, positions=positions), wl)
 
-    def test_pool_made_once_and_only_for_more_than_one_worker(self, monkeypatch):
-        monkeypatch.setattr(losmimo.channel, "_pool", None)
+    @pytest.mark.parametrize("build", [build_channel_set, stream_cross_gram],
+                             ids=lambda build: build.__name__)
+    def test_arrays_and_drop_of_different_cell_counts_raise(self, build):
+        arrays, _, wl = _scene(32, 4)
+        drop = drop_users(hex_centers(1, 200.0), 4, 10.0, 1.5, seed=5)
+        with pytest.raises(ConfigurationError, match="disagree on cell count"):
+            build(arrays, drop, wl)
+
+    def test_pool_made_once_and_only_for_more_than_one_worker(self, set_workers, monkeypatch):
         arrays, drop, wl = _scene(32, 4)
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 1)
-        stream_cross_gram(arrays, drop, wl)
-        assert losmimo.channel._pool is None
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
-        stream_cross_gram(arrays, drop, wl)
-        pool = losmimo.channel._pool
-        stream_cross_gram(arrays, drop, wl)
-        assert pool is not None and losmimo.channel._pool is pool
-        losmimo.channel._pool[1].shutdown()
+        threads = set()
+        kernel = losmimo.channel.station_channels
 
-    def test_concurrent_callers_under_fast_thread_switching(self, monkeypatch):
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            return kernel(*args)
+
+        monkeypatch.setattr(losmimo.channel, "station_channels", recorded)
+        set_workers(1)
+        build_channel_set(arrays, drop, wl)
+        stream_cross_gram(arrays, drop, wl)
+        assert losmimo.channel._pool.cache_info().currsize == 0
+        assert threads == {threading.current_thread()}
+        set_workers(3)
+        for build in (build_channel_set, stream_cross_gram, build_channel_set):
+            build(arrays, drop, wl)
+        info = losmimo.channel._pool.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        pool_threads = threads - {threading.current_thread()}
+        assert 1 <= len(pool_threads) <= 2  # WORKERS - 1
+        assert all(thread.name.startswith("losmimo-station") for thread in pool_threads)
+
+    def test_concurrent_callers_under_fast_thread_switching(self, set_workers):
         # more workers than cores, three callers at once, a switch every microsecond:
         # a row written by the wrong share or a buffer shared across threads shows in z
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 4)
+        set_workers(4)
         scenes = [_scene(32, 4, seed=seed) for seed in (1, 2, 3)]
         want = [cross_gram(build_channel_set(*scene)) for scene in scenes]
         failures = []
@@ -295,17 +317,6 @@ class TestStreamCrossGram:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-
-    def test_verify_starts_no_thread_pool(self):
-        # verify builds the whole channel tensor on the calling thread alone
-        code = ("import sys, losmimo\n"
-                "losmimo.verify(losmimo.ScenarioConfig(cells=7, antennas_per_cell=16, "
-                "users_per_cell=2), 200)\n"
-                "print('concurrent.futures' in sys.modules)\n")
-        src = Path(losmimo.__file__).resolve().parents[1]
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={"PYTHONPATH": str(src)}, timeout=120)
-        assert out.stdout.strip() == "False"
 
 
 class TestSolveTargets:

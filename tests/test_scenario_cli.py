@@ -232,8 +232,8 @@ class TestRunScenario:
         assert np.array_equal(table.series["MR DL"],
                               np.sort(np.concatenate(parts["MR DL"] + [[-1e9, 1e9]])))
 
-    def test_rank_deficient_drop_resampled_with_two_workers(self, monkeypatch):
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
+    def test_rank_deficient_drop_resampled_with_two_workers(self, set_workers, monkeypatch):
+        set_workers(2)
         cfg = tiny_config(drops=2)
         clean, clean_summary = run_scenario(cfg)
         assert clean_summary == {"drops": 2, "resampled": 0}
@@ -252,9 +252,9 @@ class TestRunScenario:
         for name, vals in table.series.items():
             assert len(vals) == len(clean.series[name])
 
-    def test_always_rank_deficient_with_two_workers(self, monkeypatch):
+    def test_always_rank_deficient_with_two_workers(self, set_workers):
         # a 300 m wavelength that no 8-antenna array resolves, in all 7 cells
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 2)
+        set_workers(2)
         cfg = tiny_config(antennas_per_cell=8, users_per_cell=2, drops=1, carrier_ghz=1e-12)
         with pytest.raises(SingularChannelError, match=f"on {MAX_RESAMPLES + 1} re-sampled"):
             run_scenario(cfg)
@@ -331,13 +331,13 @@ class TestCli:
         main(["run", "--config", str(cfg_path), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_csv_byte_identical_for_any_worker_count(self, tmp_path, monkeypatch):
+    def test_csv_byte_identical_for_any_worker_count(self, tmp_path, set_workers, monkeypatch):
         cfg_path = SCENARIOS / "reduced.cfg"
         cfg = load_config(cfg_path)
         assert cfg.drops > 1
         outputs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+            set_workers(workers)
             out = tmp_path / f"workers{workers}.csv"
             assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -473,6 +473,34 @@ class TestCli:
         _write_tiny_config(cfg_path, cells=1, antennas_per_cell=8, users_per_cell=2)
         assert main(["verify", "--config", str(cfg_path), "--symbols", "20000"]) == 0
         assert main(["verify", "--config", str(cfg_path), "--symbols", "1"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", str(SCENARIOS / "reduced.cfg")],  # no --out
+        ["verify", "--symbols", "abc"],
+        [],
+    ], ids=["missing_argument", "invalid_int", "no_command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        # exit 2 is kept for a failed verification
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: losmimo")
+        assert len([ln for ln in err.splitlines() if ln.startswith("error: ")]) == 1
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--help"])
+        assert caught.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
+    def test_failed_verification_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(losmimo.scenario, "SIGMA_THRESHOLD", 0.0)
+        argv = ["verify", "--config", str(SCENARIOS / "verify_small.cfg"), "--symbols", "2000"]
+        assert main(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert len([ln for ln in lines if ln.endswith("[FAIL]")]) == 4
+        assert lines[-1].startswith("verification failed (threshold 0.0 sigma")
 
     def test_verify_reduced_config(self, capsys):
         # the README's reduced-scale check at its documented symbol count
