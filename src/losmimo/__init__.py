@@ -35,11 +35,11 @@ from .geometry import (
 )
 from .linproc import (
     PowerAllocation,
+    decoder,
     dl_allocation,
     gram_inverse,
-    mr_precoder,
+    precoder,
     ul_allocation,
-    zf_precoder,
 )
 from .mcsim import SimResult, simulate
 from .powerctl import (

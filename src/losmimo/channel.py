@@ -25,7 +25,8 @@ from .geometry import ArrayGeometry, UserDrop
 from .linproc import gram_inverse
 
 C_LIGHT = 299792458.0  # m/s
-WORKERS = len(os.sched_getaffinity(0))  # threads that build a drop's channels, at most L
+# threads that build a drop's channels, at most L: the usable CPUs, or all where unknown
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 _DUMP_MAGIC = "losmimo-channelset-v1"
 

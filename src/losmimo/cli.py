@@ -33,10 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="scenario config file (key = value lines)")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--drops", type=int, help="override the drop count")
 
     run_p = sub.add_parser("run", help="run the scenario and write the CDF CSV")
     common(run_p)
+    run_p.add_argument("--drops", type=int, help="override the drop count")
     run_p.add_argument("--out", required=True, help="output CSV path")
 
     ver_p = sub.add_parser("verify", help="Monte Carlo verification of the closed forms")
@@ -53,7 +53,7 @@ def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.drops is not None:
+    if getattr(args, "drops", None) is not None:
         cfg.drops = args.drops
     cfg.validate()
     return cfg

@@ -1,7 +1,8 @@
-"""Power allocations, MR and ZF precoders, and the guarded Gram inverse.
+"""Power allocations, MR and ZF decoders and precoders, and the guarded Gram inverse.
 
 Notation: for a serving matrix G (M x K), the Gram matrix is G^H G and its
-inverse's diagonal governs ZF performance. The closed-form SINRs built on
+inverse's diagonal governs ZF performance. Each precoder is its decoder
+transposed and scaled to the power budget. The closed-form SINRs built on
 these live in `powerctl` (`PcSystem.sinr`).
 """
 
@@ -70,19 +71,20 @@ def gram_inverse(gram: np.ndarray, antennas: int) -> np.ndarray:
     return np.linalg.inv(gram)
 
 
-def mr_precoder(serving: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """(M, K) matrix with column k conj(g_k) * sqrt(eta_k) / ||g_k||.
-    Transmit power = sum(eta)."""
-    norms = np.linalg.norm(serving, axis=0)
+def decoder(serving: np.ndarray, scheme: str) -> np.ndarray:
+    """(K, M) decoder of an M x K serving matrix G: G^H for MR, (G^H G)^-1 G^H for ZF."""
+    hermitian = serving.conj().T
+    if scheme == MR:
+        return hermitian
+    if scheme == ZF:
+        return gram_inverse(hermitian @ serving, serving.shape[0]) @ hermitian
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def precoder(serving: np.ndarray, scheme: str, eta: np.ndarray) -> np.ndarray:
+    """(M, K) decoder transposed with column k scaled to power eta_k; transmit power = sum(eta)."""
+    transposed = decoder(serving, scheme).T
+    norms = np.linalg.norm(transposed, axis=0)
     if np.any(norms == 0):
         raise DegenerateChannelError("zero channel column")
-    return serving.conj() * (np.sqrt(np.asarray(eta, dtype=float)) / norms)[None, :]
-
-
-def zf_precoder(serving: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """(M, K) zero-forcing precoder: G^T times it is diagonal with entries
-    sqrt(eta_k / [(G^H G)^-1]_kk); transmit power = sum(eta)."""
-    igram = gram_inverse(serving.conj().T @ serving, serving.shape[0])
-    d = np.real(np.diag(igram))
-    scale = np.sqrt(np.asarray(eta, dtype=float) / d)
-    return (serving.conj() @ igram.conj()) * scale[None, :]
+    return transposed * (np.sqrt(np.asarray(eta, dtype=float)) / norms)[None, :]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linproc import DOWNLINK, MR, ZF, PowerAllocation, gram_inverse, mr_precoder, zf_precoder
+from .linproc import DOWNLINK, PowerAllocation, decoder, precoder
 
 _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
 
@@ -35,14 +35,11 @@ _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
 class SimResult:
     sinr: np.ndarray  # (L, K) empirical, linear
     sinr_stderr: np.ndarray  # (L, K) standard error of the empirical SINR
-    signal_power: np.ndarray  # (L, K)
-    interference_power: np.ndarray  # (L, K)
-    noise_power: np.ndarray  # (L, K)
+    signal_power: np.ndarray  # (L, K) mean |desired term|^2
+    interference_power: np.ndarray  # (L, K) mean |other users' terms|^2
+    noise_power: np.ndarray  # (L, K) mean |received noise|^2
     total_power: np.ndarray  # (L, K) mean |received|^2
     recon_residual: float  # relative power of (signal+interf+noise - received)
-    tx_power: np.ndarray  # DL: (L,) mean ||s_l||^2; UL: (L, K) mean per-user power
-    tx_power_stderr: np.ndarray
-    link: str
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -100,48 +97,32 @@ def simulate(
     """Simulate the transmission equation of the allocation's link and
     measure per-user SINR; `rho` is that link's normalized SNR.
 
-    Downlink: cell l transmits P_l s_l with its MR or ZF precoder P_l, and
+    Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
     each user receives every cell's signal plus unit noise. Uplink: each user
     transmits sqrt(eta) s, and base station l decodes its antennas' signals
-    plus unit noise with A_l (G^H for MR, Gram^-1 G^H for ZF).
+    plus unit noise with its `decoder` A_l (G^H for MR, Gram^-1 G^H for ZF).
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
-    if scheme not in (MR, ZF):
-        raise ValueError(f"unknown scheme {scheme!r}")
     cells, users = channels.cell_count, channels.users_per_cell
+    if alloc.eta.shape != (cells, users):
+        raise ValueError(f"allocation shape {alloc.eta.shape} != (L, K) {(cells, users)}")
     root_rho = np.sqrt(rho)
+    serving = [channels.serving(l) for l in range(cells)]
 
     # eff[l, lp] maps cell-lp symbols to cell-l users' received samples.
     # noise_map[l] maps the r noise draws of cell l to them; on the
     # downlink (None) the users' noise is received as drawn.
     if alloc.link == DOWNLINK:
-        precode = mr_precoder if scheme == MR else zf_precoder
-        precoders = np.stack(
-            [precode(channels.serving(l), alloc.eta[l]) for l in range(cells)]
-        )  # (L, M, K)
+        precoders = np.stack([precoder(g, scheme, e) for g, e in zip(serving, alloc.eta)])
         eff = root_rho * (channels.matrices.transpose(1, 0, 3, 2) @ precoders)
         noise_map = None
-        # R_l^H R_l = P_l^H P_l, the precoder Gram, for the QR factor R_l of P_l
-        tx_factor = np.linalg.qr(precoders, mode="r")
-        tx = _Moments((cells,))
-
-        def transmitted(symbols):  # ||P_l s_l||^2 = s_l^H (P_l^H P_l) s_l per cell
-            return np.sum(np.abs(tx_factor @ symbols) ** 2, axis=1)
     else:
-        serving = [channels.serving(l) for l in range(cells)]
-        if scheme == MR:
-            decoders = [g.conj().T for g in serving]
-        else:
-            decoders = [gram_inverse(g.conj().T @ g, len(g)) @ g.conj().T for g in serving]
+        decoders = [decoder(g, scheme) for g in serving]
         # sqrt(eta) is applied at the transmitters, column (lp, k') of eff
         eff = np.stack([decoders[l] @ channels.matrices[l] for l in range(cells)])
         eff *= root_rho * np.sqrt(alloc.eta)[None, :, None, :]
         noise_map = np.stack([noise_factor(a, g) for a, g in zip(decoders, serving)])
-        tx = _Moments((cells, users))
-
-        def transmitted(symbols):  # |sqrt(eta) s|^2 per user
-            return alloc.eta[:, :, None] * np.abs(symbols) ** 2
 
     n = cells * users
     mix = eff.transpose(0, 2, 1, 3).reshape(n, n)  # row (l, k), column (lp, k')
@@ -154,7 +135,6 @@ def simulate(
     for nc in _chunks(n_symbols, n):
         symbols = _complex_normal(rng, (cells, users, nc))
         w = _complex_normal(rng, (cells, noise_dim, nc))
-        tx.add(transmitted(symbols))
         noisefree = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
         desired = coef[:, :, None] * symbols
         interference = noisefree - desired
@@ -181,7 +161,4 @@ def simulate(
         noise_power=noise.mean(),
         total_power=total.mean(),
         recon_residual=recon_num / max(float(np.sum(total.s1)), 1e-300),
-        tx_power=tx.mean(),
-        tx_power_stderr=tx.stderr(),
-        link=alloc.link,
     )

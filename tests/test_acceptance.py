@@ -15,14 +15,13 @@ from losmimo import (
     dl_allocation,
     link_budget,
     maxmin_common_target,
-    mr_precoder,
+    precoder,
     run_scenario,
     simulate,
     single_cell_zf_maxmin,
     solve_targets,
     ul_allocation,
     wavelength_m,
-    zf_precoder,
 )
 
 from conftest import random_channel_set
@@ -70,8 +69,8 @@ def test_criterion_2_power_identities():
         m, k = int(rng.integers(4, 33)), int(rng.integers(1, 5))
         g = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2 * m)
         eta = rng.uniform(0.01, 1.0 / k, k)
-        for factory in (mr_precoder, zf_precoder):
-            power = np.linalg.norm(factory(g, eta)) ** 2
+        for scheme in ("MR", "ZF"):
+            power = np.linalg.norm(precoder(g, scheme, eta)) ** 2
             worst = max(worst, abs(power - np.sum(eta)) / np.sum(eta))
     elapsed = time.time() - start
     _report(2, worst < 1e-12 and elapsed < 1.0,
@@ -88,7 +87,7 @@ def test_criterion_3_zf_nulling():
         m = max(m, k)
         g = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2 * m)
         eta = rng.uniform(0.01, 1.0 / k, k)
-        crosstalk = g.T @ zf_precoder(g, eta)
+        crosstalk = g.T @ precoder(g, "ZF", eta)
         diag = np.min(np.abs(np.diag(crosstalk)))
         off = np.max(np.abs(crosstalk - np.diag(np.diag(crosstalk))))
         worst = max(worst, off / diag)

@@ -1,10 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import losmimo
 from losmimo import (
     ArrayGeometry,
     ConfigurationError,
@@ -161,3 +166,17 @@ class TestChannelSet:
         loaded = load_channel_dump(path)
         assert loaded.wavelength == cs.wavelength
         assert np.array_equal(loaded.matrices, cs.matrices)
+
+
+class TestWorkers:
+    def test_import_without_sched_getaffinity(self):
+        # os.sched_getaffinity is missing on macOS and Windows: every CPU builds channels
+        code = ("import os; del os.sched_getaffinity; import losmimo; "
+                "print(losmimo.channel.WORKERS, os.cpu_count() or 1)")
+        src = str(Path(losmimo.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        workers, cpus = done.stdout.split()
+        assert workers == cpus

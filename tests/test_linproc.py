@@ -7,10 +7,10 @@ from losmimo import (
     SingularChannelError,
     build_pc_system,
     cross_gram,
+    decoder,
     dl_allocation,
-    mr_precoder,
+    precoder,
     ul_allocation,
-    zf_precoder,
 )
 from losmimo.linproc import PowerAllocation
 
@@ -55,35 +55,35 @@ class TestAllocations:
 class TestPrecoders:
     def test_mr_single_user(self, rng):
         g = _random_matrix(rng, users=1)
-        p = mr_precoder(g, np.array([1.0]))
+        p = precoder(g, "MR", np.array([1.0]))
         assert np.allclose(p[:, 0], g[:, 0].conj() / np.linalg.norm(g))
         assert np.linalg.norm(p) ** 2 == pytest.approx(1.0, rel=1e-12)
 
     def test_mr_zero_power(self, rng):
         g = _random_matrix(rng)
-        p = mr_precoder(g, np.zeros(4))
+        p = precoder(g, "MR", np.zeros(4))
         assert np.all(p == 0)
 
     def test_mr_zero_column_raises(self, rng):
         g = _random_matrix(rng)
         g[:, 2] = 0
         with pytest.raises(DegenerateChannelError):
-            mr_precoder(g, np.full(4, 0.25))
+            precoder(g, "MR", np.full(4, 0.25))
 
-    @pytest.mark.parametrize("factory", [mr_precoder, zf_precoder])
-    def test_power_identity(self, rng, factory):
+    @pytest.mark.parametrize("scheme", ["MR", "ZF"])
+    def test_power_identity(self, rng, scheme):
         # E(||s||^2) = ||P||_F^2 = ||eta||_1 for unit-variance symbols
         for _ in range(20):
             g = _random_matrix(rng)
             eta = rng.uniform(0, 0.25, 4)
-            p = factory(g, eta)
+            p = precoder(g, scheme, eta)
             assert np.linalg.norm(p) ** 2 == pytest.approx(np.sum(eta), rel=1e-12)
 
     def test_zf_nulling(self, rng):
         for _ in range(20):
             g = _random_matrix(rng)
             eta = rng.uniform(0.01, 0.25, 4)
-            p = zf_precoder(g, eta)
+            p = precoder(g, "ZF", eta)
             crosstalk = g.T @ p
             diag = np.abs(np.diag(crosstalk))
             off = np.abs(crosstalk - np.diag(np.diag(crosstalk)))
@@ -92,7 +92,7 @@ class TestPrecoders:
     def test_zf_diagonal_value(self, rng):
         g = _random_matrix(rng)
         eta = rng.uniform(0.01, 0.25, 4)
-        p = zf_precoder(g, eta)
+        p = precoder(g, "ZF", eta)
         igram = np.linalg.inv(g.conj().T @ g)
         expected = np.sqrt(eta / np.real(np.diag(igram)))
         assert np.allclose(np.diag(g.T @ p), expected, rtol=1e-10)
@@ -101,20 +101,38 @@ class TestPrecoders:
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
         g = q * rng.uniform(0.5, 2.0, 4)[None, :]
         eta = rng.uniform(0.01, 0.25, 4)
-        assert np.allclose(zf_precoder(g, eta), mr_precoder(g, eta), atol=1e-12)
+        assert np.allclose(precoder(g, "ZF", eta), precoder(g, "MR", eta), atol=1e-12)
 
     def test_zf_single_user_equals_mr(self, rng):
         g = _random_matrix(rng, users=1)
         eta = np.array([0.7])
-        assert np.allclose(zf_precoder(g, eta), mr_precoder(g, eta))
+        assert np.allclose(precoder(g, "ZF", eta), precoder(g, "MR", eta))
 
     def test_zf_rank_deficient_raises(self, rng):
         g = _random_matrix(rng)
         g[:, 1] = g[:, 0]
         with pytest.raises(SingularChannelError):
-            zf_precoder(g, np.full(4, 0.25))
+            precoder(g, "ZF", np.full(4, 0.25))
         with pytest.raises(SingularChannelError):
-            zf_precoder(_random_matrix(rng, antennas=3, users=4), np.full(4, 0.25))
+            precoder(_random_matrix(rng, antennas=3, users=4), "ZF", np.full(4, 0.25))
+
+
+class TestDecoders:
+    def test_zf_is_left_inverse(self, rng):
+        for _ in range(20):
+            g = _random_matrix(rng)
+            assert np.max(np.abs(decoder(g, "ZF") @ g - np.eye(4))) < 1e-12
+
+    def test_mr_is_conjugate_transpose(self, rng):
+        g = _random_matrix(rng)
+        assert np.array_equal(decoder(g, "MR"), g.conj().T)
+
+    def test_unknown_scheme(self, rng):
+        g = _random_matrix(rng)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            decoder(g, "MMSE")
+        with pytest.raises(ValueError, match="unknown scheme"):
+            precoder(g, "MMSE", np.full(4, 0.25))
 
 
 class TestClosedFormDegenerateCases:

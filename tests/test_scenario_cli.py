@@ -478,7 +478,11 @@ class TestCli:
         ["run", "--config", str(SCENARIOS / "reduced.cfg")],  # no --out
         ["verify", "--symbols", "abc"],
         [],
-    ], ids=["missing_argument", "invalid_int", "no_command"])
+        # --drops overrides the drop count of `run` only
+        ["verify", "--config", str(SCENARIOS / "verify_small.cfg"), "--drops", "1"],
+        ["dump-channels", "--config", str(SCENARIOS / "verify_small.cfg"), "--drops", "1",
+         "--out", "channels.txt"],
+    ], ids=["missing_argument", "invalid_int", "no_command", "verify_drops", "dump_drops"])
     def test_usage_error_exits_1(self, capsys, argv):
         # exit 2 is kept for a failed verification
         with pytest.raises(SystemExit) as caught:
