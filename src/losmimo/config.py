@@ -147,6 +147,7 @@ def _parse_value(name: str, raw: str):
 
 def parse_config(text: str) -> ScenarioConfig:
     cfg = ScenarioConfig()
+    seen: dict[str, int] = {}  # key -> line that set it
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -156,6 +157,9 @@ def parse_config(text: str) -> ScenarioConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigurationError(f"line {lineno}: key {key!r} already set on line {seen[key]}")
+        seen[key] = lineno
         try:
             setattr(cfg, key, _parse_value(key, raw))
         except ValueError as exc:

@@ -25,21 +25,30 @@ _HEX_NORMALS = np.stack(
 
 @dataclass(frozen=True)
 class CellLayout:
-    cell_count: int
     cell_radius: float  # center-to-vertex
     centers: np.ndarray  # (L, 2)
+
+    @property
+    def cell_count(self) -> int:
+        return self.centers.shape[0]
 
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    antenna_count: int
     positions: np.ndarray  # (M, 3)
+
+    @property
+    def antenna_count(self) -> int:
+        return self.positions.shape[0]
 
 
 @dataclass(frozen=True)
 class UserDrop:
-    users_per_cell: int
     positions: np.ndarray  # (L, K, 3)
+
+    @property
+    def users_per_cell(self) -> int:
+        return self.positions.shape[1]
 
 
 def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
@@ -52,7 +61,7 @@ def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
         centers = np.vstack([np.zeros((1, 2)), SQRT3 * cell_radius * _HEX_NORMALS])
     else:
         raise ConfigurationError(f"unsupported cell count {cell_count}; use 1 or 7")
-    return CellLayout(cell_count=cell_count, cell_radius=float(cell_radius), centers=centers)
+    return CellLayout(cell_radius=float(cell_radius), centers=centers)
 
 
 def inradius(cell_radius: float) -> float:
@@ -93,7 +102,7 @@ def circular_array(
         ],
         axis=1,
     )
-    return ArrayGeometry(antenna_count=antenna_count, positions=positions)
+    return ArrayGeometry(positions=positions)
 
 
 def in_hexagon(points: np.ndarray, center: np.ndarray, cell_radius: float, tol: float = 1e-9) -> np.ndarray:
@@ -144,4 +153,4 @@ def drop_users(
         pts = np.concatenate(accepted)[:users_per_cell] + center
         positions[l, :, :2] = pts
         positions[l, :, 2] = user_height
-    return UserDrop(users_per_cell=users_per_cell, positions=positions)
+    return UserDrop(positions=positions)

@@ -3,8 +3,9 @@
 Simulates the actual transmission equations of either link with i.i.d.
 circularly-symmetric unit-variance Gaussian symbols and noise. The
 desired-signal coefficient of every user is deterministic and known, so the
-empirical SINR is |coefficient|^2 divided by the sample variance of the
-residual (received minus desired term) -- no blind estimation bias.
+empirical SINR is |coefficient|^2 divided by the mean power of the
+impairment (received samples minus the desired term: interference plus
+noise) -- no blind estimation bias.
 
 Only noise that reaches the users is drawn, r samples per cell and symbol.
 On the downlink r = K: each user's receiver noise, received as drawn. On the
@@ -16,9 +17,11 @@ taken from the decoder being simulated, not from the closed-form algebra,
 so the oracle stays independent of it.
 
 Symbols are processed in chunks of about _CHUNK_BUDGET / (L K) symbols
-(585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB and a
-chunk's working set is about a dozen of them, whatever M and the symbol
-count. Results depend only on the seed.
+(585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB. A
+chunk holds its symbols, its noise draws and its impairment, one temporary
+at a time, and, while the next chunk is drawn, the last one's arrays: about
+five such arrays at the peak, whatever M and the symbol count. Results
+depend only on the seed.
 """
 
 from dataclasses import dataclass
@@ -35,11 +38,7 @@ _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
 class SimResult:
     sinr: np.ndarray  # (L, K) empirical, linear
     sinr_stderr: np.ndarray  # (L, K) standard error of the empirical SINR
-    signal_power: np.ndarray  # (L, K) mean |desired term|^2
-    interference_power: np.ndarray  # (L, K) mean |other users' terms|^2
-    noise_power: np.ndarray  # (L, K) mean |received noise|^2
-    total_power: np.ndarray  # (L, K) mean |received|^2
-    recon_residual: float  # relative power of (signal+interf+noise - received)
+    interference_noise_power: np.ndarray  # (L, K) mean |received - desired term|^2
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -128,37 +127,21 @@ def simulate(
     mix = eff.transpose(0, 2, 1, 3).reshape(n, n)  # row (l, k), column (lp, k')
     coef = np.real(np.diagonal(mix)).reshape(cells, users)
     noise_dim = users if noise_map is None else noise_map.shape[-1]
-    residual, sig, intf, noise, total = (_Moments((cells, users)) for _ in range(5))
-    recon_num = 0.0
+    impairment = _Moments((cells, users))
 
     rng = np.random.default_rng(seed)
     for nc in _chunks(n_symbols, n):
         symbols = _complex_normal(rng, (cells, users, nc))
         w = _complex_normal(rng, (cells, noise_dim, nc))
-        noisefree = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
-        desired = coef[:, :, None] * symbols
-        interference = noisefree - desired
-        received_noise = w if noise_map is None else noise_map @ w
-        received = noisefree + received_noise
-        residual.add(np.abs(received - desired) ** 2)
-        sig.add(np.abs(desired) ** 2)
-        intf.add(np.abs(interference) ** 2)
-        noise.add(np.abs(received_noise) ** 2)
-        total.add(np.abs(received) ** 2)
-        diff = desired + interference + received_noise - received
-        recon_num += float(np.sum(np.abs(diff) ** 2))
+        # received samples minus the desired term, built in place
+        received = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
+        received += w if noise_map is None else noise_map @ w
+        received -= coef[:, :, None] * symbols
+        impairment.add(np.abs(received) ** 2)
 
-    p_in = residual.mean()
+    p_in = impairment.mean()
     power = coef**2
     with np.errstate(divide="ignore", invalid="ignore"):
         sinr = np.where(p_in > 0, power / p_in, np.inf)
-        stderr = np.where(p_in > 0, power * residual.stderr() / p_in**2, 0.0)
-    return SimResult(
-        sinr=sinr,
-        sinr_stderr=stderr,
-        signal_power=sig.mean(),
-        interference_power=intf.mean(),
-        noise_power=noise.mean(),
-        total_power=total.mean(),
-        recon_residual=recon_num / max(float(np.sum(total.s1)), 1e-300),
-    )
+        stderr = np.where(p_in > 0, power * impairment.stderr() / p_in**2, 0.0)
+    return SimResult(sinr=sinr, sinr_stderr=stderr, interference_noise_power=p_in)

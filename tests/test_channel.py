@@ -66,7 +66,7 @@ class TestLinkBudget:
 class TestLosChannel:
     def test_single_antenna_one_wavelength(self):
         wl = 0.005
-        array = ArrayGeometry(1, np.array([[0.0, 0.0, 0.0]]))
+        array = ArrayGeometry(np.array([[0.0, 0.0, 0.0]]))
         g = los_channel(np.array([wl, 0.0, 0.0]), array, wl)
         assert abs(g[0]) == pytest.approx(1 / (4 * np.pi), rel=1e-12)
         assert g[0].imag == pytest.approx(0.0, abs=1e-12)
@@ -86,14 +86,14 @@ class TestLosChannel:
     def test_gain_matches_negative_fspl(self):
         f = 60.0
         wl = wavelength_m(f)
-        array = ArrayGeometry(1, np.array([[0.0, 0.0, 30.0]]))
+        array = ArrayGeometry(np.array([[0.0, 0.0, 30.0]]))
         user = np.array([200.0, 0.0, 30.0])
         g = los_channel(user, array, wl)
         gain_db = 20 * np.log10(abs(g[0]))
         assert gain_db == pytest.approx(-fspl_db(f, 200.0), abs=1e-9)
 
     def test_coincident_position_raises(self):
-        array = ArrayGeometry(1, np.array([[1.0, 2.0, 3.0]]))
+        array = ArrayGeometry(np.array([[1.0, 2.0, 3.0]]))
         with pytest.raises(SingularGeometryError):
             los_channel(np.array([1.0, 2.0, 3.0]), array, 0.005)
 
@@ -135,6 +135,17 @@ class TestChannelSet:
         positions[3, 1] = arrays[5].positions[7]
         with pytest.raises(SingularGeometryError):
             build_channel_set(arrays, dataclasses.replace(drop, positions=positions), wl)
+
+    def test_counts_read_from_positions(self):
+        # a drop and arrays given fewer users and antennas build channels of
+        # their own shape: the counts are read from the positions
+        arrays, drop, wl = _small_scene()
+        fewer = dataclasses.replace(drop, positions=drop.positions[:, :2])
+        arrays = [dataclasses.replace(a, positions=a.positions[:5]) for a in arrays]
+        cs = build_channel_set(arrays, fewer, wl)
+        assert cs.matrices.shape == (7, 7, 5, 2)
+        assert np.array_equal(cs.matrices[5, 2][:, 1], los_channel(fewer.positions[2, 1],
+                                                                   arrays[5], wl))
 
     def test_deterministic(self):
         arrays, drop, wl = _small_scene()

@@ -39,16 +39,16 @@ class TestDownlink:
         cs = random_channel_set(rng, cells=1, users=2)
         alloc = dl_allocation(np.zeros((1, 2)))
         result = simulate(cs, "MR", alloc, 10.0, N, seed=5)
-        assert np.all(result.signal_power == 0)
-        assert np.allclose(result.noise_power, 1.0, atol=0.05)
-        assert np.allclose(result.total_power, 1.0, atol=0.05)
+        assert np.all(result.sinr == 0)
+        assert np.allclose(result.interference_noise_power, 1.0, atol=0.05)
 
     def test_zf_intra_cell_nulling_is_algebraic(self, rng):
-        # single cell: ZF removes intra-cell interference symbol-by-symbol
+        # single cell: ZF removes intra-cell interference symbol-by-symbol, so
+        # at a large rho the impairment is the unit receiver noise alone
         cs = random_channel_set(rng, cells=1, users=3)
         alloc = dl_allocation(np.full((1, 3), 0.3))
-        result = simulate(cs, "ZF", alloc, 10.0, 2000, seed=5)
-        assert np.all(result.interference_power < 1e-8 * result.signal_power)
+        result = simulate(cs, "ZF", alloc, 1e12, N, seed=5)
+        assert np.allclose(result.interference_noise_power, 1.0, atol=0.05)
 
 
 class TestUplink:
@@ -68,7 +68,7 @@ class TestUplink:
         result = simulate(cs, "ZF", alloc, 10.0, N, seed=5)
         g = cs.serving(0)
         expected = np.real(np.diag(np.linalg.inv(g.conj().T @ g)))
-        assert np.allclose(result.noise_power[0], expected, rtol=0.05)
+        assert np.allclose(result.interference_noise_power[0], expected, rtol=0.05)
 
     def test_mr_decoded_noise_variance(self, rng):
         # silent users: MR decoded noise variance converges to the squared channel norms
@@ -76,7 +76,7 @@ class TestUplink:
         alloc = ul_allocation(np.zeros((1, 3)))
         result = simulate(cs, "MR", alloc, 10.0, N, seed=5)
         expected = np.linalg.norm(cs.serving(0), axis=0) ** 2
-        assert np.allclose(result.noise_power[0], expected, rtol=0.05)
+        assert np.allclose(result.interference_noise_power[0], expected, rtol=0.05)
 
 
 # (scheme, antennas) with 3 users per cell; MR with 2 antennas has r = M < K
@@ -99,11 +99,15 @@ class TestFactoredUplinkNoise:
         alloc = uniform_allocation("UL")
         fast = simulate(cs, scheme, alloc, 10.0, N, seed=7)
         ref = simulate_uplink_per_antenna(cs, scheme, alloc, 10.0, N, seed=8)
-        # two independent estimates of one mean, each with the reference's stderr
-        noise_sigma = np.sqrt(2.0) * ref.noise_stderr
-        assert np.all(np.abs(fast.noise_power - ref.noise_power) < 5 * noise_sigma)
         sinr_sigma = np.hypot(fast.sinr_stderr, ref.sinr_stderr)
         assert np.all(np.abs(fast.sinr - ref.sinr) < 5 * sinr_sigma)
+        # silent users: the impairment is the decoded noise alone; two
+        # independent estimates of one mean, each with the reference's stderr
+        silent = ul_allocation(np.zeros((2, 3)))
+        fast = simulate(cs, scheme, silent, 10.0, N, seed=7)
+        ref = simulate_uplink_per_antenna(cs, scheme, silent, 10.0, N, seed=8)
+        noise_sigma = np.sqrt(2.0) * ref.noise_stderr
+        assert np.all(np.abs(fast.interference_noise_power - ref.noise_power) < 5 * noise_sigma)
 
 
 class TestBothLinks:
@@ -115,12 +119,6 @@ class TestBothLinks:
         b = simulate(cs, scheme, alloc, 10.0, 5000, seed=3)
         for f in dataclasses.fields(a):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
-
-    @pytest.mark.parametrize("scheme,link", PAIRS)
-    def test_decomposition_is_exact(self, rng, scheme, link):
-        cs = random_channel_set(rng)
-        result = simulate(cs, scheme, uniform_allocation(link), 10.0, 5000, seed=3)
-        assert result.recon_residual < 1e-10
 
     @pytest.mark.parametrize("cells,users", [(2, 1), (3, 3)], ids=["L-by-1", "L+1-by-K"])
     @pytest.mark.parametrize("link", ["DL", "UL"])

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import re
 import tempfile
 import time
 import warnings
@@ -30,7 +31,7 @@ from losmimo import (
 )
 from losmimo.cli import main
 from losmimo.config import MAX_CHANNEL_ENTRIES
-from losmimo.scenario import MAX_RESAMPLES, RECON_TOL, build_drop_channels
+from losmimo.scenario import MAX_RESAMPLES, build_drop_channels
 
 from reference_channel import load_channel_dump
 
@@ -121,7 +122,9 @@ _LINES = st.sampled_from(list(_DEFAULTS)).flatmap(
 
 
 class TestConfigFuzz:
-    @given(st.lists(_LINES, max_size=8))
+    # each key once: a repeated key is rejected, and would halve the texts
+    # that reach the round trip
+    @given(st.lists(_LINES, max_size=8, unique_by=lambda line: line[0]))
     @settings(max_examples=150, deadline=None)
     def test_config_text_parses_to_a_valid_config_or_is_rejected(self, lines):
         text = "".join(f"{key} = {value}\n" for key, value in lines)
@@ -284,13 +287,6 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify(cfg, n_symbols=1)
 
-    def test_reconstruction_residual_gates_pass(self):
-        cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
-        report = verify(cfg, n_symbols=2000)
-        assert all(e.recon_residual < RECON_TOL for e in report.entries)
-        broken = dataclasses.replace(report.entries[0], recon_residual=10 * RECON_TOL)
-        assert not dataclasses.replace(report, entries=[broken]).passed
-
     def test_per_user_deviations(self):
         cfg = tiny_config(drops=1)
         for entry in verify(cfg, n_symbols=2000).entries:
@@ -309,6 +305,13 @@ def _write_tiny_config(path, **overrides):
     cfg = tiny_config(**overrides)
     path.write_text(serialize_config(cfg))
     return cfg
+
+
+def _config_with(cfg, line) -> str:
+    """`cfg` serialized with `line` (key = value) in place of its key's line."""
+    key = line.split(" = ")[0]
+    kept = [ln for ln in serialize_config(cfg).splitlines() if ln.split(" = ")[0] != key]
+    return "\n".join([*kept, line]) + "\n"
 
 
 class TestCli:
@@ -373,7 +376,7 @@ class TestCli:
         # covered almost all of the cell
         cfg = tiny_config(antennas_per_cell=16, users_per_cell=2, drops=1)
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(serialize_config(cfg) + "min_bs_distance_m = 199.9999\n")
+        cfg_path.write_text(_config_with(cfg, "min_bs_distance_m = 199.9999"))
         out = tmp_path / "x.csv"
         start = time.perf_counter()
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
@@ -383,7 +386,7 @@ class TestCli:
         assert "min_bs_distance_m" in errors[0] and "cell_radius_m" in errors[0]
         assert not out.exists()
         # just inside the inradius (173.2 m at R = 200 m) still runs
-        cfg_path.write_text(serialize_config(cfg) + "min_bs_distance_m = 173\n")
+        cfg_path.write_text(_config_with(cfg, "min_bs_distance_m = 173"))
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
 
@@ -397,7 +400,7 @@ class TestCli:
                                       "bandwidth_hz = inf"])
     def test_non_finite_value_exit_code(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(serialize_config(tiny_config(drops=1)) + line + "\n")
+        cfg_path.write_text(_config_with(tiny_config(drops=1), line))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         assert "error: " + line.split(" = ")[0] in capsys.readouterr().err
@@ -410,7 +413,7 @@ class TestCli:
                                       "bs_power_w = 1e300", "bs_noise_figure_db = -1e308"])
     def test_rejected_value_exit_code(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
-        cfg_path.write_text(serialize_config(tiny_config(drops=1)) + line + "\n")
+        cfg_path.write_text(_config_with(tiny_config(drops=1), line))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
@@ -424,7 +427,7 @@ class TestCli:
     def test_overflowing_geometry_exit_code(self, tmp_path, capsys, line):
         cfg_path = tmp_path / "bad.cfg"
         one_cell = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2, drops=1)
-        cfg_path.write_text(serialize_config(one_cell) + line + "\n")
+        cfg_path.write_text(_config_with(one_cell, line))
         out = tmp_path / "x.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -458,7 +461,7 @@ class TestCli:
         # re-sampled, and the error names the resample count and the keys
         cfg_path = tmp_path / "bad.cfg"
         one_cell = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2, drops=1)
-        cfg_path.write_text(serialize_config(one_cell) + "carrier_ghz = 1e-12\n")
+        cfg_path.write_text(_config_with(one_cell, "carrier_ghz = 1e-12"))
         out = tmp_path / "x.csv"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
         errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
@@ -473,6 +476,16 @@ class TestCli:
         _write_tiny_config(cfg_path, cells=1, antennas_per_cell=8, users_per_cell=2)
         assert main(["verify", "--config", str(cfg_path), "--symbols", "20000"]) == 0
         assert main(["verify", "--config", str(cfg_path), "--symbols", "1"]) == 1
+
+    def test_repeated_config_key_exits_1(self, tmp_path, capsys):
+        # the second value used to win silently
+        cfg_path = tmp_path / "scenario.cfg"
+        cfg_path.write_text("seed = 3\nseed = 4\n")
+        out = tmp_path / "cdf.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: line 2: key 'seed' already set on line 1" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["run", "--config", str(SCENARIOS / "reduced.cfg")],  # no --out
@@ -504,7 +517,7 @@ class TestCli:
         assert main(argv) == 2
         lines = capsys.readouterr().out.splitlines()
         assert len([ln for ln in lines if ln.endswith("[FAIL]")]) == 4
-        assert lines[-1].startswith("verification failed (threshold 0.0 sigma")
+        assert lines[-1] == "verification failed (threshold 0.0 sigma)"
 
     def test_verify_reduced_config(self, capsys):
         # the README's reduced-scale check at its documented symbol count
@@ -513,7 +526,8 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         checks = [ln for ln in lines if ln.endswith("[ok]")]
         assert len(checks) == 4
-        assert all(" sigma at (cell " in ln for ln in checks)
+        line = r"(MR|ZF) (DL|UL): max deviation \d+\.\d\d sigma at \(cell \d+, user \d+\) \[ok\]"
+        assert all(re.fullmatch(line, ln) for ln in checks)
 
     def test_seed_and_drops_overrides(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
