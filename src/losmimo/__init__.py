@@ -44,7 +44,6 @@ from .linproc import (
 from .mcsim import SimResult, simulate
 from .powerctl import (
     MaxminResult,
-    PcSolution,
     PcSystem,
     build_pc_system,
     maxmin_common_target,

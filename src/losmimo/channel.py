@@ -86,10 +86,6 @@ class ChannelSet:
         return self.matrices.shape[0]
 
     @property
-    def antenna_count(self) -> int:
-        return self.matrices.shape[2]
-
-    @property
     def users_per_cell(self) -> int:
         return self.matrices.shape[3]
 
@@ -184,16 +180,17 @@ class CrossGram:
     on first use (only ZF needs them; MR allows K > M).
 
     z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
-    taken at base station l; z[l, l] is cell l's Gram matrix.
+    taken at base station l; z[l, l] is cell l's Gram matrix, factorized once
+    (`gram_inverse`). Power control on it returns powers, None from
+    `solve_targets` when its targets are not achievable.
     """
 
     z: np.ndarray  # (L, L, K, K) complex
-    antennas: int  # M
 
     @cached_property
     def igram(self) -> np.ndarray:
         """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
-        return np.stack([gram_inverse(self.z[l, l], self.antennas) for l in range(len(self.z))])
+        return np.stack([gram_inverse(self.z[l, l]) for l in range(len(self.z))])
 
     @property
     def inv_diag(self) -> np.ndarray:
@@ -213,7 +210,7 @@ def cross_gram(channels: ChannelSet) -> CrossGram:
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
     for l, block in enumerate(channels.matrices):
         _gram_row(z, l, block)
-    return CrossGram(z=z, antennas=channels.antenna_count)
+    return CrossGram(z=z)
 
 
 def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> CrossGram:
@@ -224,7 +221,7 @@ def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: f
     cells, users = len(arrays), drop.users_per_cell
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
     _each_station(arrays, drop, wavelength, partial(_gram_row, z))
-    return CrossGram(z=z, antennas=arrays[0].antenna_count)
+    return CrossGram(z=z)
 
 
 def dump_channel_set(channels: ChannelSet, path) -> None:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage/config error, 2 verification failure.
 
 import argparse
 import logging
+import os
 import sys
 
 from .channel import dump_channel_set
@@ -64,6 +65,12 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _load(args)
+        if args.command in ("run", "dump-channels"):
+            # an unwritable --out fails here, before any drop; an existing file keeps its bytes
+            made = not os.path.lexists(args.out)
+            open(args.out, "a").close()
+            if made:
+                os.remove(args.out)
         if args.command == "run":
             table, summary = run_scenario(cfg)
             table.write_csv(args.out)

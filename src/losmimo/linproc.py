@@ -61,14 +61,16 @@ def ul_allocation(eta: np.ndarray) -> PowerAllocation:
     return PowerAllocation(eta=np.atleast_2d(eta), link=UPLINK)
 
 
-def gram_inverse(gram: np.ndarray, antennas: int) -> np.ndarray:
-    """Inverse of the K x K Gram matrix G^H G of an M x K serving matrix
-    (M = `antennas`), with a rank-deficiency guard."""
-    if gram.shape[0] > antennas:
-        raise SingularChannelError(f"need K <= M for ZF, got K={gram.shape[0]}, M={antennas}")
-    if np.linalg.cond(gram) > COND_LIMIT:
+def gram_inverse(gram: np.ndarray) -> np.ndarray:
+    """Inverse V diag(1/lam) V^H of a K x K Gram matrix G^H G = V diag(lam) V^H,
+    so each Gram is factorized once; `powerctl` turns it into powers (None from
+    `solve_targets` when its targets are not achievable). Raises
+    `SingularChannelError` unless the exact 2-norm condition number
+    lam_max / lam_min is at most COND_LIMIT, which fails when K > M."""
+    lam, v = np.linalg.eigh(gram)
+    if not 0.0 < lam[0] * COND_LIMIT >= lam[-1]:
         raise SingularChannelError("channel Gram matrix is rank deficient")
-    return np.linalg.inv(gram)
+    return (v / lam) @ v.conj().T
 
 
 def decoder(serving: np.ndarray, scheme: str) -> np.ndarray:
@@ -77,7 +79,7 @@ def decoder(serving: np.ndarray, scheme: str) -> np.ndarray:
     if scheme == MR:
         return hermitian
     if scheme == ZF:
-        return gram_inverse(hermitian @ serving, serving.shape[0]) @ hermitian
+        return gram_inverse(hermitian @ serving) @ hermitian
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

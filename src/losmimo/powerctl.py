@@ -7,8 +7,10 @@ cell's power norm (1-norm downlink, inf-norm uplink) is at most 1.
 Stacking is cell-major: index j = l*K + k.
 
 All four systems of a drop come from one `channel.CrossGram`, which takes
-its serving-Gram inverses the first time ZF reads them, and every
-closed-form SINR is `PcSystem.sinr`: d * eta / (1 + C eta).
+its serving-Gram inverses the first time ZF reads them, one
+eigendecomposition per Gram. Every function here returns powers
+(`solve_targets` returns None when its targets are not achievable), and
+every closed-form SINR is `PcSystem.sinr` of them: d * eta / (1 + C eta).
 
 Max-min looks for the largest common target 1/mu: with a common target the
 powers are eta = (mu D - C)^-1 1, feasible iff mu exceeds the Perron root
@@ -18,7 +20,7 @@ interference functions: Yates, IEEE JSAC 1995; Boche & Schubert, IEEE TVT
 each probe certified by the sign of eta, with no eigensolver.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +44,6 @@ class PcSystem:
     c: np.ndarray  # (KL, KL) nonnegative
     scheme: str
     link: str
-    rho: float
     cells: int
     users_per_cell: int
 
@@ -54,17 +55,10 @@ class PcSystem:
 
 
 @dataclass(frozen=True)
-class PcSolution:
-    eta: np.ndarray  # (KL,) clamped to >= 0
-    feasible: bool
-    achieved: np.ndarray  # (KL,) D eta / (1 + C eta)
-
-
-@dataclass(frozen=True)
 class MaxminResult:
     target: float  # largest feasible common SINR target (linear)
-    solution: PcSolution
-    trace: list = field(default_factory=list)  # (probed target, feasible) pairs
+    eta: np.ndarray  # (KL,) powers that meet it
+    trace: list  # (probed target, feasible) pairs
 
 
 def build_pc_system(xg: CrossGram, scheme: str, link: str, rho: float) -> PcSystem:
@@ -98,10 +92,8 @@ def build_pc_system(xg: CrossGram, scheme: str, link: str, rho: float) -> PcSyst
     c = c.transpose(0, 2, 1, 3).reshape(n, n)
     if link == DOWNLINK:
         c = c.T
-    return PcSystem(
-        d=rho * v.ravel(), c=rho * c, scheme=scheme, link=link, rho=rho,
-        cells=cells, users_per_cell=users,
-    )
+    return PcSystem(d=rho * v.ravel(), c=rho * c, scheme=scheme, link=link, cells=cells,
+                    users_per_cell=users)
 
 
 def _solve(system: PcSystem, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -118,20 +110,19 @@ def _solve(system: PcSystem, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray |
     return a, eta
 
 
-def solve_targets(system: PcSystem, targets: np.ndarray) -> PcSolution:
-    """Solve (D - diag(zeta) C) eta = zeta and check admissibility."""
+def solve_targets(system: PcSystem, targets: np.ndarray) -> np.ndarray | None:
+    """The (KL,) powers, clipped at 0, that solve (D - diag(zeta) C) eta = zeta,
+    or None if the solve fails or they are not admissible."""
     zeta = np.asarray(targets, dtype=float).ravel()
     n = len(system.d)
     if len(zeta) != n:
         raise ValueError(f"expected {n} targets, got {len(zeta)}")
     _, eta = _solve(system, zeta)
-    if eta is None:
-        return PcSolution(eta=np.zeros(n), feasible=False, achieved=np.zeros(n))
-    ok = bool(np.min(eta) >= -NEG_SLACK)
+    if eta is None or np.min(eta) < -NEG_SLACK:
+        return None
     eta = np.clip(eta, 0.0, None)
     norms = per_cell_norms(eta.reshape(system.cells, system.users_per_cell), system.link)
-    ok = ok and bool(np.all(norms <= 1.0 + NORM_SLACK))
-    return PcSolution(eta=eta, feasible=ok, achieved=system.sinr(eta))
+    return eta if np.all(norms <= 1.0 + NORM_SLACK) else None
 
 
 def _binding(system: PcSystem, eta: np.ndarray) -> slice:
@@ -221,8 +212,7 @@ def maxmin_common_target(system: PcSystem) -> MaxminResult:
         else:
             lo = mu
         if hi - lo <= REL_TOL * hi < np.inf:
-            solution = PcSolution(eta=best, feasible=True, achieved=system.sinr(best))
-            return MaxminResult(target=1.0 / hi, solution=solution, trace=trace)
+            return MaxminResult(target=1.0 / hi, eta=best, trace=trace)
         perron = min(perron, bound)
         if nxt is not None:
             nxt = max(nxt, perron * (1.0 + PERRON_MARGIN))

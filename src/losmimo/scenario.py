@@ -121,8 +121,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
             xg = stream_cross_gram(arrays, _drop(cfg, layout, drop_seed), wl)
             systems = {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}
             drop_series = {
-                SERIES_NAMES[pair]: _to_db(maxmin_common_target(systems[pair]).solution.achieved)
-                for pair in combos
+                SERIES_NAMES[p]: _to_db(systems[p].sinr(maxmin_common_target(systems[p]).eta))
+                for p in combos
             }
             if single_cell:
                 for link in (DOWNLINK, UPLINK):

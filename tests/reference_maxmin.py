@@ -16,21 +16,21 @@ def bisection_maxmin(system: PcSystem, rel_tol: float = 1e-6) -> MaxminResult:
     trace: list[tuple[float, bool]] = []
 
     def probe(target: float):
-        sol = solve_targets(system, np.full(n, target))
-        trace.append((target, sol.feasible))
-        return sol
+        eta = solve_targets(system, np.full(n, target))
+        trace.append((target, eta is not None))
+        return eta
 
     hi = float(np.max(system.d))
-    sol = probe(hi)
-    if sol.feasible:
-        return MaxminResult(target=hi, solution=sol, trace=trace)
+    eta = probe(hi)
+    if eta is not None:
+        return MaxminResult(target=hi, eta=eta, trace=trace)
     lo = 0.0
     best = solve_targets(system, np.zeros(n))
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        sol = probe(mid)
-        if sol.feasible:
-            lo, best = mid, sol
+        eta = probe(mid)
+        if eta is not None:
+            lo, best = mid, eta
         else:
             hi = mid
-    return MaxminResult(target=lo, solution=best, trace=trace)
+    return MaxminResult(target=lo, eta=best, trace=trace)

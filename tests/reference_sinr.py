@@ -18,11 +18,11 @@ from losmimo.linproc import (
     PowerAllocation,
     gram_inverse,
 )
-from losmimo.powerctl import PcSolution, PcSystem
+from losmimo.powerctl import PcSystem
 
 
 def _gram_inverse(serving: np.ndarray) -> np.ndarray:
-    return gram_inverse(serving.conj().T @ serving, serving.shape[0])
+    return gram_inverse(serving.conj().T @ serving)
 
 
 def _check_link(alloc: PowerAllocation, link: str) -> None:
@@ -138,11 +138,9 @@ def evaluate_sinr(
 
 
 def evaluate_allocation(
-    channels: ChannelSet, system: PcSystem, solution: PcSolution
+    channels: ChannelSet, system: PcSystem, eta: np.ndarray, rho: float
 ) -> np.ndarray:
-    """Closed-form SINRs (flat, cell-major) for a solved allocation."""
-    alloc = PowerAllocation(
-        eta=solution.eta.reshape(system.cells, system.users_per_cell), link=system.link
-    )
-    report = evaluate_sinr(channels, system.scheme, system.link, alloc, system.rho)
+    """Closed-form SINRs (flat, cell-major) of solved powers `eta` at SNR `rho`."""
+    alloc = PowerAllocation(eta=eta.reshape(system.cells, system.users_per_cell), link=system.link)
+    report = evaluate_sinr(channels, system.scheme, system.link, alloc, rho)
     return report.values.ravel()

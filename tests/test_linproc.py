@@ -9,10 +9,11 @@ from losmimo import (
     cross_gram,
     decoder,
     dl_allocation,
+    gram_inverse,
     precoder,
     ul_allocation,
 )
-from losmimo.linproc import PowerAllocation
+from losmimo.linproc import COND_LIMIT, PowerAllocation
 
 from conftest import random_channel_set
 
@@ -115,6 +116,46 @@ class TestPrecoders:
             precoder(g, "ZF", np.full(4, 0.25))
         with pytest.raises(SingularChannelError):
             precoder(_random_matrix(rng, antennas=3, users=4), "ZF", np.full(4, 0.25))
+
+
+class TestGramInverse:
+    @staticmethod
+    def _gram(rng, antennas, users):
+        g = _random_matrix(rng, antennas, users)
+        return g.conj().T @ g
+
+    def test_matches_lu_inverse(self, rng):
+        for antennas, users in ((16, 4), (64, 8), (256, 18), (3, 1)):
+            gram = self._gram(rng, antennas, users)
+            expected = np.linalg.inv(gram)
+            error = np.linalg.norm(gram_inverse(gram) - expected)
+            assert error <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("antennas,users", [(4, 8), (1, 2), (16, 17)])
+    def test_rejects_more_users_than_antennas(self, rng, antennas, users):
+        # K - M eigenvalues of the Gram are zero
+        with pytest.raises(SingularChannelError):
+            gram_inverse(self._gram(rng, antennas, users))
+
+    @pytest.mark.parametrize("users", [2, 5, 18])
+    def test_guard_is_the_exact_condition_number(self, rng, users):
+        # V diag(lam) V^H with lam_max / lam_min just inside and just outside
+        # the limit. A dense V would leave lam_min only accurate to
+        # eps * lam_max, so lam_min keeps its own coordinate and V mixes the rest
+        v = np.zeros((users, users), dtype=complex)
+        v[0, 0] = 1.0
+        v[1:, 1:], _ = np.linalg.qr(rng.standard_normal((users - 1,) * 2)
+                                    + 1j * rng.standard_normal((users - 1,) * 2))
+        rest = np.sort(rng.uniform(0.0, 1.0, users - 1))
+        rest[-1] = 1.0
+        for factor, accepted in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+            lam = np.concatenate(([1.0 / (COND_LIMIT * factor)], rest))
+            gram = (v * lam) @ v.conj().T
+            if accepted:
+                assert np.isfinite(gram_inverse(gram)).all()
+            else:
+                with pytest.raises(SingularChannelError):
+                    gram_inverse(gram)
 
 
 class TestDecoders:

@@ -25,6 +25,7 @@ from losmimo import (
     cross_gram,
     dl_allocation,
     drop_users,
+    gram_inverse,
     hex_centers,
     maxmin_common_target,
     single_cell_zf_maxmin,
@@ -109,9 +110,10 @@ class TestSystemStructure:
         scale = np.max(ul.c / rho_u)
         assert np.allclose(ref_ul_c / rho_u, ref_dl_c.T / rho_d, rtol=1e-8, atol=1e-10 * scale)
         assert np.allclose(ref_ul_d / rho_u, ref_dl_d / rho_d, rtol=1e-12)
-        for (d, c), system in (((ref_ul_d, ref_ul_c), ul), ((ref_dl_d, ref_dl_c), dl)):
+        for (d, c), system, rho in (((ref_ul_d, ref_ul_c), ul, rho_u),
+                                    ((ref_dl_d, ref_dl_c), dl, rho_d)):
             assert np.allclose(d, system.d, rtol=1e-12)
-            assert np.allclose(c, system.c, rtol=1e-8, atol=1e-10 * scale * system.rho)
+            assert np.allclose(c, system.c, rtol=1e-8, atol=1e-10 * scale * rho)
 
     def test_channels_and_cross_gram_give_the_same_system(self, rng):
         cs = random_channel_set(rng, cells=3, users=2, antennas=8)
@@ -155,7 +157,7 @@ class TestSystemStructure:
         assert calls == [threading.current_thread()] * 3
         for l in range(3):
             serving = cs.serving(l)
-            assert np.array_equal(xg.igram[l], np.linalg.inv(serving.conj().T @ serving))
+            assert np.array_equal(xg.igram[l], gram_inverse(serving.conj().T @ serving))
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_c_nonnegative_and_d_positive(self, rng, scheme, link):
@@ -208,7 +210,7 @@ class TestStreamCrossGram:
         # z[l, l] is the Gram matrix G^H G, so each inverse is that of G^H G
         for l in range(7):
             serving = channels.serving(l)
-            assert np.array_equal(got.igram[l], np.linalg.inv(serving.conj().T @ serving))
+            assert np.array_equal(got.igram[l], gram_inverse(serving.conj().T @ serving))
 
     def test_mr_allows_more_users_than_antennas(self, set_workers):
         set_workers(2)
@@ -327,17 +329,17 @@ class TestSolveTargets:
         system = build_pc_system(cross_gram(cs), "MR", "DL", rho)
         zeta = 0.5 * rho * gain
         sol = solve_targets(system, np.array([zeta]))
-        assert sol.feasible
-        assert sol.eta[0] == pytest.approx(zeta / (rho * gain), rel=1e-12)
+        assert sol is not None
+        assert sol[0] == pytest.approx(zeta / (rho * gain), rel=1e-12)
         # above the interference-free limit the power constraint fails
-        assert not solve_targets(system, np.array([1.5 * rho * gain])).feasible
+        assert solve_targets(system, np.array([1.5 * rho * gain])) is None
 
     def test_zero_targets(self, rng):
         cs = random_channel_set(rng)
         system = build_pc_system(cross_gram(cs), "MR", "UL", 8.0)
         sol = solve_targets(system, np.zeros(6))
-        assert sol.feasible
-        assert np.all(sol.eta == 0)
+        assert sol is not None
+        assert np.all(sol == 0)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_round_trip(self, rng, scheme, link):
@@ -350,9 +352,9 @@ class TestSolveTargets:
         flat = eta.ravel()
         zeta = system.d * flat / (1.0 + system.c @ flat)
         sol = solve_targets(system, zeta)
-        assert sol.feasible
-        assert np.allclose(sol.eta, flat, rtol=1e-8)
-        achieved = evaluate_allocation(cs, system, sol)
+        assert sol is not None
+        assert np.allclose(sol, flat, rtol=1e-8)
+        achieved = evaluate_allocation(cs, system, sol, rho)
         assert np.allclose(achieved, zeta, rtol=1e-8)
 
     @given(st.floats(0.05, 1.0))
@@ -363,7 +365,7 @@ class TestSolveTargets:
         system = build_pc_system(cross_gram(cs), "MR", "DL", 10.0)
         eta = _admissible_eta(rng, 2, 3, "DL")
         zeta = system.d * eta.ravel() / (1.0 + system.c @ eta.ravel())
-        assert solve_targets(system, c * zeta).feasible
+        assert solve_targets(system, c * zeta) is not None
 
 
 class TestMaxmin:
@@ -391,13 +393,13 @@ class TestMaxmin:
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_bisection_trace_monotone(self, rng, scheme, link):
         cs = random_channel_set(rng, cells=2, users=3)
-        result = maxmin_common_target(build_pc_system(cross_gram(cs), scheme, link, 10.0))
+        system = build_pc_system(cross_gram(cs), scheme, link, 10.0)
+        result = maxmin_common_target(system)
         feasible = [z for z, ok in result.trace if ok]
         infeasible = [z for z, ok in result.trace if not ok]
         if feasible and infeasible:
             assert max(feasible) < min(infeasible)
-        assert result.solution.feasible
-        assert np.allclose(result.solution.achieved, result.target, rtol=1e-4)
+        assert np.allclose(system.sinr(result.eta), result.target, rtol=1e-4)
 
 
 class TestCertifiedMaxmin:
@@ -424,11 +426,11 @@ class TestCertifiedMaxmin:
         for system in self._systems():
             result = maxmin_common_target(system)
             n = len(system.d)
-            solution = solve_targets(system, np.full(n, result.target))
-            assert solution.feasible
-            assert np.array_equal(solution.eta, result.solution.eta)
-            assert not solve_targets(system, np.full(n, result.target * (1.0 + 1e-9))).feasible
-            assert np.allclose(result.solution.achieved, result.target, rtol=1e-12)
+            eta = solve_targets(system, np.full(n, result.target))
+            assert eta is not None
+            assert np.array_equal(eta, result.eta)
+            assert solve_targets(system, np.full(n, result.target * (1.0 + 1e-9))) is None
+            assert np.allclose(system.sinr(result.eta), result.target, rtol=1e-12)
 
     def test_below_the_perron_bound(self):
         # target * rho(D^-1 C) < 1; the eigensolver is used only here
@@ -453,7 +455,7 @@ class TestCertifiedMaxmin:
         # eta = ((mu + 1/2), (mu + 2)) / (mu^2 - 1), so the binding user 2
         # reaches power 1 at mu^2 - mu - 3 = 0
         system = PcSystem(d=np.ones(2), c=np.array([[0.0, 0.5], [2.0, 0.0]]), scheme="MR",
-                          link=link, rho=1.0, cells=2, users_per_cell=1)
+                          link=link, cells=2, users_per_cell=1)
         result = maxmin_common_target(system)
         assert result.target == pytest.approx(2.0 / (1.0 + np.sqrt(13.0)), rel=1e-12)
         # below the Perron root eta is negative: not feasible, and no step
@@ -465,7 +467,7 @@ class TestCertifiedMaxmin:
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
     def test_rejects_d_not_finite_and_positive(self, bad):
         system = PcSystem(d=np.array([2.0, bad]), c=np.zeros((2, 2)), scheme="ZF", link="UL",
-                          rho=1.0, cells=1, users_per_cell=2)
+                          cells=1, users_per_cell=2)
         with pytest.raises(MaxminError, match="ZF UL"):
             maxmin_common_target(system)
 
@@ -476,12 +478,16 @@ class TestCertifiedMaxmin:
             maxmin_common_target(system)
 
     def test_interference_free_system_in_one_probe(self):
-        # C = 0: the interference-free bound is the answer, certified by one probe
-        system = dataclasses.replace(_reduced_systems(1)["ZF", "DL"], c=np.zeros((56, 56)))
-        result = maxmin_common_target(system)
-        assert len(result.trace) == 1
-        per_cell = (1.0 / system.d).reshape(7, 8).sum(axis=1)
-        assert result.target == pytest.approx(1.0 / np.max(per_cell), rel=1e-12)
+        # C = 0: the interference-free bound is the answer, certified by one
+        # probe. D is exact in binary, so cell 0's norm of D^-1 1 is exactly 1
+        # (8 users at 1/8 on the downlink, the worst user at 1 on the uplink)
+        for link, own, other in (("DL", 8.0, 16.0), ("UL", 1.0, 2.0)):
+            d = np.array([own] * 8 + [other] * 48)
+            system = PcSystem(d=d, c=np.zeros((56, 56)), scheme="ZF", link=link, cells=7,
+                              users_per_cell=8)
+            result = maxmin_common_target(system)
+            assert len(result.trace) == 1, link
+            assert result.target == 1.0, link
 
     def test_high_snr_corner_is_still_certified(self):
         # at rho = 1e11, mu* lies ~1e-10 rho above rho(D^-1 C), where mu D - C
@@ -494,9 +500,9 @@ class TestCertifiedMaxmin:
                 system = build_pc_system(cross_gram(cs), scheme, link, 1e11)
                 result = maxmin_common_target(system)
                 assert (result.target, True) in result.trace
-                solution = solve_targets(system, np.full(2, result.target))
-                assert solution.feasible
-                assert np.array_equal(solution.eta, result.solution.eta)
+                eta = solve_targets(system, np.full(2, result.target))
+                assert eta is not None
+                assert np.array_equal(eta, result.eta)
                 perron = np.max(np.abs(np.linalg.eigvals(system.c / system.d[:, None])))
                 assert result.target * perron < 1.0
 
@@ -535,7 +541,7 @@ class TestMaxminProperties:
         result = maxmin_common_target(system)
         result_perm = maxmin_common_target(system_perm)
         assert result_perm.target == pytest.approx(result.target, rel=self.REL_TOL)
-        assert np.allclose(result_perm.solution.achieved, result.solution.achieved[flat_perm],
+        assert np.allclose(system_perm.sinr(result_perm.eta), system.sinr(result.eta)[flat_perm],
                            rtol=self.REL_TOL)
 
 

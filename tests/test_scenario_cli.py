@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import losmimo.channel
+import losmimo.cli
 import losmimo.scenario
 from losmimo import (
     CdfTable,
@@ -243,11 +244,11 @@ class TestRunScenario:
         inverse = losmimo.channel.gram_inverse
         calls = []
 
-        def singular_first_drop(gram, antennas):
+        def singular_first_drop(gram):
             calls.append(1)
             if len(calls) == 1:
                 raise SingularChannelError("channel Gram matrix is rank deficient")
-            return inverse(gram, antennas)
+            return inverse(gram)
 
         monkeypatch.setattr(losmimo.channel, "gram_inverse", singular_first_drop)
         table, summary = run_scenario(cfg)
@@ -470,6 +471,34 @@ class TestCli:
         for key in ("carrier_ghz", "antennas_per_cell", "users_per_cell", "cell_radius_m"):
             assert key in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,stage", [("run", "run_scenario"),
+                                               ("dump-channels", "build_drop_channels")])
+    def test_unwritable_out_fails_before_any_drop(self, tmp_path, capsys, monkeypatch,
+                                                  command, stage):
+        def no_drop(*args):
+            raise AssertionError(f"{stage} called before --out was checked")
+
+        monkeypatch.setattr(losmimo.cli, stage, no_drop)
+        out = tmp_path / "missing" / "x.csv"
+        argv = [command, "--config", str(SCENARIOS / "reduced.cfg"), "--out", str(out)]
+        assert main(argv) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "missing" in errors[0]
+
+    def test_out_check_keeps_an_existing_file(self, tmp_path, monkeypatch):
+        # the check neither truncates a file that a failed run would not
+        # have written, nor leaves one behind where there was none
+        def failed_run(cfg):
+            raise SingularChannelError("channel Gram matrix is rank deficient")
+
+        monkeypatch.setattr(losmimo.cli, "run_scenario", failed_run)
+        kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+        kept.write_text("earlier rows\n")
+        for out in (kept, fresh):
+            assert main(["run", "--config", str(SCENARIOS / "reduced.cfg"), "--out", str(out)]) == 1
+        assert kept.read_text() == "earlier rows\n"
+        assert not fresh.exists()
 
     def test_verify_ok_and_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "scenario.cfg"
