@@ -10,7 +10,6 @@ from .channel import (
     CrossGram,
     build_channel_set,
     cross_gram,
-    dump_channel_set,
     link_budget,
     stream_cross_gram,
     wavelength_m,
@@ -50,7 +49,7 @@ from .powerctl import (
     single_cell_zf_maxmin,
     solve_targets,
 )
-from .scenario import CdfTable, VerificationReport, build_drop_channels, run_scenario, verify
+from .scenario import CdfTable, Drop, VerificationReport, run_scenario, solve_drop, verify
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

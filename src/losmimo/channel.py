@@ -25,10 +25,9 @@ from .geometry import ArrayGeometry, UserDrop
 from .linproc import gram_inverse
 
 C_LIGHT = 299792458.0  # m/s
+MIN_ANTENNA_DISTANCE_M = 1e-9  # a user closer than this to an antenna has no channel
 # threads that build a drop's channels, at most L: the usable CPUs, or all where unknown
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-_DUMP_MAGIC = "losmimo-channelset-v1"
 
 
 def wavelength_m(carrier_ghz: float) -> float:
@@ -79,7 +78,6 @@ class ChannelSet:
     """
 
     matrices: np.ndarray  # (L, L, M, K) complex128
-    wavelength: float
 
     @property
     def cell_count(self) -> int:
@@ -117,7 +115,7 @@ def station_channels(
         np.multiply(tmp, tmp, out=tmp)
         r += tmp
     np.sqrt(r, out=r)
-    if r.min() < 1e-9:
+    if r.min() < MIN_ANTENNA_DISTANCE_M:
         raise SingularGeometryError("user position coincides with an antenna position")
     np.multiply(2j * np.pi, r, out=out)
     out /= wavelength
@@ -171,7 +169,7 @@ def build_channel_set(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: f
     shape = (len(arrays), len(arrays), arrays[0].antenna_count, drop.users_per_cell)
     matrices = np.empty(shape, dtype=np.complex128)
     _each_station(arrays, drop, wavelength, lambda l, block: np.copyto(matrices[l], block))
-    return ChannelSet(matrices=matrices, wavelength=wavelength)
+    return ChannelSet(matrices=matrices)
 
 
 @dataclass(frozen=True)
@@ -181,8 +179,7 @@ class CrossGram:
 
     z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
     taken at base station l; z[l, l] is cell l's Gram matrix, factorized once
-    (`gram_inverse`). Power control on it returns powers, None from
-    `solve_targets` when its targets are not achievable.
+    (`gram_inverse`).
     """
 
     z: np.ndarray  # (L, L, K, K) complex
@@ -222,25 +219,3 @@ def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: f
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
     _each_station(arrays, drop, wavelength, partial(_gram_row, z))
     return CrossGram(z=z)
-
-
-def dump_channel_set(channels: ChannelSet, path) -> None:
-    """Text dump for cross-implementation diffing.
-
-    Blocks are written in (lp, l) order (users' cell outer, base station
-    inner); each block has M rows of 2K floats (interleaved real/imag).
-    """
-    cells, _, antennas, users = channels.matrices.shape
-    with open(path, "w") as fh:
-        fh.write(f"{_DUMP_MAGIC}\n")
-        fh.write(f"{cells} {antennas} {users}\n")
-        fh.write(f"{channels.wavelength!r}\n")
-        for lp in range(cells):
-            for l in range(cells):
-                block = channels.matrices[l, lp]
-                inter = np.empty((antennas, 2 * users))
-                inter[:, 0::2] = block.real
-                inter[:, 1::2] = block.imag
-                for row in inter:
-                    fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-

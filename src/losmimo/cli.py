@@ -1,9 +1,10 @@
 """Command-line driver.
 
 Subcommands:
-  run            scenario -> per-user SINR CDF CSV
-  verify         closed-form vs Monte Carlo agreement checks
-  dump-channels  matrix text dump for cross-implementation diffing
+  run     scenario -> per-user SINR CDF CSV
+  verify  closed-form vs Monte Carlo agreement checks on one drop
+
+Both take their drops from `scenario.solve_drop`.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure.
 """
@@ -13,10 +14,9 @@ import logging
 import os
 import sys
 
-from .channel import dump_channel_set
 from .config import ScenarioConfig, load_config
 from .errors import LosMimoError
-from .scenario import build_drop_channels, run_scenario, verify
+from .scenario import run_scenario, verify
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,10 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p = sub.add_parser("verify", help="Monte Carlo verification of the closed forms")
     common(ver_p)
     ver_p.add_argument("--symbols", type=int, default=100_000, help="symbols per check")
-
-    dump_p = sub.add_parser("dump-channels", help="dump one drop's channel matrices as text")
-    common(dump_p)
-    dump_p.add_argument("--out", required=True, help="output dump path")
     return parser
 
 
@@ -65,13 +61,12 @@ def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     try:
         cfg = _load(args)
-        if args.command in ("run", "dump-channels"):
+        if args.command == "run":
             # an unwritable --out fails here, before any drop; an existing file keeps its bytes
             made = not os.path.lexists(args.out)
             open(args.out, "a").close()
             if made:
                 os.remove(args.out)
-        if args.command == "run":
             table, summary = run_scenario(cfg)
             table.write_csv(args.out)
             print(f"wrote {args.out}: {summary['drops']} drops, "
@@ -90,11 +85,6 @@ def main(argv=None) -> int:
                 print(f"verification failed (threshold {report.threshold} sigma)")
                 return 2
             print("all checks passed")
-            return 0
-        if args.command == "dump-channels":
-            channels = build_drop_channels(cfg, cfg.seed)
-            dump_channel_set(channels, args.out)
-            print(f"wrote {args.out}")
             return 0
         raise AssertionError(f"unhandled command {args.command}")
     except (LosMimoError, ValueError, OSError) as exc:

@@ -9,13 +9,13 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import link_budget, wavelength_m
+from .channel import MIN_ANTENNA_DISTANCE_M, link_budget, wavelength_m
 from .errors import ConfigurationError
 from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
 # L^2 K max(M, K) complex entries, 1 GiB of complex128: the L^2 M K channel
-# tensor that `verify` and `dump-channels` hold, or, when K > M (MR only), the
+# tensor that `verify` keeps (`solve_drop`), or, when K > M (MR only), the
 # L^2 K^2 cross-Gram tensor and power-control matrices of every drop (the
 # published Table 1 scale is 3.6 M entries)
 MAX_CHANNEL_ENTRIES = 2**26
@@ -102,7 +102,8 @@ class ScenarioConfig:
         """Reject a geometry whose channel entries overflow or vanish: the
         wavelength, the largest antenna-user distance in wavelengths and the
         channel amplitude lambda/(4 pi r) at that distance must be finite and
-        nonzero."""
+        nonzero. So must the smallest antenna-user distance, which is at
+        least `channel.MIN_ANTENNA_DISTANCE_M`."""
         wl = np.float64(wavelength_m(self.carrier_ghz))
         if not 0.0 < wl < np.inf:
             raise ConfigurationError(f"carrier_ghz gives a wavelength of {wl} m, "
@@ -125,6 +126,15 @@ class ScenarioConfig:
         if not amplitude > 0.0:
             raise ConfigurationError(f"{keys} give a channel amplitude lambda/(4 pi r) of "
                                      f"{amplitude} at {distance} m, not nonzero")
+        # users keep min_bs_distance_m from their own array's center and more
+        # from every other, so this is as close as one can come to an antenna
+        closest = np.hypot(max(self.min_bs_distance_m - array_radius, 0.0), rise)
+        if closest < MIN_ANTENNA_DISTANCE_M:
+            raise ConfigurationError(
+                f"bs_array_height_m, user_height_m, min_bs_distance_m, antennas_per_cell and "
+                f"carrier_ghz let a user come within {closest} m of an antenna (the array "
+                f"radius is {array_radius} m): raise min_bs_distance_m above it or set the "
+                "heights apart")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

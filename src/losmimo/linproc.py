@@ -63,10 +63,9 @@ def ul_allocation(eta: np.ndarray) -> PowerAllocation:
 
 def gram_inverse(gram: np.ndarray) -> np.ndarray:
     """Inverse V diag(1/lam) V^H of a K x K Gram matrix G^H G = V diag(lam) V^H,
-    so each Gram is factorized once; `powerctl` turns it into powers (None from
-    `solve_targets` when its targets are not achievable). Raises
-    `SingularChannelError` unless the exact 2-norm condition number
-    lam_max / lam_min is at most COND_LIMIT, which fails when K > M."""
+    from one eigendecomposition. Raises `SingularChannelError` unless the
+    exact 2-norm condition number lam_max / lam_min is at most COND_LIMIT,
+    which fails when K > M."""
     lam, v = np.linalg.eigh(gram)
     if not 0.0 < lam[0] * COND_LIMIT >= lam[-1]:
         raise SingularChannelError("channel Gram matrix is rank deficient")

@@ -21,6 +21,7 @@ each probe certified by the sign of eta, with no eigensolver.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,14 +99,18 @@ def build_pc_system(xg: CrossGram, scheme: str, link: str, rho: float) -> PcSyst
 
 def _solve(system: PcSystem, zeta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """A = D - diag(zeta) C and the solution of A eta = zeta, or None if A
-    is singular or the solve is inaccurate."""
+    is singular or the solve's normwise backward error exceeds RESIDUAL_TOL."""
     a = np.diag(system.d) - zeta[:, None] * system.c
     try:
         eta = np.linalg.solve(a, zeta)
     except np.linalg.LinAlgError:
         return a, None
-    residual = np.linalg.norm(a @ eta - zeta) / max(np.linalg.norm(zeta), 1.0)
-    if not np.all(np.isfinite(eta)) or residual > RESIDUAL_TOL:
+    if not np.all(np.isfinite(eta)):
+        return a, None
+    # in inf-norms: near the Perron root eta grows like 1/(mu - rho), and a
+    # backward-stable solve's residual with ||A|| ||eta||, not with ||zeta||
+    norm = partial(np.linalg.norm, ord=np.inf)
+    if norm(a @ eta - zeta) > RESIDUAL_TOL * (norm(a) * norm(eta) + norm(zeta)):
         return a, None
     return a, eta
 
@@ -185,13 +190,13 @@ def maxmin_common_target(system: PcSystem) -> MaxminResult:
     interference-free bound max norm(D^-1 1), below which no target is
     feasible, and hi at infinity; every probe moves one end. The first probe
     sits just above a power-iteration bound on rho(D^-1 C). Each next probe
-    is the last probe's Newton step, raised to just above the best bound on
-    rho so far (a probe below rho certifies nothing), or, if that is not
-    inside the bracket or the last probe was not certified, the bracket's
-    midpoint. Once the feasible end hi is within REL_TOL of lo, the result
-    is the target 1/hi with the powers its probe certified. Raises
-    `MaxminError` if D is not finite and positive or C not finite, or after
-    MAX_PROBES probes.
+    is the last probe's Newton step, moved to just above the best bound on
+    rho so far if it is at or below that bound (a probe below rho certifies
+    nothing), or, if that is not inside the bracket or the last probe was
+    not certified, the bracket's midpoint. Once the feasible end hi is
+    within REL_TOL of lo, the result is the target 1/hi with the powers its
+    probe certified. Raises `MaxminError` if D is not finite and positive or
+    C not finite, or after MAX_PROBES probes.
     """
     where = f"{system.scheme} {system.link}"
     d = system.d
@@ -214,8 +219,8 @@ def maxmin_common_target(system: PcSystem) -> MaxminResult:
         if hi - lo <= REL_TOL * hi < np.inf:
             return MaxminResult(target=1.0 / hi, eta=best, trace=trace)
         perron = min(perron, bound)
-        if nxt is not None:
-            nxt = max(nxt, perron * (1.0 + PERRON_MARGIN))
+        if nxt is not None and nxt <= perron:
+            nxt = perron * (1.0 + PERRON_MARGIN)
         if nxt is None or not lo < nxt < hi:
             nxt = 0.5 * (lo + hi) if hi < np.inf else 2.0 * mu
         mu = nxt

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, build_channel_set, cross_gram, stream_cross_gram, wavelength_m
+from .channel import ChannelSet, CrossGram, build_channel_set, cross_gram, stream_cross_gram
+from .channel import wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
 from .linproc import DOWNLINK, MR, UPLINK, ZF, dl_allocation, ul_allocation
 from .mcsim import simulate
-from .powerctl import build_pc_system, maxmin_common_target, single_cell_zf_maxmin
+from .powerctl import PcSystem, build_pc_system, maxmin_common_target, single_cell_zf_maxmin
 
 log = logging.getLogger(__name__)
 
@@ -84,33 +85,43 @@ def _geometry(cfg: ScenarioConfig) -> tuple:
     return wl, layout, arrays
 
 
-def _drop(cfg: ScenarioConfig, layout, seed: int):
-    return drop_users(layout, cfg.users_per_cell, cfg.min_bs_distance_m, cfg.user_height_m, seed)
+@dataclass(frozen=True)
+class Drop:
+    """One drop's cross-Gram products, the power-control system of each
+    requested (scheme, link) pair, and its channel tensor when kept."""
+
+    xg: CrossGram
+    systems: dict[tuple[str, str], PcSystem]
+    channels: ChannelSet | None
 
 
-def build_drop_channels(cfg: ScenarioConfig, seed: int) -> ChannelSet:
-    """One drop's full channel set from scenario parameters."""
-    wl, layout, arrays = _geometry(cfg)
-    return build_channel_set(arrays, _drop(cfg, layout, seed), wl)
+def solve_drop(cfg: ScenarioConfig, geometry: tuple, seed: int,
+               pairs: list[tuple[str, str]], keep_channels: bool = False) -> Drop:
+    """The users of drop `seed` on `geometry` (`_geometry(cfg)`), their
+    cross-Gram products and the `PcSystem` of each (scheme, link) in `pairs`.
+    Without `keep_channels` the channels are streamed into the cross-Gram and
+    never held whole; with it they are kept, and the bits are the same."""
+    wl, layout, arrays = geometry
+    users = drop_users(layout, cfg.users_per_cell, cfg.min_bs_distance_m, cfg.user_height_m, seed)
+    channels = build_channel_set(arrays, users, wl) if keep_channels else None
+    xg = stream_cross_gram(arrays, users, wl) if channels is None else cross_gram(channels)
+    rho = cfg.rho()
+    return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}, channels)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     """Run all configured drops and aggregate per-user SINRs into CDF series.
 
-    Each drop's channels are streamed into its cross-Gram tensor
-    (`stream_cross_gram`) and never held whole.
-
     Drops that hit a rank-deficient ZF Gram matrix are re-sampled with a
     fresh derived seed and counted in the summary.
     """
     cfg.validate()
-    rho = cfg.rho()
     combos = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
     single_cell = cfg.single_cell_series and ZF in cfg.scheme_list()
     # the single-cell series are evaluated with both multi-cell ZF systems
     pairs = list(dict.fromkeys(combos + ([(ZF, DOWNLINK), (ZF, UPLINK)] if single_cell else [])))
 
-    wl, layout, arrays = _geometry(cfg)
+    geometry = _geometry(cfg)
     seed_stream = np.random.default_rng(cfg.seed)
     table = CdfTable()
     resampled = 0
@@ -118,15 +129,15 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     while completed < cfg.drops:
         drop_seed = int(seed_stream.integers(2**63))
         try:
-            xg = stream_cross_gram(arrays, _drop(cfg, layout, drop_seed), wl)
-            systems = {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}
+            drop = solve_drop(cfg, geometry, drop_seed, pairs)
+            systems = drop.systems
             drop_series = {
                 SERIES_NAMES[p]: _to_db(systems[p].sinr(maxmin_common_target(systems[p]).eta))
                 for p in combos
             }
             if single_cell:
                 for link in (DOWNLINK, UPLINK):
-                    eta = single_cell_zf_maxmin(xg.inv_diag, link)
+                    eta = single_cell_zf_maxmin(drop.xg.inv_diag, link)
                     drop_series[f"ZF {link}-1"] = _to_db(systems[ZF, link].sinr(eta)[CENTER_CELL])
         except SingularChannelError as exc:
             resampled += 1
@@ -188,21 +199,20 @@ def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     cfg.validate()
     if n_symbols < 2:
         raise ValueError("verification needs n_symbols >= 2 to estimate a standard error")
-    channels = build_drop_channels(cfg, cfg.seed)
+    pairs = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
+    drop = solve_drop(cfg, _geometry(cfg), cfg.seed, pairs, keep_channels=True)
     shape = (cfg.cells, cfg.users_per_cell)
     alloc = {
         DOWNLINK: dl_allocation(np.full(shape, 1.0 / cfg.users_per_cell)),
         UPLINK: ul_allocation(np.ones(shape)),
     }
     rho = cfg.rho()
-    xg = cross_gram(channels)
 
     entries = []
-    for scheme in cfg.scheme_list():
-        for link in cfg.link_list():
-            closed = build_pc_system(xg, scheme, link, rho[link]).sinr(alloc[link].eta)
-            result = simulate(channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
-            sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
-            dev = np.abs(result.sinr - closed) / sigma
-            entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev))
+    for (scheme, link), system in drop.systems.items():
+        closed = system.sinr(alloc[link].eta)
+        result = simulate(drop.channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
+        sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
+        dev = np.abs(result.sinr - closed) / sigma
+        entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev))
     return VerificationReport(entries=entries, threshold=SIGMA_THRESHOLD)

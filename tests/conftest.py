@@ -12,7 +12,7 @@ def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> Channe
         scale = 1.0 / np.sqrt(2 * antennas)
     shape = (cells, cells, antennas, users)
     g = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return ChannelSet(matrices=g, wavelength=0.005)
+    return ChannelSet(matrices=g)
 
 
 @pytest.fixture

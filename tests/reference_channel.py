@@ -1,16 +1,15 @@
-"""Per-user reference for the channel build, free-space path loss, and a
-reader for channel dumps.
+"""Per-user reference for the channel build and free-space path loss.
 
 `los_channel` computes one user's spherical-wave channel vector on its own,
 with the same operations as the package's per-station kernel
 (`losmimo.channel.station_channels`), so tests can check every built entry
 bit for bit. `fspl_db` is the textbook path loss the channel amplitude must
-reproduce. `load_channel_dump` reads what `losmimo dump-channels` writes.
+reproduce.
 """
 
 import numpy as np
 
-from losmimo import ArrayGeometry, ChannelSet, ConfigurationError, SingularGeometryError
+from losmimo import ArrayGeometry, ConfigurationError, SingularGeometryError
 from losmimo.channel import C_LIGHT
 
 # dB form of (4 pi d f / c)^2; the constant is the exact value of the
@@ -36,16 +35,3 @@ def los_channel(user_position: np.ndarray, array: ArrayGeometry, wavelength: flo
     amp = wavelength / (4.0 * np.pi)
     return amp * np.exp(2j * np.pi * r / wavelength) / r
 
-
-def load_channel_dump(path) -> ChannelSet:
-    """The channel set in a `dump_channel_set` text file: a magic line, a
-    "L M K" line, the wavelength, then the (lp, l) blocks of M rows of 2K
-    interleaved real/imaginary floats."""
-    with open(path) as fh:
-        assert fh.readline().strip() == "losmimo-channelset-v1"
-        cells, antennas, users = (int(v) for v in fh.readline().split())
-        wavelength = float(fh.readline())
-        rows = np.loadtxt(fh, ndmin=2)
-    blocks = rows.reshape(cells, cells, antennas, 2 * users)  # users' cell outer
-    matrices = blocks[..., 0::2] + 1j * blocks[..., 1::2]
-    return ChannelSet(matrices=matrices.transpose(1, 0, 2, 3), wavelength=wavelength)

@@ -17,13 +17,12 @@ from losmimo import (
     build_channel_set,
     circular_array,
     drop_users,
-    dump_channel_set,
     hex_centers,
     link_budget,
     wavelength_m,
 )
 
-from reference_channel import fspl_db, load_channel_dump, los_channel
+from reference_channel import fspl_db, los_channel
 
 
 class TestFspl:
@@ -168,15 +167,6 @@ class TestChannelSet:
             g = los_channel(np.array([d, 17.0, 1.5]), arr, wl)
             norms.append(np.linalg.norm(g) ** 2)
         assert np.all(np.diff(norms) < 0)
-
-    def test_dump_roundtrip(self, tmp_path):
-        arrays, drop, wl = _small_scene()
-        cs = build_channel_set(arrays, drop, wl)
-        path = tmp_path / "channels.txt"
-        dump_channel_set(cs, path)
-        loaded = load_channel_dump(path)
-        assert loaded.wavelength == cs.wavelength
-        assert np.array_equal(loaded.matrices, cs.matrices)
 
 
 class TestWorkers:

@@ -192,7 +192,7 @@ class TestClosedFormDegenerateCases:
 
     def test_orthogonal_channels_no_intra_interference(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
-        cs = ChannelSet(matrices=q[None, None], wavelength=0.005)
+        cs = ChannelSet(matrices=q[None, None])
         rho = 30.0
         eta = rng.uniform(0.01, 0.25, (1, 4))
         values = closed_sinr(cs, "MR", "DL", dl_allocation(eta), rho)
@@ -212,7 +212,7 @@ class TestClosedFormDegenerateCases:
     def test_mr_zf_agree_for_orthogonal_single_cell(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
         g = q * rng.uniform(0.5, 2.0, 4)[None, :]
-        cs = ChannelSet(matrices=g[None, None], wavelength=0.005)
+        cs = ChannelSet(matrices=g[None, None])
         rho = 25.0
         dl = dl_allocation(rng.uniform(0.01, 0.25, (1, 4)))
         ul = ul_allocation(rng.uniform(0.1, 1.0, (1, 4)))
@@ -241,7 +241,7 @@ class TestClosedFormProperties:
         # scaling all channels by c is the same as scaling rho by |c|^2
         cs = random_channel_set(rng, cells=2, users=3)
         c = 0.37
-        scaled = ChannelSet(matrices=c * cs.matrices, wavelength=cs.wavelength)
+        scaled = ChannelSet(matrices=c * cs.matrices)
         rho = 40.0
         make = dl_allocation if link == "DL" else ul_allocation
         alloc = make(rng.uniform(0.05, 0.2, (2, 3)))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import losmimo.channel
 import losmimo.powerctl
+import losmimo.scenario
 from losmimo import (
     ChannelSet,
     ConfigurationError,
@@ -19,7 +20,6 @@ from losmimo import (
     SingularChannelError,
     SingularGeometryError,
     build_channel_set,
-    build_drop_channels,
     build_pc_system,
     circular_array,
     cross_gram,
@@ -29,6 +29,7 @@ from losmimo import (
     hex_centers,
     maxmin_common_target,
     single_cell_zf_maxmin,
+    solve_drop,
     solve_targets,
     stream_cross_gram,
     ul_allocation,
@@ -36,7 +37,7 @@ from losmimo import (
 )
 
 from conftest import random_channel_set
-from reference_maxmin import bisection_maxmin
+from reference_maxmin import bisection_maxmin, perron_maxmin
 from reference_sinr import evaluate_allocation, evaluate_sinr
 
 ALL_SCHEMES = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
@@ -47,9 +48,7 @@ REDUCED_SEEDS = range(1, 21)
 def _reduced_systems(seed: int) -> dict:
     """The four systems of one drop at the reduced scale (L=7, M=256, K=8)."""
     cfg = ScenarioConfig(cells=7, antennas_per_cell=256, users_per_cell=8)
-    xg = cross_gram(build_drop_channels(cfg, seed))
-    rho = cfg.rho()
-    return {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in ALL_SCHEMES}
+    return solve_drop(cfg, losmimo.scenario._geometry(cfg), seed, ALL_SCHEMES).systems
 
 
 def _admissible_eta(rng, cells, users, link):
@@ -433,10 +432,13 @@ class TestCertifiedMaxmin:
             assert np.allclose(system.sinr(result.eta), result.target, rtol=1e-12)
 
     def test_below_the_perron_bound(self):
-        # target * rho(D^-1 C) < 1; the eigensolver is used only here
+        # target * rho(D^-1 C) < 1, and the target is the exact optimum; the
+        # eigensolver is used only in these checks
         for system in self._systems():
+            target = maxmin_common_target(system).target
             perron = np.max(np.abs(np.linalg.eigvals(system.c / system.d[:, None])))
-            assert maxmin_common_target(system).target * perron < 1.0
+            assert target * perron < 1.0
+            assert target == pytest.approx(perron_maxmin(system), rel=1e-11)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_few_probes_and_a_certified_bracket(self, scheme, link):
@@ -491,7 +493,8 @@ class TestCertifiedMaxmin:
 
     def test_high_snr_corner_is_still_certified(self):
         # at rho = 1e11, mu* lies ~1e-10 rho above rho(D^-1 C), where mu D - C
-        # is nearly singular; the answer must still be a certified probe that
+        # is nearly singular; the answer must still be the exact optimum,
+        # reached in a few Newton steps, and a certified probe that
         # solve_targets accepts with the same powers
         rng = np.random.default_rng(5)
         for _ in range(20):
@@ -499,6 +502,8 @@ class TestCertifiedMaxmin:
             for scheme, link in ALL_SCHEMES:
                 system = build_pc_system(cross_gram(cs), scheme, link, 1e11)
                 result = maxmin_common_target(system)
+                assert result.target == pytest.approx(perron_maxmin(system), rel=1e-11)
+                assert len(result.trace) <= 8
                 assert (result.target, True) in result.trace
                 eta = solve_targets(system, np.full(2, result.target))
                 assert eta is not None
@@ -532,7 +537,7 @@ class TestMaxminProperties:
         for l, perm in enumerate(perms):
             permuted[:, l] = cs.matrices[:, l][..., perm]
         flat_perm = np.concatenate([l * users + perm for l, perm in enumerate(perms)])
-        cs_perm = ChannelSet(matrices=permuted, wavelength=cs.wavelength)
+        cs_perm = ChannelSet(matrices=permuted)
         system = build_pc_system(cross_gram(cs), scheme, link, 10.0)
         system_perm = build_pc_system(cross_gram(cs_perm), scheme, link, 10.0)
         eta = _admissible_eta(rng, cells, users, link).ravel()
@@ -573,7 +578,7 @@ class TestSingleCellClosedForms:
 
     def test_symmetric_channels_give_uniform_power(self, rng):
         q, _ = np.linalg.qr((rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))))
-        inv_diag = cross_gram(ChannelSet(matrices=q[None, None], wavelength=0.005)).inv_diag
+        inv_diag = cross_gram(ChannelSet(matrices=q[None, None])).inv_diag
         eta_dl = single_cell_zf_maxmin(inv_diag, "DL")
         eta_ul = single_cell_zf_maxmin(inv_diag, "UL")
         assert np.allclose(eta_dl, 0.25, rtol=1e-10)

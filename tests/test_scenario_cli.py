@@ -28,13 +28,12 @@ from losmimo import (
     parse_config,
     run_scenario,
     serialize_config,
+    solve_drop,
     verify,
 )
 from losmimo.cli import main
 from losmimo.config import MAX_CHANNEL_ENTRIES
-from losmimo.scenario import MAX_RESAMPLES, build_drop_channels
-
-from reference_channel import load_channel_dump
+from losmimo.scenario import MAX_RESAMPLES
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIX_SERIES = ["MR DL", "MR UL", "ZF DL", "ZF UL", "ZF DL-1", "ZF UL-1"]
@@ -89,6 +88,12 @@ class TestConfig:
                 parse_config(over)
             for key in ("cells", "antennas_per_cell", "users_per_cell"):
                 assert key in str(caught.value)
+
+    def test_equal_heights_outside_the_array_ring(self):
+        # the ring of 32 antennas at 60 GHz has a radius of 12.7 mm
+        text = ("antennas_per_cell = 32\nusers_per_cell = 3\nbs_array_height_m = 1.5\n"
+                "user_height_m = 1.5\nmin_bs_distance_m = 0.02\n")
+        assert parse_config(text).min_bs_distance_m == 0.02
 
     def test_round_trip_idempotent(self):
         text = "cells = 1\nantennas_per_cell = 48\nusers_per_cell = 6\nseed = 9\n"
@@ -150,8 +155,7 @@ class TestConfigFuzz:
             else:
                 return  # a config that parses would run; only rejections are checked
             out = Path(tmp) / "out"
-            for command, extra in (("run", ["--out", str(out)]), ("verify", []),
-                                   ("dump-channels", ["--out", str(out)])):
+            for command, extra in (("run", ["--out", str(out)]), ("verify", [])):
                 stderr = io.StringIO()
                 with contextlib.redirect_stderr(stderr):
                     assert main([command, "--config", str(cfg_path), *extra]) == 1
@@ -163,7 +167,7 @@ class TestConfigFuzz:
 
 class TestRunScenario:
     def test_degenerate_single_user_cdf(self):
-        from losmimo import build_pc_system, maxmin_common_target
+        from losmimo import maxmin_common_target
         cfg = tiny_config(cells=1, users_per_cell=1, drops=1, schemes="MR", links="DL",
                           single_cell_series=False)
         table, summary = run_scenario(cfg)
@@ -171,9 +175,8 @@ class TestRunScenario:
         assert len(table.series["MR DL"]) == 1
         # the single sample is the closed-form max-min SINR of that drop
         drop_seed = int(np.random.default_rng(cfg.seed).integers(2**63))
-        channels = build_drop_channels(cfg, drop_seed)
-        result = maxmin_common_target(build_pc_system(cross_gram(channels), "MR", "DL",
-                                                      cfg.rho()["DL"]))
+        drop = solve_drop(cfg, losmimo.scenario._geometry(cfg), drop_seed, [("MR", "DL")])
+        result = maxmin_common_target(drop.systems["MR", "DL"])
         assert table.series["MR DL"][0] == pytest.approx(10 * np.log10(result.target), abs=1e-6)
 
     def test_all_six_series(self):
@@ -295,6 +298,22 @@ class TestVerify:
             cell, user = entry.worst_user
             assert entry.deviation[cell, user] == entry.max_dev_sigma == np.max(entry.deviation)
 
+    def test_checks_the_systems_run_solves(self):
+        # verify keeps the channel tensor for the oracle, run streams it into
+        # the cross-Gram; both must give the same bits
+        cfg = tiny_config()
+        pairs = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
+        geometry = losmimo.scenario._geometry(cfg)
+        streamed = solve_drop(cfg, geometry, 11, pairs)
+        kept = solve_drop(cfg, geometry, 11, pairs, keep_channels=True)
+        assert streamed.channels is None
+        assert kept.channels.matrices.shape == (7, 7, 32, 3)
+        assert np.array_equal(streamed.xg.z, kept.xg.z)
+        assert list(streamed.systems) == list(kept.systems) == pairs
+        for pair in pairs:
+            assert np.array_equal(streamed.systems[pair].d, kept.systems[pair].d)
+            assert np.array_equal(streamed.systems[pair].c, kept.systems[pair].c)
+
     def test_deterministic(self):
         cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
         a = verify(cfg, n_symbols=2000)
@@ -391,6 +410,22 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert out.exists()
 
+    # a user on the array ring at the array's height sits on an antenna: the
+    # channel build raised mid-run, and run does not re-sample that error
+    @pytest.mark.parametrize("bs_height", ["1.5", "1.5000000001"])
+    def test_user_disk_inside_the_array_ring_exit_code(self, tmp_path, capsys, bs_height):
+        # 32 antennas at 60 GHz: a ring of radius 32 * 5 mm / (4 pi) = 12.7 mm
+        cfg = tiny_config(drops=1, user_height_m=1.5, min_bs_distance_m=0.01)
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(_config_with(cfg, f"bs_array_height_m = {bs_height}"))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1
+        for key in ("bs_array_height_m", "user_height_m", "min_bs_distance_m"):
+            assert key in errors[0]
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text("cells = 5\n")
@@ -472,8 +507,7 @@ class TestCli:
             assert key in errors[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,stage", [("run", "run_scenario"),
-                                               ("dump-channels", "build_drop_channels")])
+    @pytest.mark.parametrize("command,stage", [("run", "run_scenario")])
     def test_unwritable_out_fails_before_any_drop(self, tmp_path, capsys, monkeypatch,
                                                   command, stage):
         def no_drop(*args):
@@ -522,9 +556,8 @@ class TestCli:
         [],
         # --drops overrides the drop count of `run` only
         ["verify", "--config", str(SCENARIOS / "verify_small.cfg"), "--drops", "1"],
-        ["dump-channels", "--config", str(SCENARIOS / "verify_small.cfg"), "--drops", "1",
-         "--out", "channels.txt"],
-    ], ids=["missing_argument", "invalid_int", "no_command", "verify_drops", "dump_drops"])
+        ["dump-channels"],  # not a command
+    ], ids=["missing_argument", "invalid_int", "no_command", "verify_drops", "dump_channels"])
     def test_usage_error_exits_1(self, capsys, argv):
         # exit 2 is kept for a failed verification
         with pytest.raises(SystemExit) as caught:
@@ -565,13 +598,3 @@ class TestCli:
         main(["run", "--config", str(cfg_path), "--out", str(out1)])
         main(["run", "--config", str(cfg_path), "--seed", "7", "--out", str(out2)])
         assert out1.read_bytes() != out2.read_bytes()
-
-    def test_dump_channels(self, tmp_path):
-        cfg_path = tmp_path / "scenario.cfg"
-        cfg = _write_tiny_config(cfg_path, cells=1, antennas_per_cell=8, users_per_cell=2)
-        out = tmp_path / "channels.txt"
-        assert main(["dump-channels", "--config", str(cfg_path), "--out", str(out)]) == 0
-        loaded = load_channel_dump(out)
-        assert loaded.matrices.shape == (1, 1, 8, 2)
-        direct = build_drop_channels(cfg, cfg.seed)
-        assert np.array_equal(loaded.matrices, direct.matrices)
