@@ -7,23 +7,31 @@ empirical SINR is |coefficient|^2 divided by the mean power of the
 impairment (received samples minus the desired term: interference plus
 noise) -- no blind estimation bias.
 
-Only noise that reaches the users is drawn, r samples per cell and symbol.
-On the downlink r = K: each user's receiver noise, received as drawn. On the
-uplink r = min(M, K): base station l decodes its M antennas' noise w with
-A_l, whose rows lie in the range of the serving matrix G_l, so
-A_l = (A_l Q_l) Q_l^H for the thin-QR basis Q_l (M x r) of G_l, and A_l w has
-the law of (A_l Q_l) v with v ~ CN(0, I_r) (`noise_factor`). The factor is
-taken from the decoder being simulated, not from the closed-form algebra,
-so the oracle stays independent of it.
+One call simulates a batch of checks, each a (scheme, allocation, rho), on
+one stream of symbols and noise: each chunk is drawn once and every check
+reads it. A check thus sees exactly the draws a batch of its own with the
+same seed would see, and stays statistically identical to it.
+
+Only noise that reaches the users is drawn, K samples per cell and symbol,
+of which a check reads r. On the downlink r = K: each user's receiver noise,
+received as drawn. On the uplink r = min(M, K), the first r rows: base
+station l decodes its M antennas' noise w with A_l, whose rows lie in the
+range of the serving matrix G_l, so A_l = (A_l Q_l) Q_l^H for the thin-QR
+basis Q_l (M x r) of G_l, and A_l w has the law of (A_l Q_l) v with
+v ~ CN(0, I_r) (`noise_factor`). The factor is taken from the decoder being
+simulated, not from the closed-form algebra, so the oracle stays independent
+of it.
 
 Symbols are processed in chunks of about _CHUNK_BUDGET / (L K) symbols
 (585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB. A
-chunk holds its symbols, its noise draws and its impairment, one temporary
-at a time, and, while the next chunk is drawn, the last one's arrays: about
-five such arrays at the peak, whatever M and the symbol count. Results
-depend only on the seed.
+chunk holds its symbols, its noise draws and one check's impairment (the
+checks take turns), one temporary at a time, and, while the next chunk or
+check is computed, the last one's arrays: about five such arrays at the
+peak, whatever M, the symbol count and the number of checks. Results depend
+only on the seed.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,30 +93,13 @@ def _chunks(n_symbols: int, per_symbol: int):
         done += chunk
 
 
-def simulate(
-    channels: ChannelSet,
-    scheme: str,
-    alloc: PowerAllocation,
-    rho: float,
-    n_symbols: int,
-    seed: int,
-) -> SimResult:
-    """Simulate the transmission equation of the allocation's link and
-    measure per-user SINR; `rho` is that link's normalized SNR.
-
-    Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
-    each user receives every cell's signal plus unit noise. Uplink: each user
-    transmits sqrt(eta) s, and base station l decodes its antennas' signals
-    plus unit noise with its `decoder` A_l (G^H for MR, Gram^-1 G^H for ZF).
-    """
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be >= 1")
+def _setup(channels: ChannelSet, serving: list, scheme: str, alloc: PowerAllocation, rho: float):
+    """Validate one check and return its (mix, coef, noise_map); its
+    precoders or decoders are freed on return, before the first draw."""
     cells, users = channels.cell_count, channels.users_per_cell
     if alloc.eta.shape != (cells, users):
         raise ValueError(f"allocation shape {alloc.eta.shape} != (L, K) {(cells, users)}")
     root_rho = np.sqrt(rho)
-    serving = [channels.serving(l) for l in range(cells)]
-
     # eff[l, lp] maps cell-lp symbols to cell-l users' received samples.
     # noise_map[l] maps the r noise draws of cell l to them; on the
     # downlink (None) the users' noise is received as drawn.
@@ -122,26 +113,54 @@ def simulate(
         eff = np.stack([decoders[l] @ channels.matrices[l] for l in range(cells)])
         eff *= root_rho * np.sqrt(alloc.eta)[None, :, None, :]
         noise_map = np.stack([noise_factor(a, g) for a, g in zip(decoders, serving)])
+    mix = eff.transpose(0, 2, 1, 3).reshape(cells * users, -1)  # row (l, k), column (lp, k')
+    return mix, np.real(np.diagonal(mix)).reshape(cells, users), noise_map
 
+
+def simulate(
+    channels: ChannelSet,
+    checks: Sequence[tuple[str, PowerAllocation, float]],
+    n_symbols: int,
+    seed: int,
+) -> list[SimResult]:
+    """Simulate the transmission equation of each check's link and measure
+    per-user SINR; `checks` is a sequence of (scheme, alloc, rho), rho that
+    link's normalized SNR. Returns one `SimResult` per check, in order.
+
+    Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
+    each user receives every cell's signal plus unit noise. Uplink: each user
+    transmits sqrt(eta) s, and base station l decodes its antennas' signals
+    plus unit noise with its `decoder` A_l (G^H for MR, Gram^-1 G^H for ZF).
+
+    Every check is set up, and so validated, before the first draw; all
+    checks read one stream of symbols and noise (see the module docstring).
+    """
+    if n_symbols < 1:
+        raise ValueError("n_symbols must be >= 1")
+    if not checks:
+        raise ValueError("simulate needs at least one check")
+    cells, users = channels.cell_count, channels.users_per_cell
+    serving = [channels.serving(l) for l in range(cells)]
     n = cells * users
-    mix = eff.transpose(0, 2, 1, 3).reshape(n, n)  # row (l, k), column (lp, k')
-    coef = np.real(np.diagonal(mix)).reshape(cells, users)
-    noise_dim = users if noise_map is None else noise_map.shape[-1]
-    impairment = _Moments((cells, users))
+    setups = [(*_setup(channels, serving, *check), _Moments((cells, users))) for check in checks]
 
     rng = np.random.default_rng(seed)
     for nc in _chunks(n_symbols, n):
         symbols = _complex_normal(rng, (cells, users, nc))
-        w = _complex_normal(rng, (cells, noise_dim, nc))
-        # received samples minus the desired term, built in place
-        received = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
-        received += w if noise_map is None else noise_map @ w
-        received -= coef[:, :, None] * symbols
-        impairment.add(np.abs(received) ** 2)
+        w = _complex_normal(rng, (cells, users, nc))
+        for mix, coef, noise_map, impairment in setups:
+            # received samples minus the desired term, built in place
+            received = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
+            received += w if noise_map is None else noise_map @ w[:, : noise_map.shape[-1]]
+            received -= coef[:, :, None] * symbols
+            impairment.add(np.abs(received) ** 2)
 
-    p_in = impairment.mean()
-    power = coef**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sinr = np.where(p_in > 0, power / p_in, np.inf)
-        stderr = np.where(p_in > 0, power * impairment.stderr() / p_in**2, 0.0)
-    return SimResult(sinr=sinr, sinr_stderr=stderr, interference_noise_power=p_in)
+    results = []
+    for _, coef, _, impairment in setups:
+        p_in = impairment.mean()
+        power = coef**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinr = np.where(p_in > 0, power / p_in, np.inf)
+            stderr = np.where(p_in > 0, power * impairment.stderr() / p_in**2, 0.0)
+        results.append(SimResult(sinr=sinr, sinr_stderr=stderr, interference_noise_power=p_in))
+    return results

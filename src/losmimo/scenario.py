@@ -208,10 +208,11 @@ def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     }
     rho = cfg.rho()
 
+    checks = [(scheme, alloc[link], rho[link]) for scheme, link in drop.systems]
+    results = simulate(drop.channels, checks, n_symbols, cfg.seed)
     entries = []
-    for (scheme, link), system in drop.systems.items():
+    for ((scheme, link), system), result in zip(drop.systems.items(), results):
         closed = system.sinr(alloc[link].eta)
-        result = simulate(drop.channels, scheme, alloc[link], rho[link], n_symbols, cfg.seed)
         sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
         dev = np.abs(result.sinr - closed) / sigma
         entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev))

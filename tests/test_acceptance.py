@@ -52,7 +52,7 @@ def test_criterion_1_monte_carlo_agreement():
                 alloc = ul_allocation(eta)
             rho = 10.0 ** rng.uniform(0.5, 1.5)
             closed = build_pc_system(cross_gram(cs), scheme, link, rho).sinr(alloc.eta)
-            result = simulate(cs, scheme, alloc, rho, 100_000, seed=trial)
+            result = simulate(cs, [(scheme, alloc, rho)], 100_000, seed=trial)[0]
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
             worst = max(worst, float(np.max(np.abs(result.sinr - closed) / sigma)))
     elapsed = time.time() - start
