@@ -23,15 +23,7 @@ from .errors import (
     SingularChannelError,
     SingularGeometryError,
 )
-from .geometry import (
-    ArrayGeometry,
-    CellLayout,
-    UserDrop,
-    circular_array,
-    drop_users,
-    hex_centers,
-    in_hexagon,
-)
+from .geometry import circular_array, drop_users, hex_centers, in_hexagon
 from .linproc import (
     PowerAllocation,
     decoder,

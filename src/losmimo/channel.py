@@ -9,7 +9,9 @@ inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
 plain transmit-power-to-noise-power ratios.
 
 Power control sees a drop only through its `CrossGram`: `cross_gram` of a
-`ChannelSet`, or `stream_cross_gram` straight from the geometry.
+`ChannelSet`, or `stream_cross_gram` straight from the geometry. The
+geometry is plain arrays: `antennas` (L, M, 3) holds each base station's
+antenna positions, `users` (L, K, 3) each cell's user positions.
 """
 
 import os
@@ -21,7 +23,6 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .errors import ConfigurationError, SingularGeometryError
-from .geometry import ArrayGeometry, UserDrop
 from .linproc import gram_inverse
 
 C_LIGHT = 299792458.0  # m/s
@@ -93,21 +94,21 @@ class ChannelSet:
 
 
 def station_channels(
-    array: ArrayGeometry,
-    drop: UserDrop,
+    antennas: np.ndarray,
+    users: np.ndarray,
     wavelength: float,
     out: np.ndarray,
     r: np.ndarray,
     tmp: np.ndarray,
 ) -> np.ndarray:
-    """Fill `out` (L, M, K) with the channels from every cell's users to one
-    base station's array, in place.
+    """Fill `out` (L, M, K) with the channels from every cell's users (L, K, 3)
+    to one base station's antennas (M, 3), in place.
 
     `r` and `tmp` are float (L, M, K) scratch buffers; on return `r` holds
     the antenna-user distances. Entry (cell, m, k) is g_m of user (cell, k).
     """
-    ax, ay, az = (col[None, :, None] for col in array.positions.T)
-    ux, uy, uz = (col[:, None, :] for col in np.moveaxis(drop.positions, -1, 0))
+    ax, ay, az = (col[None, :, None] for col in antennas.T)
+    ux, uy, uz = (col[:, None, :] for col in np.moveaxis(users, -1, 0))
     np.subtract(ax, ux, out=tmp)
     np.multiply(tmp, tmp, out=r)
     for a, u in ((ay, uy), (az, uz)):
@@ -134,16 +135,17 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="losmimo-station")
 
 
-def _each_station(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float, visit) -> None:
-    """Call visit(l, block) on each base station l's (L, M, K) channels, built by
+def _each_station(antennas: np.ndarray, users: np.ndarray, wavelength: float, visit) -> None:
+    """Call visit(l, block) on each base station l's (L, M, K) channels from
+    the antennas (L, M, 3) and the users (L, K, 3), built by
     `station_channels` into a per-thread buffer that the thread's next station
     overwrites. min(WORKERS, L) threads share the stations round-robin, the
     calling thread taking the first share and the pool the rest; an error in
     any share is raised once every share has ended."""
-    cells = len(arrays)
-    if drop.positions.shape[0] != cells:
+    cells = len(antennas)
+    if len(users) != cells:
         raise ConfigurationError("arrays and drop disagree on cell count")
-    shape = (cells, arrays[0].antenna_count, drop.users_per_cell)
+    shape = (cells, antennas.shape[1], users.shape[1])
 
     def share(stations):
         buffers = getattr(_local, "buffers", None)
@@ -151,7 +153,7 @@ def _each_station(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float
             buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
             _local.buffers = buffers
         for l in stations:
-            visit(l, station_channels(arrays[l], drop, wavelength, *buffers))
+            visit(l, station_channels(antennas[l], users, wavelength, *buffers))
 
     workers = min(WORKERS, cells)
     shares = [range(w, cells, workers) for w in range(workers)]
@@ -164,11 +166,12 @@ def _each_station(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float
         future.result()
 
 
-def build_channel_set(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> ChannelSet:
-    """The full L x L grid of channel matrices for one user drop."""
-    shape = (len(arrays), len(arrays), arrays[0].antenna_count, drop.users_per_cell)
-    matrices = np.empty(shape, dtype=np.complex128)
-    _each_station(arrays, drop, wavelength, lambda l, block: np.copyto(matrices[l], block))
+def build_channel_set(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> ChannelSet:
+    """The full L x L grid of channel matrices between the antennas (L, M, 3)
+    and the users (L, K, 3) of one drop."""
+    cells, m = antennas.shape[:2]
+    matrices = np.empty((cells, cells, m, users.shape[1]), dtype=np.complex128)
+    _each_station(antennas, users, wavelength, lambda l, block: np.copyto(matrices[l], block))
     return ChannelSet(matrices=matrices)
 
 
@@ -210,12 +213,13 @@ def cross_gram(channels: ChannelSet) -> CrossGram:
     return CrossGram(z=z)
 
 
-def stream_cross_gram(arrays: list[ArrayGeometry], drop: UserDrop, wavelength: float) -> CrossGram:
-    """`cross_gram` of a drop's channels without the (L, L, M, K) tensor: each
+def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> CrossGram:
+    """`cross_gram` of the channels between the antennas (L, M, 3) and the
+    users (L, K, 3) of one drop without the (L, L, M, K) tensor: each
     station's channels become its row of z as soon as they are built, with the
     row function of `cross_gram`, so z is bit-identical to `cross_gram` of
     `build_channel_set` for any worker count."""
-    cells, users = len(arrays), drop.users_per_cell
-    z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    _each_station(arrays, drop, wavelength, partial(_gram_row, z))
+    cells, k = len(antennas), users.shape[1]
+    z = np.empty((cells, cells, k, k), dtype=np.complex128)
+    _each_station(antennas, users, wavelength, partial(_gram_row, z))
     return CrossGram(z=z)

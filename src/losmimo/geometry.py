@@ -1,17 +1,17 @@
-"""Hexagonal cell layout, circular antenna arrays, and seeded user drops.
+"""Hexagonal cell layout, circular antenna arrays, and seeded user drops,
+each a plain array of positions.
 
 All lengths are in meters. Hexagons are flat-top with circumradius
 (center-to-vertex) R; the 7-cell cluster places six outer centers at
 angles 30 + k*60 degrees and distance sqrt(3)*R from the origin.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
 
 SQRT3 = np.sqrt(3.0)
+HEX_TOL = 1e-9  # m: a point this far outside a hexagon's edge still counts as inside
 
 # Edge-normal directions of a flat-top hexagon (towards edge midpoints).
 _HEX_NORMALS = np.stack(
@@ -23,45 +23,15 @@ _HEX_NORMALS = np.stack(
 )  # (6, 2)
 
 
-@dataclass(frozen=True)
-class CellLayout:
-    cell_radius: float  # center-to-vertex
-    centers: np.ndarray  # (L, 2)
-
-    @property
-    def cell_count(self) -> int:
-        return self.centers.shape[0]
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    positions: np.ndarray  # (M, 3)
-
-    @property
-    def antenna_count(self) -> int:
-        return self.positions.shape[0]
-
-
-@dataclass(frozen=True)
-class UserDrop:
-    positions: np.ndarray  # (L, K, 3)
-
-    @property
-    def users_per_cell(self) -> int:
-        return self.positions.shape[1]
-
-
-def hex_centers(cell_count: int, cell_radius: float) -> CellLayout:
-    """Cell centers for a single cell (L=1) or the standard 7-cell cluster."""
+def hex_centers(cell_count: int, cell_radius: float) -> np.ndarray:
+    """(L, 2) cell centers for a single cell (L=1) or the standard 7-cell cluster."""
     if cell_radius <= 0:
         raise ConfigurationError(f"cell radius must be positive, got {cell_radius}")
     if cell_count == 1:
-        centers = np.zeros((1, 2))
-    elif cell_count == 7:
-        centers = np.vstack([np.zeros((1, 2)), SQRT3 * cell_radius * _HEX_NORMALS])
-    else:
-        raise ConfigurationError(f"unsupported cell count {cell_count}; use 1 or 7")
-    return CellLayout(cell_radius=float(cell_radius), centers=centers)
+        return np.zeros((1, 2))
+    if cell_count == 7:
+        return np.vstack([np.zeros((1, 2)), SQRT3 * cell_radius * _HEX_NORMALS])
+    raise ConfigurationError(f"unsupported cell count {cell_count}; use 1 or 7")
 
 
 def inradius(cell_radius: float) -> float:
@@ -81,8 +51,9 @@ def circular_array(
     wavelength: float,
     height: float,
     center: np.ndarray | tuple[float, float] = (0.0, 0.0),
-) -> ArrayGeometry:
-    """Uniform circular array with lambda/2 arc separation.
+) -> np.ndarray:
+    """(M, 3) antenna positions of a uniform circular array with lambda/2 arc
+    separation, in the horizontal plane at `height`.
 
     Circle radius M*lambda/(4*pi) makes the circumference M*lambda/2, so
     consecutive antennas are exactly lambda/2 apart along the arc.
@@ -94,7 +65,7 @@ def circular_array(
     center = np.asarray(center, dtype=float)
     radius = antenna_count * wavelength / (4.0 * np.pi)
     angles = 2.0 * np.pi * np.arange(antenna_count) / antenna_count
-    positions = np.stack(
+    return np.stack(
         [
             center[0] + radius * np.cos(angles),
             center[1] + radius * np.sin(angles),
@@ -102,24 +73,26 @@ def circular_array(
         ],
         axis=1,
     )
-    return ArrayGeometry(positions=positions)
 
 
-def in_hexagon(points: np.ndarray, center: np.ndarray, cell_radius: float, tol: float = 1e-9) -> np.ndarray:
-    """Membership test for a flat-top hexagon via six half-plane checks."""
+def in_hexagon(points: np.ndarray, center: np.ndarray, cell_radius: float) -> np.ndarray:
+    """(N,) membership of (N, 2 or 3) points in a flat-top hexagon, by six
+    half-plane checks on the horizontal coordinates."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))[:, :2] - np.asarray(center, dtype=float)[:2]
     proj = pts @ _HEX_NORMALS.T  # (N, 6)
-    return np.max(proj, axis=1) <= inradius(cell_radius) + tol
+    return np.max(proj, axis=1) <= inradius(cell_radius) + HEX_TOL
 
 
 def drop_users(
-    layout: CellLayout,
+    centers: np.ndarray,
+    cell_radius: float,
     users_per_cell: int,
     d_min: float,
     user_height: float,
     seed: int,
-) -> UserDrop:
-    """Uniform user positions per hexagon by rejection sampling.
+) -> np.ndarray:
+    """(L, K, 3) user positions, uniform in the hexagon of radius
+    `cell_radius` around each of the (L, 2) `centers`, by rejection sampling.
 
     Points are drawn from the hexagon's bounding box and kept if they fall
     inside the hexagon at horizontal distance >= d_min from the cell center
@@ -128,29 +101,28 @@ def drop_users(
     """
     if users_per_cell < 1:
         raise ConfigurationError(f"users_per_cell must be >= 1, got {users_per_cell}")
-    if d_min >= inradius(layout.cell_radius):
+    if d_min >= inradius(cell_radius):
         raise ConfigurationError(f"d_min={d_min} must be below the inradius sqrt(3)/2 R")
     rng = np.random.default_rng(seed)
-    radius = layout.cell_radius
-    half_h = inradius(radius)
+    half_h = inradius(cell_radius)
     batch = max(4 * users_per_cell, 64)
-    positions = np.empty((layout.cell_count, users_per_cell, 3))
-    for l, center in enumerate(layout.centers):
+    positions = np.empty((len(centers), users_per_cell, 3))
+    for l, center in enumerate(centers):
         accepted: list[np.ndarray] = []
         count = 0
         while count < users_per_cell:
             cand = np.stack(
                 [
-                    rng.uniform(-radius, radius, batch),
+                    rng.uniform(-cell_radius, cell_radius, batch),
                     rng.uniform(-half_h, half_h, batch),
                 ],
                 axis=1,
             )
-            keep = in_hexagon(cand, np.zeros(2), radius) & (np.linalg.norm(cand, axis=1) >= d_min)
+            keep = in_hexagon(cand, np.zeros(2), cell_radius) & (np.linalg.norm(cand, axis=1) >= d_min)
             good = cand[keep]
             accepted.append(good)
             count += len(good)
         pts = np.concatenate(accepted)[:users_per_cell] + center
         positions[l, :, :2] = pts
         positions[l, :, 2] = user_height
-    return UserDrop(positions=positions)
+    return positions

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DegenerateChannelError, SingularChannelError
 
 COND_LIMIT = 1e12
+NORM_SLACK = 1e-9  # a cell's power norm may exceed 1 by this much and stay admissible
 
 DOWNLINK = "DL"
 UPLINK = "UL"
@@ -46,7 +47,7 @@ class PowerAllocation:
         if not np.all(eta >= 0):
             raise ValueError("power coefficients must be nonnegative and not NaN")
         norms = self.per_cell_norms()
-        if not np.all(norms <= 1.0 + 1e-9):
+        if not np.all(norms <= 1.0 + NORM_SLACK):
             raise ValueError(f"per-cell power constraint violated: norms {norms}")
 
     def per_cell_norms(self) -> np.ndarray:

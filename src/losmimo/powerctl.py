@@ -27,11 +27,10 @@ import numpy as np
 
 from .channel import CrossGram
 from .errors import MaxminError
-from .linproc import DOWNLINK, MR, UPLINK, ZF, per_cell_norms
+from .linproc import DOWNLINK, MR, NORM_SLACK, UPLINK, ZF, per_cell_norms
 
 RESIDUAL_TOL = 1e-8
 NEG_SLACK = 1e-12
-NORM_SLACK = 1e-9
 REL_TOL = 1e-12  # max-min stops once its bracket on 1/target is this tight
 MAX_PROBES = 64  # max-min probes before giving up; bisection alone needs ~45
 POWER_ITERATIONS = 8  # matvecs behind the first bound on rho(D^-1 C)

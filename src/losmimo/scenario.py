@@ -74,15 +74,15 @@ def _to_db(values: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(values)
 
 
-def _geometry(cfg: ScenarioConfig) -> tuple:
-    """Wavelength, cell layout and base-station arrays, shared by all drops."""
+def _geometry(cfg: ScenarioConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Wavelength, (L, 2) cell centers and (L, M, 3) base-station antenna
+    positions, built once and shared by all drops."""
     wl = wavelength_m(cfg.carrier_ghz)
-    layout = hex_centers(cfg.cells, cfg.cell_radius_m)
-    arrays = [
-        circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, center)
-        for center in layout.centers
-    ]
-    return wl, layout, arrays
+    centers = hex_centers(cfg.cells, cfg.cell_radius_m)
+    antennas = np.empty((cfg.cells, cfg.antennas_per_cell, 3))  # filled, not stacked: no copy
+    for l, center in enumerate(centers):
+        antennas[l] = circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, center)
+    return wl, centers, antennas
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,11 @@ def solve_drop(cfg: ScenarioConfig, geometry: tuple, seed: int,
     cross-Gram products and the `PcSystem` of each (scheme, link) in `pairs`.
     Without `keep_channels` the channels are streamed into the cross-Gram and
     never held whole; with it they are kept, and the bits are the same."""
-    wl, layout, arrays = geometry
-    users = drop_users(layout, cfg.users_per_cell, cfg.min_bs_distance_m, cfg.user_height_m, seed)
-    channels = build_channel_set(arrays, users, wl) if keep_channels else None
-    xg = stream_cross_gram(arrays, users, wl) if channels is None else cross_gram(channels)
+    wl, centers, antennas = geometry
+    users = drop_users(centers, cfg.cell_radius_m, cfg.users_per_cell, cfg.min_bs_distance_m,
+                       cfg.user_height_m, seed)
+    channels = build_channel_set(antennas, users, wl) if keep_channels else None
+    xg = stream_cross_gram(antennas, users, wl) if channels is None else cross_gram(channels)
     rho = cfg.rho()
     return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}, channels)
 

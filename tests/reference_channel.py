@@ -9,7 +9,7 @@ reproduce.
 
 import numpy as np
 
-from losmimo import ArrayGeometry, ConfigurationError, SingularGeometryError
+from losmimo import ConfigurationError, SingularGeometryError
 from losmimo.channel import C_LIGHT
 
 # dB form of (4 pi d f / c)^2; the constant is the exact value of the
@@ -26,10 +26,10 @@ def fspl_db(freq_ghz: float, distance_m) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-def los_channel(user_position: np.ndarray, array: ArrayGeometry, wavelength: float) -> np.ndarray:
-    """Spherical-wave channel vector from one user to every array antenna."""
+def los_channel(user_position: np.ndarray, antennas: np.ndarray, wavelength: float) -> np.ndarray:
+    """Spherical-wave channel vector (M,) from one user (3,) to every antenna (M, 3)."""
     user_position = np.asarray(user_position, dtype=float)
-    r = np.linalg.norm(array.positions - user_position[None, :], axis=1)
+    r = np.linalg.norm(antennas - user_position[None, :], axis=1)
     if np.any(r < 1e-9):
         raise SingularGeometryError("user position coincides with an antenna position")
     amp = wavelength / (4.0 * np.pi)

@@ -160,8 +160,7 @@ def test_criterion_6_link_budget_and_geometry_anchors():
     """Free-space loss, array diameter, and Table-scale SNR anchors."""
     fspl = fspl_db(60.0, 200.0)
     wl = wavelength_m(60.0)
-    arr = circular_array(4096, wl, 30.0)
-    xy = arr.positions[:, :2]
+    xy = circular_array(4096, wl, 30.0)[:, :2]
     diameter = 2 * np.max(np.linalg.norm(xy - xy.mean(axis=0), axis=1))
     rho_dl, rho_ul = link_budget(50e6, 2.0, 0.2, 9.0, 9.0)
     rho_d_db = 10 * np.log10(rho_dl)

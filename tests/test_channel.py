@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 import losmimo
 from losmimo import (
-    ArrayGeometry,
     ConfigurationError,
     SingularGeometryError,
     build_channel_set,
@@ -19,6 +17,7 @@ from losmimo import (
     drop_users,
     hex_centers,
     link_budget,
+    stream_cross_gram,
     wavelength_m,
 )
 
@@ -65,8 +64,8 @@ class TestLinkBudget:
 class TestLosChannel:
     def test_single_antenna_one_wavelength(self):
         wl = 0.005
-        array = ArrayGeometry(np.array([[0.0, 0.0, 0.0]]))
-        g = los_channel(np.array([wl, 0.0, 0.0]), array, wl)
+        antennas = np.array([[0.0, 0.0, 0.0]])
+        g = los_channel(np.array([wl, 0.0, 0.0]), antennas, wl)
         assert abs(g[0]) == pytest.approx(1 / (4 * np.pi), rel=1e-12)
         assert g[0].imag == pytest.approx(0.0, abs=1e-12)
         assert g[0].real > 0
@@ -85,24 +84,24 @@ class TestLosChannel:
     def test_gain_matches_negative_fspl(self):
         f = 60.0
         wl = wavelength_m(f)
-        array = ArrayGeometry(np.array([[0.0, 0.0, 30.0]]))
+        antennas = np.array([[0.0, 0.0, 30.0]])
         user = np.array([200.0, 0.0, 30.0])
-        g = los_channel(user, array, wl)
+        g = los_channel(user, antennas, wl)
         gain_db = 20 * np.log10(abs(g[0]))
         assert gain_db == pytest.approx(-fspl_db(f, 200.0), abs=1e-9)
 
     def test_coincident_position_raises(self):
-        array = ArrayGeometry(np.array([[1.0, 2.0, 3.0]]))
+        antennas = np.array([[1.0, 2.0, 3.0]])
         with pytest.raises(SingularGeometryError):
-            los_channel(np.array([1.0, 2.0, 3.0]), array, 0.005)
+            los_channel(np.array([1.0, 2.0, 3.0]), antennas, 0.005)
 
 
 def _small_scene(seed=5, antennas=32, users=4):
+    """(L, M, 3) antennas and (L, K, 3) users of a 7-cell drop, and the wavelength."""
     wl = wavelength_m(60.0)
-    layout = hex_centers(7, 200.0)
-    arrays = [circular_array(antennas, wl, 30.0, c) for c in layout.centers]
-    drop = drop_users(layout, users, 10.0, 1.5, seed=seed)
-    return arrays, drop, wl
+    centers = hex_centers(7, 200.0)
+    arrays = np.stack([circular_array(antennas, wl, 30.0, c) for c in centers])
+    return arrays, drop_users(centers, 200.0, users, 10.0, 1.5, seed=seed), wl
 
 
 class TestChannelSet:
@@ -111,7 +110,7 @@ class TestChannelSet:
         cs = build_channel_set(arrays, drop, wl)
         assert cs.matrices.shape == (7, 7, 32, 4)
         # column k of block (bs, cell) is the LoS vector of user (cell, k) at bs
-        g = los_channel(drop.positions[2, 1], arrays[5], wl)
+        g = los_channel(drop[2, 1], arrays[5], wl)
         assert np.array_equal(cs.matrices[5, 2][:, 1], g)
 
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
@@ -119,7 +118,7 @@ class TestChannelSet:
         arrays, drop, wl = _small_scene(antennas=antennas, users=users)
         stacked = np.stack([
             np.stack([
-                np.stack([los_channel(u, arrays[bs], wl) for u in drop.positions[cell]], axis=1)
+                np.stack([los_channel(u, arrays[bs], wl) for u in drop[cell]], axis=1)
                 for cell in range(7)
             ])
             for bs in range(7)
@@ -130,21 +129,28 @@ class TestChannelSet:
 
     def test_user_on_antenna_raises(self):
         arrays, drop, wl = _small_scene()
-        positions = drop.positions.copy()
-        positions[3, 1] = arrays[5].positions[7]
+        positions = drop.copy()
+        positions[3, 1] = arrays[5, 7]
         with pytest.raises(SingularGeometryError):
-            build_channel_set(arrays, dataclasses.replace(drop, positions=positions), wl)
+            build_channel_set(arrays, positions, wl)
 
     def test_counts_read_from_positions(self):
         # a drop and arrays given fewer users and antennas build channels of
         # their own shape: the counts are read from the positions
         arrays, drop, wl = _small_scene()
-        fewer = dataclasses.replace(drop, positions=drop.positions[:, :2])
-        arrays = [dataclasses.replace(a, positions=a.positions[:5]) for a in arrays]
+        fewer = drop[:, :2]
+        arrays = arrays[:, :5]
         cs = build_channel_set(arrays, fewer, wl)
         assert cs.matrices.shape == (7, 7, 5, 2)
-        assert np.array_equal(cs.matrices[5, 2][:, 1], los_channel(fewer.positions[2, 1],
-                                                                   arrays[5], wl))
+        assert np.array_equal(cs.matrices[5, 2][:, 1], los_channel(fewer[2, 1], arrays[5], wl))
+
+    @pytest.mark.parametrize("build", [build_channel_set, stream_cross_gram],
+                             ids=lambda build: build.__name__)
+    def test_stations_and_users_of_different_cell_counts_raise(self, build):
+        # the cell count is read from both arrays, and nothing else checks it
+        arrays, drop, wl = _small_scene()
+        with pytest.raises(ConfigurationError, match="disagree on cell count"):
+            build(arrays, drop[:6], wl)
 
     def test_deterministic(self):
         arrays, drop, wl = _small_scene()
@@ -155,7 +161,7 @@ class TestChannelSet:
     def test_recompute_from_positions(self):
         arrays, drop, wl = _small_scene()
         cs = build_channel_set(arrays, drop, wl)
-        r = np.linalg.norm(arrays[3].positions[:, None, :] - drop.positions[0][None, :, :], axis=2)
+        r = np.linalg.norm(arrays[3][:, None, :] - drop[0][None, :, :], axis=2)
         mags = wl / (4 * np.pi * r)
         assert np.allclose(np.abs(cs.matrices[3, 0]), mags, rtol=1e-12)
 
