@@ -24,14 +24,7 @@ from .errors import (
     SingularGeometryError,
 )
 from .geometry import circular_array, drop_users, hex_centers, in_hexagon
-from .linproc import (
-    PowerAllocation,
-    decoder,
-    dl_allocation,
-    gram_inverse,
-    precoder,
-    ul_allocation,
-)
+from .linproc import decoder, gram_inverse, precoder
 from .mcsim import SimResult, simulate
 from .powerctl import (
     MaxminResult,

@@ -145,6 +145,9 @@ def _each_station(antennas: np.ndarray, users: np.ndarray, wavelength: float, vi
     cells = len(antennas)
     if len(users) != cells:
         raise ConfigurationError("arrays and drop disagree on cell count")
+    if antennas.shape[-1] != 3 or users.shape[-1] != 3:
+        raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
+                                 "need 3 coordinates on their last axis")
     shape = (cells, antennas.shape[1], users.shape[1])
 
     def share(stations):

@@ -1,12 +1,12 @@
-"""Power allocations, MR and ZF decoders and precoders, and the guarded Gram inverse.
+"""Per-cell power norms, MR and ZF decoders and precoders, and the guarded Gram inverse.
 
 Notation: for a serving matrix G (M x K), the Gram matrix is G^H G and its
 inverse's diagonal governs ZF performance. Each precoder is its decoder
-transposed and scaled to the power budget. The closed-form SINRs built on
+transposed and scaled to the power budget. Powers are plain (L, K) arrays
+eta of per-user coefficients, admissible when nonnegative and each cell's
+`per_cell_norms` is at most 1 + NORM_SLACK. The closed-form SINRs built on
 these live in `powerctl` (`PcSystem.sinr`).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,38 +28,6 @@ def per_cell_norms(eta: np.ndarray, link: str) -> np.ndarray:
     if link == DOWNLINK:
         return np.sum(eta, axis=1)
     return np.max(eta, axis=1) if eta.size else np.zeros(len(eta))
-
-
-@dataclass(frozen=True)
-class PowerAllocation:
-    """Per-cell power-control coefficients of one link, each cell's
-    `per_cell_norms` at most 1."""
-
-    eta: np.ndarray  # (L, K), nonnegative
-    link: str  # DOWNLINK or UPLINK
-
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=float)
-        object.__setattr__(self, "eta", eta)
-        if self.link not in (DOWNLINK, UPLINK):
-            raise ValueError(f"unknown link {self.link!r}")
-        # written so that a NaN coefficient fails both checks
-        if not np.all(eta >= 0):
-            raise ValueError("power coefficients must be nonnegative and not NaN")
-        norms = self.per_cell_norms()
-        if not np.all(norms <= 1.0 + NORM_SLACK):
-            raise ValueError(f"per-cell power constraint violated: norms {norms}")
-
-    def per_cell_norms(self) -> np.ndarray:
-        return per_cell_norms(self.eta, self.link)
-
-
-def dl_allocation(eta: np.ndarray) -> PowerAllocation:
-    return PowerAllocation(eta=np.atleast_2d(eta), link=DOWNLINK)
-
-
-def ul_allocation(eta: np.ndarray) -> PowerAllocation:
-    return PowerAllocation(eta=np.atleast_2d(eta), link=UPLINK)
 
 
 def gram_inverse(gram: np.ndarray) -> np.ndarray:

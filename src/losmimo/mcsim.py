@@ -7,10 +7,11 @@ empirical SINR is |coefficient|^2 divided by the mean power of the
 impairment (received samples minus the desired term: interference plus
 noise) -- no blind estimation bias.
 
-One call simulates a batch of checks, each a (scheme, allocation, rho), on
-one stream of symbols and noise: each chunk is drawn once and every check
-reads it. A check thus sees exactly the draws a batch of its own with the
-same seed would see, and stays statistically identical to it.
+One call simulates a batch of checks, each a (scheme, link, eta, rho) with
+eta the (L, K) powers as a plain array, on one stream of symbols and noise:
+each chunk is drawn once and every check reads it. A check thus sees exactly
+the draws a batch of its own with the same seed would see, and stays
+statistically identical to it.
 
 Only noise that reaches the users is drawn, K samples per cell and symbol,
 of which a check reads r. On the downlink r = K: each user's receiver noise,
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linproc import DOWNLINK, PowerAllocation, decoder, precoder
+from .linproc import DOWNLINK, NORM_SLACK, UPLINK, decoder, per_cell_norms, precoder
 
 _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
 
@@ -93,25 +94,35 @@ def _chunks(n_symbols: int, per_symbol: int):
         done += chunk
 
 
-def _setup(channels: ChannelSet, serving: list, scheme: str, alloc: PowerAllocation, rho: float):
+def _setup(channels: ChannelSet, serving: list, scheme: str, link: str, eta: np.ndarray,
+           rho: float):
     """Validate one check and return its (mix, coef, noise_map); its
     precoders or decoders are freed on return, before the first draw."""
     cells, users = channels.cell_count, channels.users_per_cell
-    if alloc.eta.shape != (cells, users):
-        raise ValueError(f"allocation shape {alloc.eta.shape} != (L, K) {(cells, users)}")
+    eta = np.asarray(eta, dtype=float)
+    if link not in (DOWNLINK, UPLINK):
+        raise ValueError(f"unknown link {link!r}")
+    if eta.shape != (cells, users):
+        raise ValueError(f"powers of shape {eta.shape} != (L, K) {(cells, users)}")
+    # written so that a NaN power fails both checks
+    if not np.all(eta >= 0):
+        raise ValueError("powers must be nonnegative and not NaN")
+    norms = per_cell_norms(eta, link)
+    if not np.all(norms <= 1.0 + NORM_SLACK):
+        raise ValueError(f"per-cell power constraint violated: norms {norms}")
     root_rho = np.sqrt(rho)
     # eff[l, lp] maps cell-lp symbols to cell-l users' received samples.
     # noise_map[l] maps the r noise draws of cell l to them; on the
     # downlink (None) the users' noise is received as drawn.
-    if alloc.link == DOWNLINK:
-        precoders = np.stack([precoder(g, scheme, e) for g, e in zip(serving, alloc.eta)])
+    if link == DOWNLINK:
+        precoders = np.stack([precoder(g, scheme, e) for g, e in zip(serving, eta)])
         eff = root_rho * (channels.matrices.transpose(1, 0, 3, 2) @ precoders)
         noise_map = None
     else:
         decoders = [decoder(g, scheme) for g in serving]
         # sqrt(eta) is applied at the transmitters, column (lp, k') of eff
         eff = np.stack([decoders[l] @ channels.matrices[l] for l in range(cells)])
-        eff *= root_rho * np.sqrt(alloc.eta)[None, :, None, :]
+        eff *= root_rho * np.sqrt(eta)[None, :, None, :]
         noise_map = np.stack([noise_factor(a, g) for a, g in zip(decoders, serving)])
     mix = eff.transpose(0, 2, 1, 3).reshape(cells * users, -1)  # row (l, k), column (lp, k')
     return mix, np.real(np.diagonal(mix)).reshape(cells, users), noise_map
@@ -119,21 +130,24 @@ def _setup(channels: ChannelSet, serving: list, scheme: str, alloc: PowerAllocat
 
 def simulate(
     channels: ChannelSet,
-    checks: Sequence[tuple[str, PowerAllocation, float]],
+    checks: Sequence[tuple[str, str, np.ndarray, float]],
     n_symbols: int,
     seed: int,
 ) -> list[SimResult]:
     """Simulate the transmission equation of each check's link and measure
-    per-user SINR; `checks` is a sequence of (scheme, alloc, rho), rho that
-    link's normalized SNR. Returns one `SimResult` per check, in order.
+    per-user SINR; `checks` is a sequence of (scheme, link, eta, rho), eta
+    the (L, K) powers and rho that link's normalized SNR. Returns one
+    `SimResult` per check, in order.
 
     Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
     each user receives every cell's signal plus unit noise. Uplink: each user
     transmits sqrt(eta) s, and base station l decodes its antennas' signals
     plus unit noise with its `decoder` A_l (G^H for MR, Gram^-1 G^H for ZF).
 
-    Every check is set up, and so validated, before the first draw; all
-    checks read one stream of symbols and noise (see the module docstring).
+    Every check is set up, and so validated, before the first draw: an
+    unknown link or scheme, powers not (L, K), a negative or NaN power, or a
+    per-cell norm above 1 + NORM_SLACK raises `ValueError`. All checks read
+    one stream of symbols and noise (see the module docstring).
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")

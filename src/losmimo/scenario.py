@@ -17,7 +17,7 @@ from .channel import wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
-from .linproc import DOWNLINK, MR, UPLINK, ZF, dl_allocation, ul_allocation
+from .linproc import DOWNLINK, MR, UPLINK, ZF
 from .mcsim import simulate
 from .powerctl import PcSystem, build_pc_system, maxmin_common_target, single_cell_zf_maxmin
 
@@ -33,8 +33,8 @@ SERIES_NAMES = {(s, li): f"{s} {li}" for s in (MR, ZF) for li in (DOWNLINK, UPLI
 class CdfTable:
     """Sorted per-series SINR samples in dB with empirical probabilities.
 
-    `add` collects a series' samples; `finalize` merges them into `series`
-    and sorts them.
+    `add` collects a series' samples; `finalize`, called once, joins them
+    into `series` and sorts them.
     """
 
     series: dict[str, np.ndarray] = field(default_factory=dict)
@@ -47,11 +47,7 @@ class CdfTable:
         pending, self._pending = self._pending, {}
         # one series at a time, so only one series' samples are held twice
         for name in list(pending):
-            parts = pending.pop(name)
-            if name in self.series:
-                parts.insert(0, self.series[name])
-            vals = np.concatenate(parts)
-            del parts
+            vals = np.concatenate(pending.pop(name))
             vals.sort()
             self.series[name] = vals
 
@@ -193,7 +189,7 @@ class VerificationReport:
 def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     """Closed-form vs Monte Carlo agreement over one configured drop.
 
-    Uses uniform admissible allocations (downlink 1/K per user, uplink full
+    Uses uniform admissible powers (downlink 1/K per user, uplink full
     power) and reports every user's deviation in standard-error units, which
     must be below `SIGMA_THRESHOLD`.
     """
@@ -203,17 +199,14 @@ def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     pairs = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
     drop = solve_drop(cfg, _geometry(cfg), cfg.seed, pairs, keep_channels=True)
     shape = (cfg.cells, cfg.users_per_cell)
-    alloc = {
-        DOWNLINK: dl_allocation(np.full(shape, 1.0 / cfg.users_per_cell)),
-        UPLINK: ul_allocation(np.ones(shape)),
-    }
+    eta = {DOWNLINK: np.full(shape, 1.0 / cfg.users_per_cell), UPLINK: np.ones(shape)}
     rho = cfg.rho()
 
-    checks = [(scheme, alloc[link], rho[link]) for scheme, link in drop.systems]
+    checks = [(scheme, link, eta[link], rho[link]) for scheme, link in drop.systems]
     results = simulate(drop.channels, checks, n_symbols, cfg.seed)
     entries = []
     for ((scheme, link), system), result in zip(drop.systems.items(), results):
-        closed = system.sinr(alloc[link].eta)
+        closed = system.sinr(eta[link])
         sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
         dev = np.abs(result.sinr - closed) / sigma
         entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev))

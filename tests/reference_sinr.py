@@ -2,7 +2,8 @@
 
 Per-cell loops straight from the SINR expressions, kept apart from the
 package's (D, C) construction (`losmimo.powerctl.build_pc_system` and
-`PcSystem.sinr`) so tests can compare the two derivations.
+`PcSystem.sinr`) so tests can compare the two derivations. Each takes the
+(L, K) powers eta of its link as a plain array.
 """
 
 from dataclasses import dataclass
@@ -10,24 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from losmimo import ChannelSet
-from losmimo.linproc import (
-    DOWNLINK,
-    MR,
-    UPLINK,
-    ZF,
-    PowerAllocation,
-    gram_inverse,
-)
+from losmimo.linproc import DOWNLINK, MR, UPLINK, ZF, gram_inverse
 from losmimo.powerctl import PcSystem
 
 
 def _gram_inverse(serving: np.ndarray) -> np.ndarray:
     return gram_inverse(serving.conj().T @ serving)
-
-
-def _check_link(alloc: PowerAllocation, link: str) -> None:
-    if alloc.link != link:
-        raise ValueError(f"{link} SINR needs a {link} allocation, got {alloc.link}")
 
 
 @dataclass(frozen=True)
@@ -37,56 +26,53 @@ class SinrReport:
     link: str
 
 
-def mr_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> SinrReport:
+def mr_dl_sinr(channels: ChannelSet, eta: np.ndarray, rho_d: float) -> SinrReport:
     """Per-user MR downlink SINR over the full channel set."""
-    _check_link(alloc, DOWNLINK)
     cells = channels.cell_count
     norms2 = np.stack(
         [np.linalg.norm(channels.serving(l), axis=0) ** 2 for l in range(cells)]
     )  # (L, K)
-    values = np.empty_like(alloc.eta)
+    values = np.empty_like(eta)
     for l in range(cells):
-        num = rho_d * alloc.eta[l] * norms2[l]
+        num = rho_d * eta[l] * norms2[l]
         denom = np.ones(channels.users_per_cell)
         for lp in range(cells):
             # cross[k, k'] = <g from (l,k) to BS lp, g from (lp,k') to BS lp>
             cross = channels.matrices[lp, l].conj().T @ channels.matrices[lp, lp]
-            contrib = (np.abs(cross) ** 2 / norms2[lp][None, :]) @ alloc.eta[lp]
+            contrib = (np.abs(cross) ** 2 / norms2[lp][None, :]) @ eta[lp]
             if lp == l:
-                contrib -= alloc.eta[l] * norms2[l]  # remove the k'=k self term
+                contrib -= eta[l] * norms2[l]  # remove the k'=k self term
             denom += rho_d * contrib
         values[l] = num / denom
     return SinrReport(values=values, scheme=MR, link=DOWNLINK)
 
 
-def mr_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> SinrReport:
+def mr_ul_sinr(channels: ChannelSet, eta: np.ndarray, rho_u: float) -> SinrReport:
     """Per-user MR uplink SINR; cross channels are other-cell users seen at
     the serving base station."""
-    _check_link(alloc, UPLINK)
     cells = channels.cell_count
-    values = np.empty_like(alloc.eta)
+    values = np.empty_like(eta)
     for l in range(cells):
         own = channels.serving(l)
         norms2 = np.linalg.norm(own, axis=0) ** 2
         interf = np.zeros(channels.users_per_cell)
         for lp in range(cells):
             cross = own.conj().T @ channels.matrices[l, lp]
-            contrib = (np.abs(cross) ** 2) @ alloc.eta[lp]
+            contrib = (np.abs(cross) ** 2) @ eta[lp]
             if lp == l:
-                contrib -= alloc.eta[l] * norms2**2
+                contrib -= eta[l] * norms2**2
             interf += contrib
-        values[l] = rho_u * alloc.eta[l] * norms2 / (1.0 + rho_u * interf / norms2)
+        values[l] = rho_u * eta[l] * norms2 / (1.0 + rho_u * interf / norms2)
     return SinrReport(values=values, scheme=MR, link=UPLINK)
 
 
-def zf_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> SinrReport:
+def zf_dl_sinr(channels: ChannelSet, eta: np.ndarray, rho_d: float) -> SinrReport:
     """Per-user ZF downlink SINR; intra-cell interference is nulled, other
     cells leak through their own ZF precoders."""
-    _check_link(alloc, DOWNLINK)
     cells = channels.cell_count
     igrams = [_gram_inverse(channels.serving(l)) for l in range(cells)]
     dinv = np.stack([np.real(np.diag(ig)) for ig in igrams])  # (L, K)
-    values = np.empty_like(alloc.eta)
+    values = np.empty_like(eta)
     for l in range(cells):
         op = np.zeros(channels.users_per_cell)
         for lp in range(cells):
@@ -94,16 +80,15 @@ def zf_dl_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_d: float) -> Si
                 continue
             # rows k: (g from (l,k) to BS lp)^H G_lp (G_lp^H G_lp)^-1
             leak = channels.matrices[lp, l].conj().T @ channels.matrices[lp, lp] @ igrams[lp]
-            op += (np.abs(leak) ** 2 / dinv[lp][None, :]) @ alloc.eta[lp]
-        values[l] = rho_d * alloc.eta[l] / ((1.0 + rho_d * op) * dinv[l])
+            op += (np.abs(leak) ** 2 / dinv[lp][None, :]) @ eta[lp]
+        values[l] = rho_d * eta[l] / ((1.0 + rho_d * op) * dinv[l])
     return SinrReport(values=values, scheme=ZF, link=DOWNLINK)
 
 
-def zf_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> SinrReport:
+def zf_ul_sinr(channels: ChannelSet, eta: np.ndarray, rho_u: float) -> SinrReport:
     """Per-user ZF uplink SINR with decoded other-cell leakage B-matrices."""
-    _check_link(alloc, UPLINK)
     cells = channels.cell_count
-    values = np.empty_like(alloc.eta)
+    values = np.empty_like(eta)
     for l in range(cells):
         igram = _gram_inverse(channels.serving(l))
         dinv = np.real(np.diag(igram))
@@ -113,8 +98,8 @@ def zf_ul_sinr(channels: ChannelSet, alloc: PowerAllocation, rho_u: float) -> Si
             if lp == l:
                 continue
             b = decode @ channels.matrices[l, lp]
-            op += (np.abs(b) ** 2) @ alloc.eta[lp]
-        values[l] = rho_u * alloc.eta[l] / (dinv + rho_u * op)
+            op += (np.abs(b) ** 2) @ eta[lp]
+        values[l] = rho_u * eta[l] / (dinv + rho_u * op)
     return SinrReport(values=values, scheme=ZF, link=UPLINK)
 
 
@@ -127,20 +112,20 @@ _SINR_FUNCS = {
 
 
 def evaluate_sinr(
-    channels: ChannelSet, scheme: str, link: str, alloc: PowerAllocation, rho: float
+    channels: ChannelSet, scheme: str, link: str, eta: np.ndarray, rho: float
 ) -> SinrReport:
-    """Dispatch to the closed form for (scheme, link)."""
+    """Dispatch the (L, K) powers `eta` to the closed form for (scheme, link)."""
     try:
         func = _SINR_FUNCS[(scheme, link)]
     except KeyError:
         raise ValueError(f"unknown scheme/link combination ({scheme}, {link})") from None
-    return func(channels, alloc, rho)
+    return func(channels, np.asarray(eta, dtype=float), rho)
 
 
 def evaluate_allocation(
     channels: ChannelSet, system: PcSystem, eta: np.ndarray, rho: float
 ) -> np.ndarray:
     """Closed-form SINRs (flat, cell-major) of solved powers `eta` at SNR `rho`."""
-    alloc = PowerAllocation(eta=eta.reshape(system.cells, system.users_per_cell), link=system.link)
-    report = evaluate_sinr(channels, system.scheme, system.link, alloc, rho)
+    eta = eta.reshape(system.cells, system.users_per_cell)
+    report = evaluate_sinr(channels, system.scheme, system.link, eta, rho)
     return report.values.ravel()

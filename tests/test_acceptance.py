@@ -12,7 +12,6 @@ from losmimo import (
     build_pc_system,
     circular_array,
     cross_gram,
-    dl_allocation,
     link_budget,
     maxmin_common_target,
     precoder,
@@ -20,7 +19,6 @@ from losmimo import (
     simulate,
     single_cell_zf_maxmin,
     solve_targets,
-    ul_allocation,
     wavelength_m,
 )
 
@@ -47,12 +45,9 @@ def test_criterion_1_monte_carlo_agreement():
             eta = rng.uniform(0.05, 1.0, (2, 3))
             if link == "DL":
                 eta /= np.sum(eta, axis=1, keepdims=True) * 1.1
-                alloc = dl_allocation(eta)
-            else:
-                alloc = ul_allocation(eta)
             rho = 10.0 ** rng.uniform(0.5, 1.5)
-            closed = build_pc_system(cross_gram(cs), scheme, link, rho).sinr(alloc.eta)
-            result = simulate(cs, [(scheme, alloc, rho)], 100_000, seed=trial)[0]
+            closed = build_pc_system(cross_gram(cs), scheme, link, rho).sinr(eta)
+            result = simulate(cs, [(scheme, link, eta, rho)], 100_000, seed=trial)[0]
             sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
             worst = max(worst, float(np.max(np.abs(result.sinr - closed) / sigma)))
     elapsed = time.time() - start
@@ -116,8 +111,7 @@ def test_criterion_4_power_control_round_trip():
             assert sol is not None
             achieved = evaluate_allocation(cs, system, sol, 15.0)
             worst_rt = max(worst_rt, float(np.max(np.abs(achieved - zeta) / zeta)))
-            make = dl_allocation if link == "DL" else ul_allocation
-            closed = evaluate_sinr(cs, scheme, link, make(eta), 15.0).values.ravel()
+            closed = evaluate_sinr(cs, scheme, link, eta, 15.0).values.ravel()
             ident = system.sinr(flat)
             worst_id = max(worst_id, float(np.max(np.abs(closed - ident) / ident)))
     elapsed = time.time() - start
@@ -142,8 +136,8 @@ def test_criterion_5_single_cell_zf_maxmin():
         ok &= np.max(eta_ul) == 1.0
         zf_dl = build_pc_system(cross_gram(cs), "ZF", "DL", 12.0)
         zf_ul = build_pc_system(cross_gram(cs), "ZF", "UL", 12.0)
-        dl_vals = zf_dl.sinr(dl_allocation(eta_dl[None, :]).eta)[0]
-        ul_vals = zf_ul.sinr(ul_allocation(eta_ul[None, :]).eta)[0]
+        dl_vals = zf_dl.sinr(eta_dl[None, :])[0]
+        ul_vals = zf_ul.sinr(eta_ul[None, :])[0]
         ok &= np.max(np.abs(dl_vals - sinr_dl) / sinr_dl) < 1e-10
         ok &= np.max(np.abs(ul_vals - sinr_ul) / sinr_ul) < 1e-10
         maxmin_dl = maxmin_common_target(zf_dl).target

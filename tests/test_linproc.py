@@ -8,49 +8,21 @@ from losmimo import (
     build_pc_system,
     cross_gram,
     decoder,
-    dl_allocation,
     gram_inverse,
     precoder,
-    ul_allocation,
 )
-from losmimo.linproc import COND_LIMIT, PowerAllocation
+from losmimo.linproc import COND_LIMIT
 
 from conftest import random_channel_set
 
 
-def closed_sinr(cs, scheme, link, alloc, rho):
-    """The package's closed-form SINRs (L, K) of an allocation."""
-    return build_pc_system(cross_gram(cs), scheme, link, rho).sinr(alloc.eta)
+def closed_sinr(cs, scheme, link, eta, rho):
+    """The package's closed-form SINRs (L, K) of the (L, K) powers eta."""
+    return build_pc_system(cross_gram(cs), scheme, link, rho).sinr(eta)
 
 
 def _random_matrix(rng, antennas=16, users=4):
     return (rng.standard_normal((antennas, users)) + 1j * rng.standard_normal((antennas, users))) / np.sqrt(2 * antennas)
-
-
-class TestAllocations:
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            dl_allocation(np.array([[0.5, -0.1]]))
-
-    def test_rejects_norm_violation(self):
-        with pytest.raises(ValueError):
-            dl_allocation(np.array([[0.7, 0.7]]))  # 1-norm > 1
-        with pytest.raises(ValueError):
-            ul_allocation(np.array([[1.2, 0.3]]))  # inf-norm > 1
-
-    def test_rejects_nan(self):
-        # NaN compares False both to 0 and to the norm bound
-        for allocation in (dl_allocation, ul_allocation):
-            with pytest.raises(ValueError):
-                allocation(np.array([[np.nan, 0.1]]))
-
-    def test_ul_total_above_one_allowed(self):
-        alloc = ul_allocation(np.array([[1.0, 1.0, 1.0]]))
-        assert np.allclose(alloc.per_cell_norms(), 1.0)
-
-    def test_rejects_unknown_link(self):
-        with pytest.raises(ValueError, match="unknown link"):
-            PowerAllocation(eta=np.full((2, 3), 0.2), link="total")
 
 
 class TestPrecoders:
@@ -181,8 +153,8 @@ class TestClosedFormDegenerateCases:
         cs = random_channel_set(rng, cells=1, users=1)
         g = cs.serving(0)[:, 0]
         rho = 15.0
-        dl = dl_allocation(np.array([[0.8]]))
-        ul = ul_allocation(np.array([[0.6]]))
+        dl = np.array([[0.8]])
+        ul = np.array([[0.6]])
         expected_dl = rho * 0.8 * np.linalg.norm(g) ** 2
         expected_ul = rho * 0.6 * np.linalg.norm(g) ** 2
         assert closed_sinr(cs, "MR", "DL", dl, rho)[0, 0] == pytest.approx(expected_dl, rel=1e-12)
@@ -195,7 +167,7 @@ class TestClosedFormDegenerateCases:
         cs = ChannelSet(matrices=q[None, None])
         rho = 30.0
         eta = rng.uniform(0.01, 0.25, (1, 4))
-        values = closed_sinr(cs, "MR", "DL", dl_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "DL", eta, rho)
         expected = rho * eta[0] * np.linalg.norm(q, axis=0) ** 2
         assert np.allclose(values[0], expected, rtol=1e-10)
 
@@ -205,7 +177,7 @@ class TestClosedFormDegenerateCases:
         eta[0, 1] = 1.0
         rho = 12.0
         g = cs.serving(0)[:, 1]
-        values = closed_sinr(cs, "MR", "UL", ul_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "UL", eta, rho)
         # only noise in the denominator for the active user
         assert values[0, 1] == pytest.approx(rho * np.linalg.norm(g) ** 2, rel=1e-12)
 
@@ -214,11 +186,11 @@ class TestClosedFormDegenerateCases:
         g = q * rng.uniform(0.5, 2.0, 4)[None, :]
         cs = ChannelSet(matrices=g[None, None])
         rho = 25.0
-        dl = dl_allocation(rng.uniform(0.01, 0.25, (1, 4)))
-        ul = ul_allocation(rng.uniform(0.1, 1.0, (1, 4)))
-        for link, alloc in (("DL", dl), ("UL", ul)):
-            mr = closed_sinr(cs, "MR", link, alloc, rho)
-            assert np.allclose(mr, closed_sinr(cs, "ZF", link, alloc, rho), rtol=1e-10)
+        dl = rng.uniform(0.01, 0.25, (1, 4))
+        ul = rng.uniform(0.1, 1.0, (1, 4))
+        for link, eta in (("DL", dl), ("UL", ul)):
+            mr = closed_sinr(cs, "MR", link, eta, rho)
+            assert np.allclose(mr, closed_sinr(cs, "ZF", link, eta, rho), rtol=1e-10)
 
 
 class TestClosedFormProperties:
@@ -226,12 +198,11 @@ class TestClosedFormProperties:
     def test_interferer_power_monotonicity(self, rng, scheme, link):
         cs = random_channel_set(rng, cells=2, users=3)
         rho = 10.0
-        make = dl_allocation if link == "DL" else ul_allocation
         base = rng.uniform(0.05, 0.15, (2, 3)) if link == "DL" else rng.uniform(0.2, 0.5, (2, 3))
-        lo = closed_sinr(cs, scheme, link, make(base), rho)
+        lo = closed_sinr(cs, scheme, link, base, rho)
         bumped = base.copy()
         bumped[1, 2] *= 1.5
-        hi = closed_sinr(cs, scheme, link, make(bumped), rho)
+        hi = closed_sinr(cs, scheme, link, bumped, rho)
         mask = np.ones((2, 3), dtype=bool)
         mask[1, 2] = False
         assert np.all(hi[mask] <= lo[mask] + 1e-12)
@@ -243,10 +214,9 @@ class TestClosedFormProperties:
         c = 0.37
         scaled = ChannelSet(matrices=c * cs.matrices)
         rho = 40.0
-        make = dl_allocation if link == "DL" else ul_allocation
-        alloc = make(rng.uniform(0.05, 0.2, (2, 3)))
-        direct = closed_sinr(scaled, scheme, link, alloc, rho)
-        equivalent = closed_sinr(cs, scheme, link, alloc, rho * c**2)
+        eta = rng.uniform(0.05, 0.2, (2, 3))
+        direct = closed_sinr(scaled, scheme, link, eta, rho)
+        equivalent = closed_sinr(cs, scheme, link, eta, rho * c**2)
         assert np.allclose(direct, equivalent, rtol=1e-12)
 
     def test_mr_dl_brute_force_oracle(self, rng):
@@ -254,7 +224,7 @@ class TestClosedFormProperties:
         cs = random_channel_set(rng, cells=3, users=2, antennas=8)
         rho = 17.0
         eta = rng.uniform(0.05, 0.3, (3, 2))
-        values = closed_sinr(cs, "MR", "DL", dl_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "DL", eta, rho)
         for l in range(3):
             for k in range(2):
                 g_own = cs.matrices[l, l][:, k]
@@ -278,7 +248,7 @@ class TestClosedFormProperties:
         cs = random_channel_set(rng, cells=3, users=2, antennas=8)
         rho = 9.0
         eta = rng.uniform(0.1, 1.0, (3, 2))
-        values = closed_sinr(cs, "MR", "UL", ul_allocation(eta), rho)
+        values = closed_sinr(cs, "MR", "UL", eta, rho)
         for l in range(3):
             for k in range(2):
                 g_own = cs.matrices[l, l][:, k]
@@ -296,7 +266,7 @@ class TestClosedFormProperties:
         cs = random_channel_set(rng, cells=2, users=3, antennas=12)
         rho = 11.0
         eta = rng.uniform(0.1, 1.0, (2, 3))
-        values = closed_sinr(cs, "ZF", "UL", ul_allocation(eta), rho)
+        values = closed_sinr(cs, "ZF", "UL", eta, rho)
         for l in range(2):
             g = cs.matrices[l, l]
             igram = np.linalg.inv(g.conj().T @ g)
@@ -315,7 +285,7 @@ class TestClosedFormProperties:
         cs = random_channel_set(rng, cells=2, users=3, antennas=12)
         rho = 13.0
         eta = rng.uniform(0.05, 0.3, (2, 3))
-        values = closed_sinr(cs, "ZF", "DL", dl_allocation(eta), rho)
+        values = closed_sinr(cs, "ZF", "DL", eta, rho)
         for l in range(2):
             g_own = cs.matrices[l, l]
             igram_own = np.linalg.inv(g_own.conj().T @ g_own)

@@ -22,7 +22,6 @@ from losmimo import (
     build_pc_system,
     circular_array,
     cross_gram,
-    dl_allocation,
     drop_users,
     gram_inverse,
     hex_centers,
@@ -31,7 +30,6 @@ from losmimo import (
     solve_drop,
     solve_targets,
     stream_cross_gram,
-    ul_allocation,
     wavelength_m,
 )
 
@@ -63,12 +61,11 @@ def _reference_system(cs, scheme, link, rho):
     SINR_i = (d_i / 2) / (1 + C_ij / 2)."""
     cells, users = cs.cell_count, cs.users_per_cell
     n = cells * users
-    make = dl_allocation if link == "DL" else ul_allocation
 
     def sinr(*active):
         eta = np.zeros(n)
         eta[list(active)] = 0.5
-        return evaluate_sinr(cs, scheme, link, make(eta.reshape(cells, users)), rho).values.ravel()
+        return evaluate_sinr(cs, scheme, link, eta.reshape(cells, users), rho).values.ravel()
 
     d = np.array([2.0 * sinr(j)[j] for j in range(n)])
     c = np.zeros((n, n))
@@ -87,8 +84,7 @@ class TestSystemStructure:
             cs = random_channel_set(rng, cells=3, users=2, antennas=12)
             system = build_pc_system(cross_gram(cs), scheme, link, 20.0)
             eta = _admissible_eta(rng, 3, 2, link)
-            make = dl_allocation if link == "DL" else ul_allocation
-            closed = evaluate_sinr(cs, scheme, link, make(eta), 20.0).values.ravel()
+            closed = evaluate_sinr(cs, scheme, link, eta, 20.0).values.ravel()
             flat = eta.ravel()
             assert np.allclose(closed, system.d * flat / (1.0 + system.c @ flat), rtol=1e-10)
             assert np.allclose(closed, system.sinr(flat), rtol=1e-10)
@@ -562,7 +558,7 @@ class TestSingleCellClosedForms:
             igram = np.linalg.inv(g.conj().T @ g)
             sinr = rho / np.sum(xg.inv_diag[0])
             assert sinr == pytest.approx(rho / np.sum(np.real(np.diag(igram))), rel=1e-12)
-            values = build_pc_system(xg, "ZF", "DL", rho).sinr(dl_allocation(eta[None, :]).eta)
+            values = build_pc_system(xg, "ZF", "DL", rho).sinr(eta[None, :])
             assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_ul_normalization_and_equal_sinr(self, rng):
@@ -573,7 +569,7 @@ class TestSingleCellClosedForms:
             eta = single_cell_zf_maxmin(xg.inv_diag, "UL")[0]
             sinr = rho / np.max(xg.inv_diag[0])
             assert np.max(eta) == 1.0  # worst user at full power, exactly
-            values = build_pc_system(xg, "ZF", "UL", rho).sinr(ul_allocation(eta[None, :]).eta)
+            values = build_pc_system(xg, "ZF", "UL", rho).sinr(eta[None, :])
             assert np.allclose(values[0], sinr, rtol=1e-10)
 
     def test_symmetric_channels_give_uniform_power(self, rng):

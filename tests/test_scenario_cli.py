@@ -232,12 +232,6 @@ class TestRunScenario:
         assert list(table.series) == list(parts)
         for name, arrays in parts.items():
             assert np.array_equal(table.series[name], np.sort(np.concatenate(arrays)))
-        # samples added after a finalize merge with the sorted ones
-        table.add("MR DL", np.array([-1e9, 1e9]))
-        table.finalize()
-        assert list(table.series) == list(parts)
-        assert np.array_equal(table.series["MR DL"],
-                              np.sort(np.concatenate(parts["MR DL"] + [[-1e9, 1e9]])))
 
     def test_rank_deficient_drop_resampled_with_two_workers(self, set_workers, monkeypatch):
         set_workers(2)
