@@ -8,10 +8,10 @@ The lambda/(4 pi) amplitude makes the per-antenna power gain equal to the
 inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
 plain transmit-power-to-noise-power ratios.
 
-Power control sees a drop only through its `CrossGram`: `cross_gram` of a
-`ChannelSet`, or `stream_cross_gram` straight from the geometry. The
-geometry is plain arrays: `antennas` (L, M, 3) holds each base station's
-antenna positions, `users` (L, K, 3) each cell's user positions.
+Power control sees a drop only through its `CrossGram`: `cross_gram` of
+the (L, L, M, K) channel tensor, or `stream_cross_gram` straight from the
+geometry. The geometry is plain arrays: `antennas` (L, M, 3) holds each base
+station's antenna positions, `users` (L, K, 3) each cell's user positions.
 """
 
 import os
@@ -72,25 +72,15 @@ def link_budget(
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All L*L channel matrices of one drop.
+    """`build_channel_set`'s result: all L*L channel matrices of one drop.
+    Every consumer takes the plain array; the type remains only because
+    perfbench's `_count_exponentials` hook reads `.matrices` from this result.
 
     matrices[l, lp] is the M x K matrix of channels from the K users served
     by cell lp to the M antennas of base station l.
     """
 
     matrices: np.ndarray  # (L, L, M, K) complex128
-
-    @property
-    def cell_count(self) -> int:
-        return self.matrices.shape[0]
-
-    @property
-    def users_per_cell(self) -> int:
-        return self.matrices.shape[3]
-
-    def serving(self, cell: int) -> np.ndarray:
-        """M x K matrix between cell's own base station and its users."""
-        return self.matrices[cell, cell]
 
 
 def station_channels(
@@ -135,6 +125,11 @@ def _pool() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="losmimo-station")
 
 
+# a forked child inherits the pool but none of its threads: it makes its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
 def _each_station(antennas: np.ndarray, users: np.ndarray, wavelength: float, visit) -> None:
     """Call visit(l, block) on each base station l's (L, M, K) channels from
     the antennas (L, M, 3) and the users (L, K, 3), built by
@@ -148,6 +143,9 @@ def _each_station(antennas: np.ndarray, users: np.ndarray, wavelength: float, vi
     if antennas.shape[-1] != 3 or users.shape[-1] != 3:
         raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
                                  "need 3 coordinates on their last axis")
+    if 0 in antennas.shape[:2] or 0 in users.shape[:2]:
+        raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
+                                 "need at least one station, antenna and user")
     shape = (cells, antennas.shape[1], users.shape[1])
 
     def share(stations):
@@ -206,12 +204,12 @@ def _gram_row(z: np.ndarray, l: int, block: np.ndarray) -> None:
     np.matmul(block[l].conj().T, block, out=z[l])
 
 
-def cross_gram(channels: ChannelSet) -> CrossGram:
-    """Cross-Gram products, one serving cell at a time so the only transient
-    is that cell's conjugated M x K matrix."""
-    cells, users = channels.cell_count, channels.users_per_cell
+def cross_gram(channels: np.ndarray) -> CrossGram:
+    """Cross-Gram products of the (L, L, M, K) channels, one serving cell at
+    a time so the only transient is that cell's conjugated M x K matrix."""
+    cells, users = channels.shape[0], channels.shape[3]
     z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    for l, block in enumerate(channels.matrices):
+    for l, block in enumerate(channels):
         _gram_row(z, l, block)
     return CrossGram(z=z)
 

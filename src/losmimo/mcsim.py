@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet
 from .linproc import DOWNLINK, NORM_SLACK, UPLINK, decoder, per_cell_norms, precoder
 
 _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
@@ -94,11 +93,10 @@ def _chunks(n_symbols: int, per_symbol: int):
         done += chunk
 
 
-def _setup(channels: ChannelSet, serving: list, scheme: str, link: str, eta: np.ndarray,
-           rho: float):
+def _setup(channels: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: float):
     """Validate one check and return its (mix, coef, noise_map); its
     precoders or decoders are freed on return, before the first draw."""
-    cells, users = channels.cell_count, channels.users_per_cell
+    cells, users = channels.shape[0], channels.shape[3]
     eta = np.asarray(eta, dtype=float)
     if link not in (DOWNLINK, UPLINK):
         raise ValueError(f"unknown link {link!r}")
@@ -115,29 +113,29 @@ def _setup(channels: ChannelSet, serving: list, scheme: str, link: str, eta: np.
     # noise_map[l] maps the r noise draws of cell l to them; on the
     # downlink (None) the users' noise is received as drawn.
     if link == DOWNLINK:
-        precoders = np.stack([precoder(g, scheme, e) for g, e in zip(serving, eta)])
-        eff = root_rho * (channels.matrices.transpose(1, 0, 3, 2) @ precoders)
+        precoders = np.stack([precoder(channels[l, l], scheme, eta[l]) for l in range(cells)])
+        eff = root_rho * (channels.transpose(1, 0, 3, 2) @ precoders)
         noise_map = None
     else:
-        decoders = [decoder(g, scheme) for g in serving]
+        decoders = [decoder(channels[l, l], scheme) for l in range(cells)]
         # sqrt(eta) is applied at the transmitters, column (lp, k') of eff
-        eff = np.stack([decoders[l] @ channels.matrices[l] for l in range(cells)])
+        eff = np.stack([decoders[l] @ channels[l] for l in range(cells)])
         eff *= root_rho * np.sqrt(eta)[None, :, None, :]
-        noise_map = np.stack([noise_factor(a, g) for a, g in zip(decoders, serving)])
+        noise_map = np.stack([noise_factor(decoders[l], channels[l, l]) for l in range(cells)])
     mix = eff.transpose(0, 2, 1, 3).reshape(cells * users, -1)  # row (l, k), column (lp, k')
     return mix, np.real(np.diagonal(mix)).reshape(cells, users), noise_map
 
 
 def simulate(
-    channels: ChannelSet,
+    channels: np.ndarray,
     checks: Sequence[tuple[str, str, np.ndarray, float]],
     n_symbols: int,
     seed: int,
 ) -> list[SimResult]:
-    """Simulate the transmission equation of each check's link and measure
-    per-user SINR; `checks` is a sequence of (scheme, link, eta, rho), eta
-    the (L, K) powers and rho that link's normalized SNR. Returns one
-    `SimResult` per check, in order.
+    """Simulate the transmission equation of each check's link over the
+    (L, L, M, K) channels and measure per-user SINR; `checks` is a sequence
+    of (scheme, link, eta, rho), eta the (L, K) powers and rho that link's
+    normalized SNR. Returns one `SimResult` per check, in order.
 
     Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
     each user receives every cell's signal plus unit noise. Uplink: each user
@@ -153,10 +151,9 @@ def simulate(
         raise ValueError("n_symbols must be >= 1")
     if not checks:
         raise ValueError("simulate needs at least one check")
-    cells, users = channels.cell_count, channels.users_per_cell
-    serving = [channels.serving(l) for l in range(cells)]
+    cells, users = channels.shape[0], channels.shape[3]
     n = cells * users
-    setups = [(*_setup(channels, serving, *check), _Moments((cells, users))) for check in checks]
+    setups = [(*_setup(channels, *check), _Moments((cells, users))) for check in checks]
 
     rng = np.random.default_rng(seed)
     for nc in _chunks(n_symbols, n):

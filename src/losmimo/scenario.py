@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, CrossGram, build_channel_set, cross_gram, stream_cross_gram
+from .channel import CrossGram, build_channel_set, cross_gram, stream_cross_gram
 from .channel import wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
@@ -84,11 +84,11 @@ def _geometry(cfg: ScenarioConfig) -> tuple[float, np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class Drop:
     """One drop's cross-Gram products, the power-control system of each
-    requested (scheme, link) pair, and its channel tensor when kept."""
+    requested (scheme, link) pair, and its (L, L, M, K) channels when kept."""
 
     xg: CrossGram
     systems: dict[tuple[str, str], PcSystem]
-    channels: ChannelSet | None
+    channels: np.ndarray | None
 
 
 def solve_drop(cfg: ScenarioConfig, geometry: tuple, seed: int,
@@ -100,7 +100,7 @@ def solve_drop(cfg: ScenarioConfig, geometry: tuple, seed: int,
     wl, centers, antennas = geometry
     users = drop_users(centers, cfg.cell_radius_m, cfg.users_per_cell, cfg.min_bs_distance_m,
                        cfg.user_height_m, seed)
-    channels = build_channel_set(antennas, users, wl) if keep_channels else None
+    channels = build_channel_set(antennas, users, wl).matrices if keep_channels else None
     xg = stream_cross_gram(antennas, users, wl) if channels is None else cross_gram(channels)
     rho = cfg.rho()
     return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}, channels)

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 import losmimo.channel
-from losmimo import ChannelSet
 
 
-def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> ChannelSet:
-    """Random i.i.d. complex Gaussian channel set, scaled so per-column
-    norms are O(1) and SINRs land in a moderate range."""
+def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> np.ndarray:
+    """Random i.i.d. complex Gaussian (L, L, M, K) channels, scaled so
+    per-column norms are O(1) and SINRs land in a moderate range."""
     if scale is None:
         scale = 1.0 / np.sqrt(2 * antennas)
     shape = (cells, cells, antennas, users)
     g = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return ChannelSet(matrices=g)
+    return g
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from losmimo import ChannelSet
 from losmimo.linproc import MR
 
 
@@ -31,14 +30,14 @@ def _mean_and_stderr(values):
 
 
 def simulate_uplink_per_antenna(
-    channels: ChannelSet, scheme: str, eta: np.ndarray, rho: float, n_symbols: int,
+    channels: np.ndarray, scheme: str, eta: np.ndarray, rho: float, n_symbols: int,
     seed: int,
 ) -> UplinkReference:
     """Base station l receives y_l = sqrt(rho) sum_lp H[l, lp] sqrt(eta_lp) s_lp
     + w_l with w_l ~ CN(0, I_M), eta the (L, K) uplink powers, and decodes
     A_l y_l, A_l = G^H (MR) or (G^H G)^-1 G^H (ZF)."""
     eta = np.asarray(eta, dtype=float)
-    cells, _, antennas, users = channels.matrices.shape
+    cells, _, antennas, users = channels.shape
     rng = np.random.default_rng(seed)
     symbols = _complex_normal(rng, (cells, users, n_symbols))
     noise = _complex_normal(rng, (cells, antennas, n_symbols))
@@ -46,9 +45,9 @@ def simulate_uplink_per_antenna(
     shape = (cells, users)
     sinr, sinr_stderr, noise_power, noise_stderr = (np.empty(shape) for _ in range(4))
     for l in range(cells):
-        g = channels.serving(l)
+        g = channels[l, l]
         decoder = g.conj().T if scheme == MR else np.linalg.solve(g.conj().T @ g, g.conj().T)
-        received = sum(channels.matrices[l, lp] @ sent[lp] for lp in range(cells)) + noise[l]
+        received = sum(channels[l, lp] @ sent[lp] for lp in range(cells)) + noise[l]
         decoded = decoder @ received
         coef = np.real(np.diag(decoder @ g)) * np.sqrt(rho * eta[l])
         p_in, p_in_stderr = _mean_and_stderr(np.abs(decoded - coef[:, None] * symbols[l]) ** 2)

@@ -147,8 +147,8 @@ class TestChannelSet:
     @pytest.mark.parametrize("build", [build_channel_set, stream_cross_gram],
                              ids=lambda build: build.__name__)
     def test_stations_and_users_of_different_cell_counts_raise(self, build):
-        # the cell count and the 3 coordinates are read from both arrays,
-        # and nothing else checks them
+        # the cell count, the 3 coordinates and nonempty axes are read from
+        # both arrays, and nothing else checks them
         arrays, drop, wl = _small_scene()
         with pytest.raises(ConfigurationError, match="disagree on cell count"):
             build(arrays, drop[:6], wl)
@@ -156,6 +156,13 @@ class TestChannelSet:
             build(arrays, drop[..., :2], wl)
         with pytest.raises(ConfigurationError, match=r"\(7, 32, 2\).*\(7, 4, 3\)"):
             build(arrays[..., :2], drop, wl)
+        # an empty station, antenna or user axis
+        with pytest.raises(ConfigurationError, match=r"\(0, 32, 3\).*\(0, 4, 3\)"):
+            build(arrays[:0], drop[:0], wl)
+        with pytest.raises(ConfigurationError, match=r"\(7, 0, 3\).*\(7, 4, 3\)"):
+            build(arrays[:, :0], drop, wl)
+        with pytest.raises(ConfigurationError, match=r"\(7, 32, 3\).*\(7, 0, 3\)"):
+            build(arrays, drop[:, :0], wl)
 
     def test_deterministic(self):
         arrays, drop, wl = _small_scene()

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from losmimo import (
-    ChannelSet,
     DegenerateChannelError,
     SingularChannelError,
     build_pc_system,
@@ -151,7 +150,7 @@ class TestDecoders:
 class TestClosedFormDegenerateCases:
     def test_single_user_single_cell(self, rng):
         cs = random_channel_set(rng, cells=1, users=1)
-        g = cs.serving(0)[:, 0]
+        g = cs[0, 0][:, 0]
         rho = 15.0
         dl = np.array([[0.8]])
         ul = np.array([[0.6]])
@@ -164,7 +163,7 @@ class TestClosedFormDegenerateCases:
 
     def test_orthogonal_channels_no_intra_interference(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
-        cs = ChannelSet(matrices=q[None, None])
+        cs = q[None, None]
         rho = 30.0
         eta = rng.uniform(0.01, 0.25, (1, 4))
         values = closed_sinr(cs, "MR", "DL", eta, rho)
@@ -176,7 +175,7 @@ class TestClosedFormDegenerateCases:
         eta = np.zeros((1, 3))
         eta[0, 1] = 1.0
         rho = 12.0
-        g = cs.serving(0)[:, 1]
+        g = cs[0, 0][:, 1]
         values = closed_sinr(cs, "MR", "UL", eta, rho)
         # only noise in the denominator for the active user
         assert values[0, 1] == pytest.approx(rho * np.linalg.norm(g) ** 2, rel=1e-12)
@@ -184,7 +183,7 @@ class TestClosedFormDegenerateCases:
     def test_mr_zf_agree_for_orthogonal_single_cell(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
         g = q * rng.uniform(0.5, 2.0, 4)[None, :]
-        cs = ChannelSet(matrices=g[None, None])
+        cs = g[None, None]
         rho = 25.0
         dl = rng.uniform(0.01, 0.25, (1, 4))
         ul = rng.uniform(0.1, 1.0, (1, 4))
@@ -212,7 +211,7 @@ class TestClosedFormProperties:
         # scaling all channels by c is the same as scaling rho by |c|^2
         cs = random_channel_set(rng, cells=2, users=3)
         c = 0.37
-        scaled = ChannelSet(matrices=c * cs.matrices)
+        scaled = c * cs
         rho = 40.0
         eta = rng.uniform(0.05, 0.2, (2, 3))
         direct = closed_sinr(scaled, scheme, link, eta, rho)
@@ -227,20 +226,20 @@ class TestClosedFormProperties:
         values = closed_sinr(cs, "MR", "DL", eta, rho)
         for l in range(3):
             for k in range(2):
-                g_own = cs.matrices[l, l][:, k]
+                g_own = cs[l, l][:, k]
                 sp = rho * eta[l, k] * np.linalg.norm(g_own) ** 2
                 denom = 1.0
                 for kp in range(2):
                     if kp == k:
                         continue
-                    gp = cs.matrices[l, l][:, kp]
+                    gp = cs[l, l][:, kp]
                     denom += rho * eta[l, kp] * abs(g_own.conj() @ gp) ** 2 / np.linalg.norm(gp) ** 2
                 for lp in range(3):
                     if lp == l:
                         continue
-                    g_cross = cs.matrices[lp, l][:, k]
+                    g_cross = cs[lp, l][:, k]
                     for kp in range(2):
-                        gp = cs.matrices[lp, lp][:, kp]
+                        gp = cs[lp, lp][:, kp]
                         denom += rho * eta[lp, kp] * abs(g_cross.conj() @ gp) ** 2 / np.linalg.norm(gp) ** 2
                 assert values[l, k] == pytest.approx(sp / denom, rel=1e-12)
 
@@ -251,14 +250,14 @@ class TestClosedFormProperties:
         values = closed_sinr(cs, "MR", "UL", eta, rho)
         for l in range(3):
             for k in range(2):
-                g_own = cs.matrices[l, l][:, k]
+                g_own = cs[l, l][:, k]
                 n2 = np.linalg.norm(g_own) ** 2
                 acc = 0.0
                 for lp in range(3):
                     for kp in range(2):
                         if lp == l and kp == k:
                             continue
-                        acc += eta[lp, kp] * abs(g_own.conj() @ cs.matrices[l, lp][:, kp]) ** 2
+                        acc += eta[lp, kp] * abs(g_own.conj() @ cs[l, lp][:, kp]) ** 2
                 expected = rho * eta[l, k] * n2 / (1 + rho / n2 * acc)
                 assert values[l, k] == pytest.approx(expected, rel=1e-12)
 
@@ -268,14 +267,14 @@ class TestClosedFormProperties:
         eta = rng.uniform(0.1, 1.0, (2, 3))
         values = closed_sinr(cs, "ZF", "UL", eta, rho)
         for l in range(2):
-            g = cs.matrices[l, l]
+            g = cs[l, l]
             igram = np.linalg.inv(g.conj().T @ g)
             for k in range(3):
                 op = 0.0
                 for lp in range(2):
                     if lp == l:
                         continue
-                    b = igram @ g.conj().T @ cs.matrices[l, lp]
+                    b = igram @ g.conj().T @ cs[l, lp]
                     for kp in range(3):
                         op += abs(b[k, kp]) ** 2 * eta[lp, kp]
                 expected = rho * eta[l, k] / (np.real(igram[k, k]) + rho * op)
@@ -287,16 +286,16 @@ class TestClosedFormProperties:
         eta = rng.uniform(0.05, 0.3, (2, 3))
         values = closed_sinr(cs, "ZF", "DL", eta, rho)
         for l in range(2):
-            g_own = cs.matrices[l, l]
+            g_own = cs[l, l]
             igram_own = np.linalg.inv(g_own.conj().T @ g_own)
             for k in range(3):
                 op = 0.0
                 for lp in range(2):
                     if lp == l:
                         continue
-                    g_int = cs.matrices[lp, lp]
+                    g_int = cs[lp, lp]
                     igram = np.linalg.inv(g_int.conj().T @ g_int)
-                    row = cs.matrices[lp, l][:, k].conj() @ g_int @ igram
+                    row = cs[lp, l][:, k].conj() @ g_int @ igram
                     for kp in range(3):
                         op += abs(row[kp]) ** 2 / np.real(igram[kp, kp]) * eta[lp, kp]
                 expected = rho * eta[l, k] / ((1 + rho * op) * np.real(igram_own[k, k]))

@@ -45,7 +45,7 @@ class TestUplink:
     def test_single_user_matches_closed_form(self, rng):
         cs = random_channel_set(rng, cells=1, users=1)
         rho = 10.0
-        g = cs.serving(0)[:, 0]
+        g = cs[0, 0][:, 0]
         expected = rho * 0.7 * np.linalg.norm(g) ** 2
         result = simulate(cs, [("MR", "UL", np.array([[0.7]]), rho)], N, seed=5)[0]
         assert abs(result.sinr[0, 0] - expected) < 3 * result.sinr_stderr[0, 0]
@@ -54,7 +54,7 @@ class TestUplink:
         # silent users: decoded noise variance converges to the inverse Gram diagonal
         cs = random_channel_set(rng, cells=1, users=3)
         result = simulate(cs, [("ZF", "UL", np.zeros((1, 3)), 10.0)], N, seed=5)[0]
-        g = cs.serving(0)
+        g = cs[0, 0]
         expected = np.real(np.diag(np.linalg.inv(g.conj().T @ g)))
         assert np.allclose(result.interference_noise_power[0], expected, rtol=0.05)
 
@@ -62,7 +62,7 @@ class TestUplink:
         # silent users: MR decoded noise variance converges to the squared channel norms
         cs = random_channel_set(rng, cells=1, users=3)
         result = simulate(cs, [("MR", "UL", np.zeros((1, 3)), 10.0)], N, seed=5)[0]
-        expected = np.linalg.norm(cs.serving(0), axis=0) ** 2
+        expected = np.linalg.norm(cs[0, 0], axis=0) ** 2
         assert np.allclose(result.interference_noise_power[0], expected, rtol=0.05)
 
 
@@ -73,7 +73,7 @@ FACTORED = [("MR", 6), ("ZF", 6), ("MR", 2)]
 class TestFactoredUplinkNoise:
     @pytest.mark.parametrize("scheme,antennas", FACTORED)
     def test_decoder_is_factor_times_basis(self, rng, scheme, antennas):
-        g = random_channel_set(rng, cells=1, users=3, antennas=antennas).serving(0)
+        g = random_channel_set(rng, cells=1, users=3, antennas=antennas)[0, 0]
         a = decoder(g, scheme)
         factor = noise_factor(a, g)
         basis = np.linalg.qr(g)[0]

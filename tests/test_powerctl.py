@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 import threading
 from functools import cache
@@ -11,7 +12,6 @@ import losmimo.channel
 import losmimo.powerctl
 import losmimo.scenario
 from losmimo import (
-    ChannelSet,
     ConfigurationError,
     MaxminError,
     PcSystem,
@@ -59,7 +59,7 @@ def _reference_system(cs, scheme, link, rho):
     """(d, C) read back from the reference SINR formulas: with half power on
     user j alone, SINR_j = d_j / 2; with half power on users i and j,
     SINR_i = (d_i / 2) / (1 + C_ij / 2)."""
-    cells, users = cs.cell_count, cs.users_per_cell
+    cells, users = cs.shape[0], cs.shape[3]
     n = cells * users
 
     def sinr(*active):
@@ -114,7 +114,7 @@ class TestSystemStructure:
         xg = cross_gram(cs)
         for l in range(3):
             for lp in range(3):
-                assert np.allclose(xg.z[l, lp], cs.serving(l).conj().T @ cs.matrices[l, lp],
+                assert np.allclose(xg.z[l, lp], cs[l, l].conj().T @ cs[l, lp],
                                    rtol=1e-13, atol=1e-15)
         # xg keeps its inverses once a ZF system has read them; a fresh one has none yet
         for scheme, link in ALL_SCHEMES:
@@ -150,7 +150,7 @@ class TestSystemStructure:
         xg.inv_diag
         assert calls == [threading.current_thread()] * 3
         for l in range(3):
-            serving = cs.serving(l)
+            serving = cs[l, l]
             assert np.array_equal(xg.igram[l], gram_inverse(serving.conj().T @ serving))
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
@@ -197,21 +197,21 @@ class TestStreamCrossGram:
                                                         antennas, users):
         set_workers(workers)
         arrays, drop, wl = _scene(antennas, users)
-        channels = build_channel_set(arrays, drop, wl)
+        channels = build_channel_set(arrays, drop, wl).matrices
         want = cross_gram(channels)
         got = stream_cross_gram(arrays, drop, wl)
         assert np.array_equal(got.z, want.z)
         assert np.array_equal(got.igram, want.igram)
         # z[l, l] is the Gram matrix G^H G, so each inverse is that of G^H G
         for l in range(7):
-            serving = channels.serving(l)
+            serving = channels[l, l]
             assert np.array_equal(got.igram[l], gram_inverse(serving.conj().T @ serving))
 
     def test_mr_allows_more_users_than_antennas(self, set_workers):
         set_workers(2)
         arrays, drop, wl = _scene(antennas=2, users=3)
         got = stream_cross_gram(arrays, drop, wl)
-        assert np.array_equal(got.z, cross_gram(build_channel_set(arrays, drop, wl)).z)
+        assert np.array_equal(got.z, cross_gram(build_channel_set(arrays, drop, wl).matrices).z)
         with pytest.raises(SingularChannelError):  # only ZF, which needs K <= M, reads these
             got.igram
 
@@ -283,12 +283,36 @@ class TestStreamCrossGram:
         assert 1 <= len(pool_threads) <= 2  # WORKERS - 1
         assert all(thread.name.startswith("losmimo-station") for thread in pool_threads)
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="needs the fork start method")
+    def test_process_forked_after_a_drop_builds_its_own(self, set_workers):
+        # a forked child inherits the parent's pool object but none of its
+        # threads: a share submitted to that pool would never run
+        set_workers(2)
+        arrays, drop, wl = _scene(32, 4)
+        want = stream_cross_gram(arrays, drop, wl).z
+        fork = multiprocessing.get_context("fork")
+        receiver, sender = fork.Pipe(duplex=False)
+        child = fork.Process(target=lambda: sender.send(stream_cross_gram(arrays, drop, wl).z))
+        child.start()
+        try:
+            child.join(timeout=60)
+            assert child.exitcode == 0
+            assert receiver.poll(60)
+            assert np.array_equal(receiver.recv(), want)
+        finally:
+            if child.is_alive():
+                child.terminate()
+                child.join()
+            receiver.close()
+            sender.close()
+
     def test_concurrent_callers_under_fast_thread_switching(self, set_workers):
         # more workers than cores, three callers at once, a switch every microsecond:
         # a row written by the wrong share or a buffer shared across threads shows in z
         set_workers(4)
         scenes = [_scene(32, 4, seed=seed) for seed in (1, 2, 3)]
-        want = [cross_gram(build_channel_set(*scene)) for scene in scenes]
+        want = [cross_gram(build_channel_set(*scene).matrices) for scene in scenes]
         failures = []
 
         def caller(i):
@@ -320,7 +344,7 @@ class TestSolveTargets:
     def test_scalar_case(self, rng):
         cs = random_channel_set(rng, cells=1, users=1)
         rho = 8.0
-        gain = np.linalg.norm(cs.serving(0)) ** 2
+        gain = np.linalg.norm(cs[0, 0]) ** 2
         system = build_pc_system(cross_gram(cs), "MR", "DL", rho)
         zeta = 0.5 * rho * gain
         sol = solve_targets(system, np.array([zeta]))
@@ -367,7 +391,7 @@ class TestMaxmin:
     def test_scalar_optimum(self, rng):
         cs = random_channel_set(rng, cells=1, users=1)
         rho = 8.0
-        gain = np.linalg.norm(cs.serving(0)) ** 2
+        gain = np.linalg.norm(cs[0, 0]) ** 2
         result = maxmin_common_target(build_pc_system(cross_gram(cs), "MR", "DL", rho))
         assert result.target == pytest.approx(rho * gain, rel=1e-9)
 
@@ -529,13 +553,12 @@ class TestMaxminProperties:
         cells, users = 3, 4
         cs = random_channel_set(rng, cells=cells, users=users, antennas=12)
         perms = [rng.permutation(users) for _ in range(cells)]
-        permuted = cs.matrices.copy()
+        permuted = cs.copy()
         for l, perm in enumerate(perms):
-            permuted[:, l] = cs.matrices[:, l][..., perm]
+            permuted[:, l] = cs[:, l][..., perm]
         flat_perm = np.concatenate([l * users + perm for l, perm in enumerate(perms)])
-        cs_perm = ChannelSet(matrices=permuted)
         system = build_pc_system(cross_gram(cs), scheme, link, 10.0)
-        system_perm = build_pc_system(cross_gram(cs_perm), scheme, link, 10.0)
+        system_perm = build_pc_system(cross_gram(permuted), scheme, link, 10.0)
         eta = _admissible_eta(rng, cells, users, link).ravel()
         assert np.allclose(system_perm.sinr(eta[flat_perm]), system.sinr(eta)[flat_perm],
                            rtol=1e-12)
@@ -550,7 +573,7 @@ class TestSingleCellClosedForms:
     def test_dl_normalization_and_equal_sinr(self, rng):
         for _ in range(10):
             cs = random_channel_set(rng, cells=1, users=4, antennas=16)
-            g = cs.serving(0)
+            g = cs[0, 0]
             rho = 12.0
             xg = cross_gram(cs)
             eta = single_cell_zf_maxmin(xg.inv_diag, "DL")[0]
@@ -574,7 +597,7 @@ class TestSingleCellClosedForms:
 
     def test_symmetric_channels_give_uniform_power(self, rng):
         q, _ = np.linalg.qr((rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))))
-        inv_diag = cross_gram(ChannelSet(matrices=q[None, None])).inv_diag
+        inv_diag = cross_gram(q[None, None]).inv_diag
         eta_dl = single_cell_zf_maxmin(inv_diag, "DL")
         eta_ul = single_cell_zf_maxmin(inv_diag, "UL")
         assert np.allclose(eta_dl, 0.25, rtol=1e-10)

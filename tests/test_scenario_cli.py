@@ -270,10 +270,16 @@ class TestRunScenario:
 
 class TestVerify:
     def test_small_scale_passes(self):
-        cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
-        report = verify(cfg, n_symbols=50_000)
-        assert len(report.entries) == 4
-        assert report.passed
+        # (config, checks): the second is MR only with more users than
+        # antennas, where the oracle's uplink reads M < K noise rows
+        for cfg, checks in (
+            (tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2), 4),
+            (tiny_config(cells=1, antennas_per_cell=2, users_per_cell=3, schemes="MR", seed=3,
+                         drops=1), 2),
+        ):
+            report = verify(cfg, n_symbols=50_000)
+            assert len(report.entries) == checks
+            assert report.passed
 
     def test_shipped_small_config_passes(self):
         cfg = load_config(SCENARIOS / "verify_small.cfg")
@@ -301,7 +307,7 @@ class TestVerify:
         streamed = solve_drop(cfg, geometry, 11, pairs)
         kept = solve_drop(cfg, geometry, 11, pairs, keep_channels=True)
         assert streamed.channels is None
-        assert kept.channels.matrices.shape == (7, 7, 32, 3)
+        assert kept.channels.shape == (7, 7, 32, 3)
         assert np.array_equal(streamed.xg.z, kept.xg.z)
         assert list(streamed.systems) == list(kept.systems) == pairs
         for pair in pairs:
@@ -360,7 +366,7 @@ class TestCli:
             outputs.append(out.read_bytes())
 
         def whole_tensor(arrays, drop, wl):
-            return cross_gram(build_channel_set(arrays, drop, wl))
+            return cross_gram(build_channel_set(arrays, drop, wl).matrices)
 
         monkeypatch.setattr(losmimo.scenario, "stream_cross_gram", whole_tensor)
         out = tmp_path / "tensor.csv"
