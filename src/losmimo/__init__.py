@@ -5,15 +5,7 @@ power control, and a symbol-level Monte Carlo oracle that verifies every
 closed form.
 """
 
-from .channel import (
-    ChannelSet,
-    CrossGram,
-    build_channel_set,
-    cross_gram,
-    link_budget,
-    stream_cross_gram,
-    wavelength_m,
-)
+from .channel import CrossGram, link_budget, stream_cross_gram, wavelength_m
 from .config import ScenarioConfig, load_config, parse_config, serialize_config
 from .errors import (
     ConfigurationError,

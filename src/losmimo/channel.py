@@ -8,10 +8,12 @@ The lambda/(4 pi) amplitude makes the per-antenna power gain equal to the
 inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
 plain transmit-power-to-noise-power ratios.
 
-Power control sees a drop only through its `CrossGram`: `cross_gram` of
-the (L, L, M, K) channel tensor, or `stream_cross_gram` straight from the
-geometry. The geometry is plain arrays: `antennas` (L, M, 3) holds each base
-station's antenna positions, `users` (L, K, 3) each cell's user positions.
+A drop's channels are never held whole: `stream_cross_gram` turns each base
+station's channels into its cross-Gram products as soon as they are built,
+and power control and the Monte Carlo oracle see the drop only through that
+`CrossGram`. The geometry is plain arrays: `antennas` (L, M, 3) holds each
+base station's antenna positions, `users` (L, K, 3) each cell's user
+positions.
 """
 
 import os
@@ -68,19 +70,6 @@ def link_budget(
         if not 0.0 < rho < np.inf:
             raise ConfigurationError(f"{keys} give {name} = {rho}, not finite and positive")
     return rho_dl, rho_ul
-
-
-@dataclass(frozen=True)
-class ChannelSet:
-    """`build_channel_set`'s result: all L*L channel matrices of one drop.
-    Every consumer takes the plain array; the type remains only because
-    perfbench's `_count_exponentials` hook reads `.matrices` from this result.
-
-    matrices[l, lp] is the M x K matrix of channels from the K users served
-    by cell lp to the M antennas of base station l.
-    """
-
-    matrices: np.ndarray  # (L, L, M, K) complex128
 
 
 def station_channels(
@@ -167,15 +156,6 @@ def _each_station(antennas: np.ndarray, users: np.ndarray, wavelength: float, vi
         future.result()
 
 
-def build_channel_set(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> ChannelSet:
-    """The full L x L grid of channel matrices between the antennas (L, M, 3)
-    and the users (L, K, 3) of one drop."""
-    cells, m = antennas.shape[:2]
-    matrices = np.empty((cells, cells, m, users.shape[1]), dtype=np.complex128)
-    _each_station(antennas, users, wavelength, lambda l, block: np.copyto(matrices[l], block))
-    return ChannelSet(matrices=matrices)
-
-
 @dataclass(frozen=True)
 class CrossGram:
     """One drop's cross-Gram products, with its serving-Gram inverses taken
@@ -198,28 +178,31 @@ class CrossGram:
         """(L, K) real diagonals of the serving-Gram inverses."""
         return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
 
+    def range_channels(self, antennas_per_cell: int) -> np.ndarray:
+        """(L, L, r, K) channels compressed to each station's serving range,
+        r = min(M, K): C[l, lp] = Lam^-1/2 V^H z[l, lp] from the top r
+        eigenpairs (V, Lam) of z[l, l]. This is Q_l^H G[l, lp] for the
+        orthonormal basis Q_l = G[l, l] V Lam^-1/2 of the range of G[l, l],
+        which holds every MR/ZF precoder column (conjugated) and decoder row,
+        so the Monte Carlo oracle gives the same law on C as on G."""
+        rank = min(antennas_per_cell, self.z.shape[-1])
+        out = np.empty((*self.z.shape[:2], rank, self.z.shape[-1]), dtype=np.complex128)
+        for l, row in enumerate(self.z):
+            lam, v = np.linalg.eigh(row[l])
+            np.matmul(v[:, -rank:].conj().T / np.sqrt(lam[-rank:])[:, None], row, out=out[l])
+        return out
+
 
 def _gram_row(z: np.ndarray, l: int, block: np.ndarray) -> None:
     """z[l] = G[l, l]^H G[l, :] from base station l's (L, M, K) channels."""
     np.matmul(block[l].conj().T, block, out=z[l])
 
 
-def cross_gram(channels: np.ndarray) -> CrossGram:
-    """Cross-Gram products of the (L, L, M, K) channels, one serving cell at
-    a time so the only transient is that cell's conjugated M x K matrix."""
-    cells, users = channels.shape[0], channels.shape[3]
-    z = np.empty((cells, cells, users, users), dtype=np.complex128)
-    for l, block in enumerate(channels):
-        _gram_row(z, l, block)
-    return CrossGram(z=z)
-
-
 def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> CrossGram:
-    """`cross_gram` of the channels between the antennas (L, M, 3) and the
-    users (L, K, 3) of one drop without the (L, L, M, K) tensor: each
-    station's channels become its row of z as soon as they are built, with the
-    row function of `cross_gram`, so z is bit-identical to `cross_gram` of
-    `build_channel_set` for any worker count."""
+    """Cross-Gram products of the channels between the antennas (L, M, 3) and
+    the users (L, K, 3) of one drop without the (L, L, M, K) tensor: each
+    station's channels become its row of z as soon as they are built, and
+    each row is one product, so z is bit-identical for any worker count."""
     cells, k = len(antennas), users.shape[1]
     z = np.empty((cells, cells, k, k), dtype=np.complex128)
     _each_station(antennas, users, wavelength, partial(_gram_row, z))

@@ -14,9 +14,10 @@ from .errors import ConfigurationError
 from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
-# L^2 K max(M, K) complex entries, 1 GiB of complex128: the L^2 M K channel
-# tensor that `verify` keeps (`solve_drop`), or, when K > M (MR only), the
-# L^2 K^2 cross-Gram tensor and power-control matrices of every drop (the
+# L^2 K max(M, K) complex entries, 1 GiB of complex128. No drop holds its
+# L^2 M K channels whole, but this bounds what it does hold: a station's
+# (L, M, K) channel buffer on each of at most L threads, or, when K > M (MR
+# only), the L^2 K^2 cross-Gram tensor and power-control matrices (the
 # published Table 1 scale is 3.6 M entries)
 MAX_CHANNEL_ENTRIES = 2**26
 _SCHEMES = ("MR", "ZF")

@@ -108,6 +108,9 @@ def _setup(channels: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: f
     norms = per_cell_norms(eta, link)
     if not np.all(norms <= 1.0 + NORM_SLACK):
         raise ValueError(f"per-cell power constraint violated: norms {norms}")
+    # 0 is a noise-only check; written so that a NaN rho fails
+    if not 0.0 <= rho < np.inf:
+        raise ValueError(f"normalized SNR rho must be finite and nonnegative, got {rho}")
     root_rho = np.sqrt(rho)
     # eff[l, lp] maps cell-lp symbols to cell-l users' received samples.
     # noise_map[l] maps the r noise draws of cell l to them; on the
@@ -133,9 +136,13 @@ def simulate(
     seed: int,
 ) -> list[SimResult]:
     """Simulate the transmission equation of each check's link over the
-    (L, L, M, K) channels and measure per-user SINR; `checks` is a sequence
+    (L, L, M', K) channels and measure per-user SINR; `checks` is a sequence
     of (scheme, link, eta, rho), eta the (L, K) powers and rho that link's
-    normalized SNR. Returns one `SimResult` per check, in order.
+    normalized SNR. channels[l, lp] maps cell lp's users to M' receive
+    dimensions of base station l: its M antennas, or any orthonormal basis of
+    a subspace that holds the range of the serving matrix channels[l, l]
+    (`CrossGram.range_channels`), which gives the same law. Returns one
+    `SimResult` per check, in order.
 
     Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
     each user receives every cell's signal plus unit noise. Uplink: each user
@@ -143,8 +150,9 @@ def simulate(
     plus unit noise with its `decoder` A_l (G^H for MR, Gram^-1 G^H for ZF).
 
     Every check is set up, and so validated, before the first draw: an
-    unknown link or scheme, powers not (L, K), a negative or NaN power, or a
-    per-cell norm above 1 + NORM_SLACK raises `ValueError`. All checks read
+    unknown link or scheme, powers not (L, K), a negative or NaN power, a
+    per-cell norm above 1 + NORM_SLACK, or a rho that is not finite and
+    nonnegative raises `ValueError`. All checks read
     one stream of symbols and noise (see the module docstring).
     """
     if n_symbols < 1:

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import CrossGram, build_channel_set, cross_gram, stream_cross_gram
-from .channel import wavelength_m
+from .channel import CrossGram, stream_cross_gram, wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
@@ -83,27 +82,24 @@ def _geometry(cfg: ScenarioConfig) -> tuple[float, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Drop:
-    """One drop's cross-Gram products, the power-control system of each
-    requested (scheme, link) pair, and its (L, L, M, K) channels when kept."""
+    """One drop's cross-Gram products and the power-control system of each
+    requested (scheme, link) pair."""
 
     xg: CrossGram
     systems: dict[tuple[str, str], PcSystem]
-    channels: np.ndarray | None
 
 
 def solve_drop(cfg: ScenarioConfig, geometry: tuple, seed: int,
-               pairs: list[tuple[str, str]], keep_channels: bool = False) -> Drop:
+               pairs: list[tuple[str, str]]) -> Drop:
     """The users of drop `seed` on `geometry` (`_geometry(cfg)`), their
-    cross-Gram products and the `PcSystem` of each (scheme, link) in `pairs`.
-    Without `keep_channels` the channels are streamed into the cross-Gram and
-    never held whole; with it they are kept, and the bits are the same."""
+    cross-Gram products, streamed from the channels without holding them
+    whole, and the `PcSystem` of each (scheme, link) in `pairs`."""
     wl, centers, antennas = geometry
     users = drop_users(centers, cfg.cell_radius_m, cfg.users_per_cell, cfg.min_bs_distance_m,
                        cfg.user_height_m, seed)
-    channels = build_channel_set(antennas, users, wl).matrices if keep_channels else None
-    xg = stream_cross_gram(antennas, users, wl) if channels is None else cross_gram(channels)
+    xg = stream_cross_gram(antennas, users, wl)
     rho = cfg.rho()
-    return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs}, channels)
+    return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs})
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
@@ -189,6 +185,8 @@ class VerificationReport:
 def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     """Closed-form vs Monte Carlo agreement over one configured drop.
 
+    The drop is `run`'s (`solve_drop`), and the oracle simulates its channels
+    compressed to each station's serving range (`CrossGram.range_channels`).
     Uses uniform admissible powers (downlink 1/K per user, uplink full
     power) and reports every user's deviation in standard-error units, which
     must be below `SIGMA_THRESHOLD`.
@@ -197,13 +195,14 @@ def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     if n_symbols < 2:
         raise ValueError("verification needs n_symbols >= 2 to estimate a standard error")
     pairs = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
-    drop = solve_drop(cfg, _geometry(cfg), cfg.seed, pairs, keep_channels=True)
+    drop = solve_drop(cfg, _geometry(cfg), cfg.seed, pairs)
     shape = (cfg.cells, cfg.users_per_cell)
     eta = {DOWNLINK: np.full(shape, 1.0 / cfg.users_per_cell), UPLINK: np.ones(shape)}
     rho = cfg.rho()
 
     checks = [(scheme, link, eta[link], rho[link]) for scheme, link in drop.systems]
-    results = simulate(drop.channels, checks, n_symbols, cfg.seed)
+    channels = drop.xg.range_channels(cfg.antennas_per_cell)
+    results = simulate(channels, checks, n_symbols, cfg.seed)
     entries = []
     for ((scheme, link), system), result in zip(drop.systems.items(), results):
         closed = system.sinr(eta[link])

@@ -1,16 +1,19 @@
-"""Per-user reference for the channel build and free-space path loss.
+"""References for the channel build, the cross-Gram and free-space path loss.
 
 `los_channel` computes one user's spherical-wave channel vector on its own,
 with the same operations as the package's per-station kernel
 (`losmimo.channel.station_channels`), so tests can check every built entry
-bit for bit. `fspl_db` is the textbook path loss the channel amplitude must
+bit for bit. `channel_tensor` holds a drop's whole (L, L, M, K) channels,
+which the package never does, and `cross_gram` reduces them with the row
+product of `losmimo.stream_cross_gram`, so the stream must match it bit for
+bit. `fspl_db` is the textbook path loss the channel amplitude must
 reproduce.
 """
 
 import numpy as np
 
-from losmimo import ConfigurationError, SingularGeometryError
-from losmimo.channel import C_LIGHT
+from losmimo import ConfigurationError, CrossGram, SingularGeometryError
+from losmimo.channel import C_LIGHT, station_channels
 
 # dB form of (4 pi d f / c)^2; the constant is the exact value of the
 # commonly rounded 32.45 so it stays consistent with the channel amplitude
@@ -35,3 +38,23 @@ def los_channel(user_position: np.ndarray, antennas: np.ndarray, wavelength: flo
     amp = wavelength / (4.0 * np.pi)
     return amp * np.exp(2j * np.pi * r / wavelength) / r
 
+
+def channel_tensor(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> np.ndarray:
+    """(L, L, M, K) channels between the antennas (L, M, 3) and the users
+    (L, K, 3) of one drop, one base station at a time on the calling thread:
+    channels[l, lp] is the M x K matrix from cell lp's users to station l."""
+    shape = (len(antennas), antennas.shape[1], users.shape[1])
+    channels = np.empty((len(antennas), *shape), dtype=np.complex128)
+    r, tmp = np.empty(shape), np.empty(shape)
+    for l, station in enumerate(antennas):
+        station_channels(station, users, wavelength, channels[l], r, tmp)
+    return channels
+
+
+def cross_gram(channels: np.ndarray) -> CrossGram:
+    """Cross-Gram products z[l, lp] = G[l, l]^H G[l, lp] of (L, L, M, K) channels."""
+    cells, users = channels.shape[0], channels.shape[3]
+    z = np.empty((cells, cells, users, users), dtype=np.complex128)
+    for l, block in enumerate(channels):
+        np.matmul(block[l].conj().T, block, out=z[l])
+    return CrossGram(z=z)

@@ -11,7 +11,6 @@ from losmimo import (
     ScenarioConfig,
     build_pc_system,
     circular_array,
-    cross_gram,
     link_budget,
     maxmin_common_target,
     precoder,
@@ -23,7 +22,7 @@ from losmimo import (
 )
 
 from conftest import random_channel_set
-from reference_channel import fspl_db
+from reference_channel import cross_gram, fspl_db
 from reference_sinr import evaluate_allocation, evaluate_sinr
 
 ALL_SCHEMES = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]

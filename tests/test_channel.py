@@ -12,7 +12,6 @@ import losmimo
 from losmimo import (
     ConfigurationError,
     SingularGeometryError,
-    build_channel_set,
     circular_array,
     drop_users,
     hex_centers,
@@ -21,7 +20,7 @@ from losmimo import (
     wavelength_m,
 )
 
-from reference_channel import fspl_db, los_channel
+from reference_channel import channel_tensor, cross_gram, fspl_db, los_channel
 
 
 class TestFspl:
@@ -107,11 +106,12 @@ def _small_scene(seed=5, antennas=32, users=4):
 class TestChannelSet:
     def test_dimensions_and_columns(self):
         arrays, drop, wl = _small_scene()
-        cs = build_channel_set(arrays, drop, wl)
-        assert cs.matrices.shape == (7, 7, 32, 4)
+        channels = channel_tensor(arrays, drop, wl)
+        assert channels.shape == (7, 7, 32, 4)
         # column k of block (bs, cell) is the LoS vector of user (cell, k) at bs
         g = los_channel(drop[2, 1], arrays[5], wl)
-        assert np.array_equal(cs.matrices[5, 2][:, 1], g)
+        assert np.array_equal(channels[5, 2][:, 1], g)
+        assert stream_cross_gram(arrays, drop, wl).z.shape == (7, 7, 4, 4)
 
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
     def test_bit_identical_to_per_user_los_channel(self, set_workers, antennas, users):
@@ -123,16 +123,19 @@ class TestChannelSet:
             ])
             for bs in range(7)
         ])
+        assert np.array_equal(channel_tensor(arrays, drop, wl), stacked)
+        # the streamed products hold these very channels, whatever the worker count
+        want = cross_gram(stacked).z
         for workers in (1, 2, 3):
             set_workers(workers)
-            assert np.array_equal(build_channel_set(arrays, drop, wl).matrices, stacked), workers
+            assert np.array_equal(stream_cross_gram(arrays, drop, wl).z, want), workers
 
     def test_user_on_antenna_raises(self):
         arrays, drop, wl = _small_scene()
         positions = drop.copy()
         positions[3, 1] = arrays[5, 7]
         with pytest.raises(SingularGeometryError):
-            build_channel_set(arrays, positions, wl)
+            stream_cross_gram(arrays, positions, wl)
 
     def test_counts_read_from_positions(self):
         # a drop and arrays given fewer users and antennas build channels of
@@ -140,12 +143,12 @@ class TestChannelSet:
         arrays, drop, wl = _small_scene()
         fewer = drop[:, :2]
         arrays = arrays[:, :5]
-        cs = build_channel_set(arrays, fewer, wl)
-        assert cs.matrices.shape == (7, 7, 5, 2)
-        assert np.array_equal(cs.matrices[5, 2][:, 1], los_channel(fewer[2, 1], arrays[5], wl))
+        channels = channel_tensor(arrays, fewer, wl)
+        assert channels.shape == (7, 7, 5, 2)
+        assert np.array_equal(channels[5, 2][:, 1], los_channel(fewer[2, 1], arrays[5], wl))
+        assert np.array_equal(stream_cross_gram(arrays, fewer, wl).z, cross_gram(channels).z)
 
-    @pytest.mark.parametrize("build", [build_channel_set, stream_cross_gram],
-                             ids=lambda build: build.__name__)
+    @pytest.mark.parametrize("build", [stream_cross_gram], ids=lambda build: build.__name__)
     def test_stations_and_users_of_different_cell_counts_raise(self, build):
         # the cell count, the 3 coordinates and nonempty axes are read from
         # both arrays, and nothing else checks them
@@ -166,16 +169,16 @@ class TestChannelSet:
 
     def test_deterministic(self):
         arrays, drop, wl = _small_scene()
-        a = build_channel_set(arrays, drop, wl)
-        b = build_channel_set(arrays, drop, wl)
-        assert np.array_equal(a.matrices, b.matrices)
+        a = stream_cross_gram(arrays, drop, wl)
+        b = stream_cross_gram(arrays, drop, wl)
+        assert np.array_equal(a.z, b.z)
 
     def test_recompute_from_positions(self):
         arrays, drop, wl = _small_scene()
-        cs = build_channel_set(arrays, drop, wl)
+        channels = channel_tensor(arrays, drop, wl)
         r = np.linalg.norm(arrays[3][:, None, :] - drop[0][None, :, :], axis=2)
         mags = wl / (4 * np.pi * r)
-        assert np.allclose(np.abs(cs.matrices[3, 0]), mags, rtol=1e-12)
+        assert np.allclose(np.abs(channels[3, 0]), mags, rtol=1e-12)
 
     def test_norm_decreases_moving_away(self):
         wl = wavelength_m(60.0)

@@ -5,7 +5,6 @@ from losmimo import (
     DegenerateChannelError,
     SingularChannelError,
     build_pc_system,
-    cross_gram,
     decoder,
     gram_inverse,
     precoder,
@@ -13,6 +12,7 @@ from losmimo import (
 from losmimo.linproc import COND_LIMIT
 
 from conftest import random_channel_set
+from reference_channel import cross_gram
 
 
 def closed_sinr(cs, scheme, link, eta, rho):

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from losmimo import build_pc_system, cross_gram, decoder, simulate
+from losmimo import build_pc_system, decoder, simulate
 import losmimo.mcsim
 from losmimo.mcsim import noise_factor
 
 from conftest import random_channel_set
+from reference_channel import cross_gram
 from reference_mcsim import simulate_uplink_per_antenna
 
 N = 50_000
@@ -32,6 +33,13 @@ class TestDownlink:
         result = simulate(cs, [("MR", "DL", np.zeros((1, 2)), 10.0)], N, seed=5)[0]
         assert np.all(result.sinr == 0)
         assert np.allclose(result.interference_noise_power, 1.0, atol=0.05)
+
+    def test_zero_rho_is_pure_noise(self, rng):
+        cs = random_channel_set(rng, cells=2, users=3)
+        checks = [(s, li, uniform_powers(li), 0.0) for s, li in PAIRS]
+        for result in simulate(cs, checks, N, seed=5):
+            assert np.all(result.sinr == 0)
+            assert np.all(result.interference_noise_power > 0)
 
     def test_zf_intra_cell_nulling_is_algebraic(self, rng):
         # single cell: ZF removes intra-cell interference symbol-by-symbol, so
@@ -153,19 +161,22 @@ class TestSharedDraws:
         with pytest.raises(ValueError, match="at least one check"):
             simulate(random_channel_set(rng), [], 100, seed=3)
 
-    @pytest.mark.parametrize("scheme,link,eta,match", [
-        ("MR", "UL", uniform_powers("UL", 2, 4), r"\(2, 4\).*\(2, 3\)"),
-        ("MMSE", "UL", uniform_powers("UL"), "unknown scheme"),
-        ("MR", "total", uniform_powers("DL"), "unknown link"),
-        ("MR", "DL", [[0.5, -0.1, 0.2], [0.2, 0.2, 0.2]], "nonnegative"),
-        ("MR", "DL", [[np.nan, 0.1, 0.2], [0.2, 0.2, 0.2]], "not NaN"),
-        ("MR", "UL", [[np.nan, 0.1, 0.2], [0.5, 0.5, 0.5]], "not NaN"),
-        ("MR", "DL", [[0.7, 0.7, 0.0], [0.2, 0.2, 0.2]], "constraint violated"),  # 1-norm > 1
-        ("MR", "UL", [[1.2, 0.3, 0.3], [0.5, 0.5, 0.5]], "constraint violated"),  # inf-norm > 1
+    @pytest.mark.parametrize("scheme,link,eta,rho,match", [
+        ("MR", "UL", uniform_powers("UL", 2, 4), 10.0, r"\(2, 4\).*\(2, 3\)"),
+        ("MMSE", "UL", uniform_powers("UL"), 10.0, "unknown scheme"),
+        ("MR", "total", uniform_powers("DL"), 10.0, "unknown link"),
+        ("MR", "DL", [[0.5, -0.1, 0.2], [0.2, 0.2, 0.2]], 10.0, "nonnegative"),
+        ("MR", "DL", [[np.nan, 0.1, 0.2], [0.2, 0.2, 0.2]], 10.0, "not NaN"),
+        ("MR", "UL", [[np.nan, 0.1, 0.2], [0.5, 0.5, 0.5]], 10.0, "not NaN"),
+        ("MR", "DL", [[0.7, 0.7, 0.0], [0.2, 0.2, 0.2]], 10.0, "constraint violated"),  # 1-norm > 1
+        ("MR", "UL", [[1.2, 0.3, 0.3], [0.5, 0.5, 0.5]], 10.0, "constraint violated"),  # inf-norm > 1
+        ("MR", "DL", uniform_powers("DL"), -1.0, "finite and nonnegative, got -1.0"),
+        ("MR", "DL", uniform_powers("DL"), np.nan, "finite and nonnegative, got nan"),
+        ("MR", "UL", uniform_powers("UL"), np.inf, "finite and nonnegative, got inf"),
     ], ids=["wrong-shape", "unknown-scheme", "unknown-link", "negative", "nan-DL", "nan-UL",
-            "DL-1-norm-above-1", "UL-inf-norm-above-1"])
+            "DL-1-norm-above-1", "UL-inf-norm-above-1", "neg-rho", "nan-rho", "inf-rho"])
     def test_a_later_bad_check_fails_before_any_draw(self, rng, monkeypatch, scheme, link, eta,
-                                                     match):
+                                                     rho, match):
         def no_draw(*args):
             raise AssertionError("drew symbols before validating every check")
 
@@ -173,7 +184,7 @@ class TestSharedDraws:
         cs = random_channel_set(rng)
         good = ("ZF", "DL", uniform_powers("DL"), 10.0)
         with pytest.raises(ValueError, match=match):
-            simulate(cs, [good, (scheme, link, eta, 10.0)], 100, seed=3)
+            simulate(cs, [good, (scheme, link, eta, rho)], 100, seed=3)
 
 
 class TestOracleAgreement:
@@ -206,3 +217,40 @@ class TestOracleAgreement:
         cs = random_channel_set(rng)
         with pytest.raises(ValueError):
             simulate(cs, [("MR", "DL", uniform_powers("DL"), 10.0)], 0, seed=1)
+
+
+def _close(got, want, tol=1e-12):
+    """got equals want within tol relative to want's largest entry."""
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+class TestRangeChannels:
+    """The oracle on `CrossGram.range_channels` against the whole tensor."""
+
+    @pytest.mark.parametrize("antennas,users,pairs", [
+        (16, 3, PAIRS),
+        (2, 3, [("MR", "DL"), ("MR", "UL")]),  # K > M: only MR, whose Gram is singular
+    ], ids=["K<=M", "MR-K>M"])
+    def test_same_law_as_the_whole_tensor(self, rng, antennas, users, pairs):
+        cs = random_channel_set(rng, cells=3, users=users, antennas=antennas)
+        xg = cross_gram(cs)
+        compressed = xg.range_channels(antennas)
+        assert compressed.shape == (3, 3, min(antennas, users), users)
+        for l in range(3):  # C[l, l] is a square root of the serving Gram
+            assert _close(compressed[l, l].conj().T @ compressed[l, l], xg.z[l, l])
+
+        checks = [(s, li, uniform_powers(li, 3, users), 10.0) for s, li in pairs]
+        full = simulate(cs, checks, 2000, seed=11)
+        ranged = simulate(compressed, checks, 2000, seed=11)
+        for check, a, b in zip(checks, full, ranged):
+            mix, coef, noise_map = losmimo.mcsim._setup(cs, *check)
+            mix_c, coef_c, noise_map_c = losmimo.mcsim._setup(compressed, *check)
+            assert _close(mix_c, mix) and _close(coef_c, coef), check[:2]
+            if check[1] == "DL":
+                # the same draws, received the same way: the same SINRs
+                assert np.all(np.abs(b.sinr - a.sinr) <= 1e-12 * a.sinr), check[:2]
+            else:
+                # B rotates by a unitary, so the decoded noise keeps its law B B^H
+                covariance = noise_map @ noise_map.conj().transpose(0, 2, 1)
+                covariance_c = noise_map_c @ noise_map_c.conj().transpose(0, 2, 1)
+                assert _close(covariance_c, covariance), check[:2]

@@ -18,10 +18,8 @@ from losmimo import (
     ScenarioConfig,
     SingularChannelError,
     SingularGeometryError,
-    build_channel_set,
     build_pc_system,
     circular_array,
-    cross_gram,
     drop_users,
     gram_inverse,
     hex_centers,
@@ -34,6 +32,7 @@ from losmimo import (
 )
 
 from conftest import random_channel_set
+from reference_channel import channel_tensor, cross_gram
 from reference_maxmin import bisection_maxmin, perron_maxmin
 from reference_sinr import evaluate_allocation, evaluate_sinr
 
@@ -197,7 +196,7 @@ class TestStreamCrossGram:
                                                         antennas, users):
         set_workers(workers)
         arrays, drop, wl = _scene(antennas, users)
-        channels = build_channel_set(arrays, drop, wl).matrices
+        channels = channel_tensor(arrays, drop, wl)
         want = cross_gram(channels)
         got = stream_cross_gram(arrays, drop, wl)
         assert np.array_equal(got.z, want.z)
@@ -211,17 +210,15 @@ class TestStreamCrossGram:
         set_workers(2)
         arrays, drop, wl = _scene(antennas=2, users=3)
         got = stream_cross_gram(arrays, drop, wl)
-        assert np.array_equal(got.z, cross_gram(build_channel_set(arrays, drop, wl).matrices).z)
+        assert np.array_equal(got.z, cross_gram(channel_tensor(arrays, drop, wl)).z)
         with pytest.raises(SingularChannelError):  # only ZF, which needs K <= M, reads these
             got.igram
 
-    @pytest.mark.parametrize("build,field", [(build_channel_set, "matrices"),
-                                             (stream_cross_gram, "z")],
-                             ids=["build_channel_set", "stream_cross_gram"])
-    def test_worker_error_reaches_caller_unchanged(self, set_workers, monkeypatch, build, field):
+    @pytest.mark.parametrize("build", [stream_cross_gram], ids=lambda build: build.__name__)
+    def test_worker_error_reaches_caller_unchanged(self, set_workers, monkeypatch, build):
         set_workers(2)
         arrays, drop, wl = _scene(32, 4)
-        want = getattr(build(arrays, drop, wl), field)
+        want = build(arrays, drop, wl).z
         error = SingularGeometryError("user position coincides with an antenna position")
         raised_on = []
         kernel = losmimo.channel.station_channels
@@ -239,7 +236,7 @@ class TestStreamCrossGram:
         assert raised_on and raised_on[0] is not threading.current_thread()
         monkeypatch.setattr(losmimo.channel, "station_channels", kernel)
         # the pool and the buffers still serve the next drop
-        assert np.array_equal(getattr(build(arrays, drop, wl), field), want)
+        assert np.array_equal(build(arrays, drop, wl).z, want)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_user_on_antenna_raises(self, set_workers, workers):
@@ -247,12 +244,10 @@ class TestStreamCrossGram:
         arrays, drop, wl = _scene(32, 4)
         positions = drop.copy()
         positions[3, 1] = arrays[5, 7]
-        for build in (build_channel_set, stream_cross_gram):
-            with pytest.raises(SingularGeometryError):
-                build(arrays, positions, wl)
+        with pytest.raises(SingularGeometryError):
+            stream_cross_gram(arrays, positions, wl)
 
-    @pytest.mark.parametrize("build", [build_channel_set, stream_cross_gram],
-                             ids=lambda build: build.__name__)
+    @pytest.mark.parametrize("build", [stream_cross_gram], ids=lambda build: build.__name__)
     def test_arrays_and_drop_of_different_cell_counts_raise(self, build):
         arrays, _, wl = _scene(32, 4)
         drop = drop_users(hex_centers(1, 200.0), 200.0, 4, 10.0, 1.5, seed=5)
@@ -270,13 +265,13 @@ class TestStreamCrossGram:
 
         monkeypatch.setattr(losmimo.channel, "station_channels", recorded)
         set_workers(1)
-        build_channel_set(arrays, drop, wl)
+        stream_cross_gram(arrays, drop, wl)
         stream_cross_gram(arrays, drop, wl)
         assert losmimo.channel._pool.cache_info().currsize == 0
         assert threads == {threading.current_thread()}
         set_workers(3)
-        for build in (build_channel_set, stream_cross_gram, build_channel_set):
-            build(arrays, drop, wl)
+        for _ in range(3):
+            stream_cross_gram(arrays, drop, wl)
         info = losmimo.channel._pool.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
         pool_threads = threads - {threading.current_thread()}
@@ -312,7 +307,7 @@ class TestStreamCrossGram:
         # a row written by the wrong share or a buffer shared across threads shows in z
         set_workers(4)
         scenes = [_scene(32, 4, seed=seed) for seed in (1, 2, 3)]
-        want = [cross_gram(build_channel_set(*scene).matrices) for scene in scenes]
+        want = [cross_gram(channel_tensor(*scene)) for scene in scenes]
         failures = []
 
         def caller(i):

@@ -21,9 +21,7 @@ from losmimo import (
     ConfigurationError,
     ScenarioConfig,
     SingularChannelError,
-    build_channel_set,
     build_pc_system,
-    cross_gram,
     load_config,
     parse_config,
     run_scenario,
@@ -34,6 +32,8 @@ from losmimo import (
 from losmimo.cli import main
 from losmimo.config import MAX_CHANNEL_ENTRIES
 from losmimo.scenario import MAX_RESAMPLES
+
+from reference_channel import channel_tensor, cross_gram
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 SIX_SERIES = ["MR DL", "MR UL", "ZF DL", "ZF UL", "ZF DL-1", "ZF UL-1"]
@@ -286,6 +286,12 @@ class TestVerify:
         assert (cfg.cells, cfg.antennas_per_cell, cfg.users_per_cell, cfg.seed) == (1, 8, 2, 3)
         assert verify(cfg, n_symbols=20_000).passed
 
+    def test_published_scale_passes(self):
+        # L = 7, M = 4096, K = 18, at the shipped config's seed
+        report = verify(load_config(SCENARIOS / "table1.cfg"), 20_000)
+        assert len(report.entries) == 4
+        assert report.passed
+
     def test_rejects_single_symbol(self):
         cfg = tiny_config(cells=1)
         with pytest.raises(ValueError):
@@ -297,22 +303,6 @@ class TestVerify:
             assert entry.deviation.shape == (cfg.cells, cfg.users_per_cell)
             cell, user = entry.worst_user
             assert entry.deviation[cell, user] == entry.max_dev_sigma == np.max(entry.deviation)
-
-    def test_checks_the_systems_run_solves(self):
-        # verify keeps the channel tensor for the oracle, run streams it into
-        # the cross-Gram; both must give the same bits
-        cfg = tiny_config()
-        pairs = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
-        geometry = losmimo.scenario._geometry(cfg)
-        streamed = solve_drop(cfg, geometry, 11, pairs)
-        kept = solve_drop(cfg, geometry, 11, pairs, keep_channels=True)
-        assert streamed.channels is None
-        assert kept.channels.shape == (7, 7, 32, 3)
-        assert np.array_equal(streamed.xg.z, kept.xg.z)
-        assert list(streamed.systems) == list(kept.systems) == pairs
-        for pair in pairs:
-            assert np.array_equal(streamed.systems[pair].d, kept.systems[pair].d)
-            assert np.array_equal(streamed.systems[pair].c, kept.systems[pair].c)
 
     def test_deterministic(self):
         cfg = tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2)
@@ -366,7 +356,7 @@ class TestCli:
             outputs.append(out.read_bytes())
 
         def whole_tensor(arrays, drop, wl):
-            return cross_gram(build_channel_set(arrays, drop, wl).matrices)
+            return cross_gram(channel_tensor(arrays, drop, wl))
 
         monkeypatch.setattr(losmimo.scenario, "stream_cross_gram", whole_tensor)
         out = tmp_path / "tensor.csv"
