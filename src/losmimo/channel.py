@@ -163,15 +163,22 @@ class CrossGram:
 
     z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
     taken at base station l; z[l, l] is cell l's Gram matrix, factorized once
-    (`gram_inverse`).
+    (`eig`) for both its guarded inverse (`gram_inverse`) and its range
+    (`range_channels`).
     """
 
     z: np.ndarray  # (L, L, K, K) complex
 
     @cached_property
+    def eig(self) -> list:
+        """Each serving Gram's eigenpairs (lam ascending, V), `np.linalg.eigh`
+        of z[l, l], computed on the reading thread."""
+        return [np.linalg.eigh(self.z[l, l]) for l in range(len(self.z))]
+
+    @cached_property
     def igram(self) -> np.ndarray:
         """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
-        return np.stack([gram_inverse(self.z[l, l]) for l in range(len(self.z))])
+        return np.stack([gram_inverse(self.z[l, l], self.eig[l]) for l in range(len(self.z))])
 
     @property
     def inv_diag(self) -> np.ndarray:
@@ -187,8 +194,7 @@ class CrossGram:
         so the Monte Carlo oracle gives the same law on C as on G."""
         rank = min(antennas_per_cell, self.z.shape[-1])
         out = np.empty((*self.z.shape[:2], rank, self.z.shape[-1]), dtype=np.complex128)
-        for l, row in enumerate(self.z):
-            lam, v = np.linalg.eigh(row[l])
+        for l, (row, (lam, v)) in enumerate(zip(self.z, self.eig)):
             np.matmul(v[:, -rank:].conj().T / np.sqrt(lam[-rank:])[:, None], row, out=out[l])
         return out
 

@@ -30,12 +30,13 @@ def per_cell_norms(eta: np.ndarray, link: str) -> np.ndarray:
     return np.max(eta, axis=1) if eta.size else np.zeros(len(eta))
 
 
-def gram_inverse(gram: np.ndarray) -> np.ndarray:
+def gram_inverse(gram: np.ndarray, eig=None) -> np.ndarray:
     """Inverse V diag(1/lam) V^H of a K x K Gram matrix G^H G = V diag(lam) V^H,
-    from one eigendecomposition. Raises `SingularChannelError` unless the
-    exact 2-norm condition number lam_max / lam_min is at most COND_LIMIT,
-    which fails when K > M."""
-    lam, v = np.linalg.eigh(gram)
+    from one eigendecomposition: `eig`, the (lam, V) of `np.linalg.eigh(gram)`
+    where the caller has taken it already. Raises `SingularChannelError` unless
+    the exact 2-norm condition number lam_max / lam_min is at most
+    COND_LIMIT, which fails when K > M."""
+    lam, v = np.linalg.eigh(gram) if eig is None else eig
     if not 0.0 < lam[0] * COND_LIMIT >= lam[-1]:
         raise SingularChannelError("channel Gram matrix is rank deficient")
     return (v / lam) @ v.conj().T

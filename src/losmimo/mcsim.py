@@ -25,18 +25,25 @@ of it.
 
 Symbols are processed in chunks of about _CHUNK_BUDGET / (L K) symbols
 (585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB. A
-chunk holds its symbols, its noise draws and one check's impairment (the
-checks take turns), one temporary at a time, and, while the next chunk or
-check is computed, the last one's arrays: about five such arrays at the
-peak, whatever M, the symbol count and the number of checks. Results depend
-only on the seed.
+chunk's symbols and noise are drawn in one call into one of two alternating
+draw buffers. Where the station pool exists (`channel.WORKERS` > 1), it
+draws chunk i + 1 into the other buffer while the calling thread runs chunk
+i's checks; the draws come from one generator in one order either way, so
+results depend only on the seed, not on the worker count. The checks take
+turns in reused work buffers: the received samples, one term, and the
+per-sample powers with their squares. That is seven such arrays at the
+peak (four of draws, three of work), made once a call whatever M, the
+symbol count and the number of checks; a shorter last chunk takes a prefix
+of each.
 """
 
 from collections.abc import Sequence
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel
 from .linproc import DOWNLINK, NORM_SLACK, UPLINK, decoder, per_cell_norms, precoder
 
 _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
@@ -49,11 +56,13 @@ class SimResult:
     interference_noise_power: np.ndarray  # (L, K) mean |received - desired term|^2
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """CN(0, 1) samples, real and imaginary parts drawn interleaved in one call."""
-    parts = rng.standard_normal((*shape, 2))
+def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous complex array `out` with CN(0, 1) samples, real
+    and imaginary parts drawn interleaved in one call."""
+    parts = out.view(np.float64)
+    rng.standard_normal(out=parts)
     parts *= np.sqrt(0.5)
-    return parts.view(np.complex128)[..., 0]
+    return out
 
 
 def noise_factor(decoder: np.ndarray, serving: np.ndarray) -> np.ndarray:
@@ -71,10 +80,10 @@ class _Moments:
         self.s2 = np.zeros(shape)
         self.n = 0
 
-    def add(self, values: np.ndarray) -> None:
-        # values: (*shape, n_chunk)
+    def add(self, values: np.ndarray, squares: np.ndarray) -> None:
+        # values: (*shape, n_chunk); squares: a buffer of that shape, overwritten
         self.s1 += np.sum(values, axis=-1)
-        self.s2 += np.sum(values**2, axis=-1)
+        self.s2 += np.sum(np.square(values, out=squares), axis=-1)
         self.n += values.shape[-1]
 
     def mean(self) -> np.ndarray:
@@ -163,16 +172,42 @@ def simulate(
     n = cells * users
     setups = [(*_setup(channels, *check), _Moments((cells, users))) for check in checks]
 
+    sizes = list(_chunks(n_symbols, n))
     rng = np.random.default_rng(seed)
-    for nc in _chunks(n_symbols, n):
-        symbols = _complex_normal(rng, (cells, users, nc))
-        w = _complex_normal(rng, (cells, users, nc))
-        for mix, coef, noise_map, impairment in setups:
-            # received samples minus the desired term, built in place
-            received = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
-            received += w if noise_map is None else noise_map @ w[:, : noise_map.shape[-1]]
-            received -= coef[:, :, None] * symbols
-            impairment.add(np.abs(received) ** 2)
+    # chunk i's symbols and noise go to draw buffer i % 2; a shorter last
+    # chunk takes a prefix of each buffer
+    draws = np.empty((2, 2 * n * sizes[0]), dtype=np.complex128)
+    work = np.empty((2, n * sizes[0]), dtype=np.complex128)  # received samples, one term
+    powers = np.empty((2, n * sizes[0]))  # their |.|^2 and its square
+
+    def draw(i):
+        """Chunk i's (symbols, noise), each (L, K, nc)."""
+        return _complex_normal(rng, draws[i % 2, : 2 * n * sizes[i]].reshape(2, cells, users, -1))
+
+    drawing = None  # chunk i + 1's draw on the station pool, while chunk i is checked
+    try:
+        drawn = draw(0)
+        for i, nc in enumerate(sizes):
+            last = i + 1 == len(sizes)
+            if not last and channel.WORKERS > 1:
+                drawing = channel._pool().submit(draw, i + 1)
+            symbols, w = drawn
+            r, t = work[:, : n * nc].reshape(2, cells, users, nc)
+            v, v2 = powers[:, : n * nc].reshape(2, cells, users, nc)
+            for mix, coef, noise_map, impairment in setups:
+                # received samples minus the desired term, built in place
+                np.matmul(mix, symbols.reshape(n, nc), out=r.reshape(n, nc))
+                if noise_map is None:
+                    r += w
+                else:
+                    r += np.matmul(noise_map, w[:, : noise_map.shape[-1]], out=t)
+                r -= np.multiply(coef[:, :, None], symbols, out=t)
+                impairment.add(np.square(np.abs(r, out=v), out=v), v2)
+            if not last:
+                drawn = draw(i + 1) if drawing is None else drawing.result()
+    finally:
+        if drawing is not None:
+            wait([drawing])
 
     results = []
     for _, coef, _, impairment in setups:

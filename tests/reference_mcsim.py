@@ -1,9 +1,11 @@
-"""Per-antenna reference for the uplink Monte Carlo oracle.
+"""References for the Monte Carlo oracle.
 
-Draws the noise of every base-station antenna (M samples per cell and
-symbol) and decodes it with the receiver, straight from the transmission
-equation, so tests can check `losmimo.simulate`'s factored uplink noise
-(min(M, K) samples per cell and symbol) against it.
+`simulate_uplink_per_antenna` draws the noise of every base-station antenna
+(M samples per cell and symbol) and decodes it with the receiver, straight
+from the transmission equation, so tests can check `losmimo.simulate`'s
+factored uplink noise (min(M, K) samples per cell and symbol) against it.
+`simulate_plain` is `losmimo.simulate`'s chunk loop without its prefetch and
+buffer reuse, which must give the same bits.
 """
 
 from dataclasses import dataclass
@@ -11,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from losmimo.linproc import MR
+from losmimo.mcsim import SimResult, _chunks, _setup
 
 
 @dataclass(frozen=True)
@@ -56,3 +59,34 @@ def simulate_uplink_per_antenna(
         noise_power[l], noise_stderr[l] = _mean_and_stderr(np.abs(decoder @ noise[l]) ** 2)
     return UplinkReference(sinr=sinr, sinr_stderr=sinr_stderr, noise_power=noise_power,
                            noise_stderr=noise_stderr)
+
+
+def simulate_plain(channels: np.ndarray, checks, n_symbols: int, seed: int) -> list[SimResult]:
+    """`losmimo.simulate` on one thread, each chunk's symbols and noise drawn
+    by two calls into fresh arrays and each check's impairment a fresh array:
+    the same arithmetic in the same order, so the same bits."""
+    cells, users = channels.shape[0], channels.shape[3]
+    n = cells * users
+    setups = [_setup(channels, *check) for check in checks]
+    s1, s2 = np.zeros((2, len(checks), cells, users))
+    rng = np.random.default_rng(seed)
+    for nc in _chunks(n_symbols, n):
+        symbols, w = (rng.standard_normal((cells, users, nc, 2)) * np.sqrt(0.5) for _ in range(2))
+        symbols, w = (parts.view(np.complex128)[..., 0] for parts in (symbols, w))
+        for i, (mix, coef, noise_map) in enumerate(setups):
+            received = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
+            received += w if noise_map is None else noise_map @ w[:, : noise_map.shape[-1]]
+            received -= coef[:, :, None] * symbols
+            values = np.abs(received) ** 2
+            s1[i] += np.sum(values, axis=-1)
+            s2[i] += np.sum(values**2, axis=-1)
+    results = []
+    for (_, coef, _), total, total_sq in zip(setups, s1, s2):
+        p_in = total / n_symbols
+        stderr = np.sqrt(np.clip(total_sq / n_symbols - p_in**2, 0.0, None) / n_symbols)
+        power = coef**2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            results.append(SimResult(sinr=np.where(p_in > 0, power / p_in, np.inf),
+                                     sinr_stderr=np.where(p_in > 0, power * stderr / p_in**2, 0.0),
+                                     interference_noise_power=p_in))
+    return results

@@ -1,4 +1,7 @@
 import dataclasses
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -9,10 +12,11 @@ from losmimo.mcsim import noise_factor
 
 from conftest import random_channel_set
 from reference_channel import cross_gram
-from reference_mcsim import simulate_uplink_per_antenna
+from reference_mcsim import simulate_plain, simulate_uplink_per_antenna
 
 N = 50_000
 PAIRS = [("MR", "DL"), ("MR", "UL"), ("ZF", "DL"), ("ZF", "UL")]
+CHUNK = losmimo.mcsim._CHUNK_BUDGET // 6  # symbols per chunk at L = 2, K = 3
 
 
 def uniform_powers(link, cells=2, users=3):
@@ -185,6 +189,98 @@ class TestSharedDraws:
         good = ("ZF", "DL", uniform_powers("DL"), 10.0)
         with pytest.raises(ValueError, match=match):
             simulate(cs, [good, (scheme, link, eta, rho)], 100, seed=3)
+
+
+def _same_results(a, b):
+    return all(np.array_equal(getattr(x, f.name), getattr(y, f.name))
+               for x, y in zip(a, b, strict=True) for f in dataclasses.fields(x))
+
+
+def _pipeline_checks():
+    return [(scheme, link, uniform_powers(link), 10.0) for scheme, link in PAIRS]
+
+
+class TestPrefetch:
+    """Chunk i + 1 drawn on the station pool while chunk i is checked."""
+
+    @pytest.mark.parametrize("n_symbols", [100, 2 * CHUNK, 2 * CHUNK + 100],
+                             ids=["under-a-chunk", "two-chunks", "two-and-a-short-chunk"])
+    def test_same_bits_for_any_worker_count(self, rng, set_workers, n_symbols):
+        cs = random_channel_set(rng)
+        want = simulate_plain(cs, _pipeline_checks(), n_symbols, seed=3)
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            assert _same_results(simulate(cs, _pipeline_checks(), n_symbols, seed=3), want), workers
+
+    def test_concurrent_callers_under_fast_thread_switching(self, rng, set_workers):
+        # three callers share the station pool, a switch every microsecond: a
+        # draw into the wrong buffer or from the wrong generator shows in the bits
+        set_workers(2)
+        cs = random_channel_set(rng)
+        n_symbols = 2 * CHUNK + 100
+        want = [simulate(cs, _pipeline_checks(), n_symbols, seed=seed) for seed in (1, 2, 3)]
+        failures = []
+
+        def caller(i):
+            try:
+                for _ in range(3):
+                    if not _same_results(simulate(cs, _pipeline_checks(), n_symbols, seed=i + 1),
+                                         want[i]):
+                        failures.append(i)
+            except Exception as exc:  # kept for the assert, not lost with the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_error_mid_loop_leaves_no_draw_running(self, rng, set_workers, monkeypatch):
+        set_workers(2)
+        cs = random_channel_set(rng)
+        n_symbols = 4 * CHUNK
+        want = simulate(cs, _pipeline_checks(), n_symbols, seed=3)
+        draw = losmimo.mcsim._complex_normal
+        caller = threading.current_thread()
+        running, started = [], []
+
+        def slow_draw(rng, out):
+            started.append(threading.current_thread())
+            running.append(1)
+            try:
+                if threading.current_thread() is not caller:
+                    time.sleep(0.05)  # still drawing chunk 4 when chunk 3's check raises
+                return draw(rng, out)
+            finally:
+                running.pop()
+
+        add = losmimo.mcsim._Moments.add
+        adds = []
+
+        def failing_in_chunk_3(self, *args):
+            adds.append(1)
+            if len(adds) == 2 * len(PAIRS) + 1:  # the first check of the third chunk
+                raise RuntimeError("check failed")
+            return add(self, *args)
+
+        monkeypatch.setattr(losmimo.mcsim, "_complex_normal", slow_draw)
+        monkeypatch.setattr(losmimo.mcsim._Moments, "add", failing_in_chunk_3)
+        with pytest.raises(RuntimeError, match="check failed"):
+            simulate(cs, _pipeline_checks(), n_symbols, seed=3)
+        assert running == []
+        # chunk 1 on the caller, 2 and 3 on the pool, and 4 on the pool while 3 was checked
+        assert started[0] is caller and len(started) == 4
+        assert all(thread.name.startswith("losmimo-station") for thread in started[1:])
+        monkeypatch.setattr(losmimo.mcsim._Moments, "add", add)
+        assert _same_results(simulate(cs, _pipeline_checks(), n_symbols, seed=3), want)
 
 
 class TestOracleAgreement:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import losmimo.channel
+import losmimo.mcsim
 import losmimo.powerctl
 import losmimo.scenario
 from losmimo import (
@@ -152,6 +153,38 @@ class TestSystemStructure:
             serving = cs[l, l]
             assert np.array_equal(xg.igram[l], gram_inverse(serving.conj().T @ serving))
 
+    @pytest.mark.parametrize("antennas", [16, 2], ids=["K<=M", "K>M"])
+    @pytest.mark.parametrize("igram_first", [True, False], ids=["igram-first", "range-first"])
+    def test_one_eigh_per_serving_gram(self, rng, monkeypatch, antennas, igram_first):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(1)
+            return eigh(a)
+
+        cs = random_channel_set(rng, cells=3, antennas=antennas)
+        want = [eigh(cs[l, l].conj().T @ cs[l, l]) for l in range(3)]
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        xg = cross_gram(cs)
+
+        def read_igram():
+            if antennas < 3:  # only ZF reads the inverses, and they need K <= M
+                with pytest.raises(SingularChannelError):
+                    xg.igram
+            else:
+                assert np.array_equal(xg.igram, np.stack([gram_inverse(xg.z[l, l], want[l])
+                                                          for l in range(3)]))
+
+        reads = [read_igram, lambda: xg.range_channels(antennas)]
+        for read in reads if igram_first else reads[::-1]:
+            read()
+            read()
+        assert len(calls) == 3
+        for l in range(3):
+            assert np.array_equal(xg.eig[l][0], want[l][0])
+            assert np.array_equal(xg.eig[l][1], want[l][1])
+
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_c_nonnegative_and_d_positive(self, rng, scheme, link):
         cs = random_channel_set(rng)
@@ -277,6 +310,28 @@ class TestStreamCrossGram:
         pool_threads = threads - {threading.current_thread()}
         assert 1 <= len(pool_threads) <= 2  # WORKERS - 1
         assert all(thread.name.startswith("losmimo-station") for thread in pool_threads)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_draws_on_the_pool_only_for_more_than_one_worker(self, set_workers,
+                                                                    monkeypatch, workers):
+        draws = []
+        draw = losmimo.mcsim._complex_normal
+
+        def recorded(*args):
+            draws.append(threading.current_thread())
+            return draw(*args)
+
+        monkeypatch.setattr(losmimo.mcsim, "_complex_normal", recorded)
+        set_workers(workers)
+        cfg = ScenarioConfig(cells=7, antennas_per_cell=32, users_per_cell=3, seed=42)
+        assert losmimo.scenario.verify(cfg, 2000).passed
+        caller = threading.current_thread()
+        assert len(draws) == 2  # 2000 symbols in two chunks of at most 1560
+        if workers == 1:
+            assert losmimo.channel._pool.cache_info().currsize == 0
+            assert draws == [caller, caller]
+        else:
+            assert draws[0] is caller and draws[1].name.startswith("losmimo-station")
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="needs the fork start method")

@@ -241,11 +241,11 @@ class TestRunScenario:
         inverse = losmimo.channel.gram_inverse
         calls = []
 
-        def singular_first_drop(gram):
+        def singular_first_drop(*args):
             calls.append(1)
             if len(calls) == 1:
                 raise SingularChannelError("channel Gram matrix is rank deficient")
-            return inverse(gram)
+            return inverse(*args)
 
         monkeypatch.setattr(losmimo.channel, "gram_inverse", singular_first_drop)
         table, summary = run_scenario(cfg)
