@@ -6,21 +6,21 @@ Channel entry for antenna m at distance r:
 
 The lambda/(4 pi) amplitude makes the per-antenna power gain equal to the
 inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
-plain transmit-power-to-noise-power ratios.
+plain transmit-power-to-noise-power ratios. The phase is taken from the
+exact fractional part of r / lambda, as exp(i theta / 4)^4 with |theta| <= pi.
 
-A drop's channels are never held whole: `stream_cross_gram` turns each base
-station's channels into its cross-Gram products as soon as they are built,
-and power control and the Monte Carlo oracle see the drop only through that
-`CrossGram`. The geometry is plain arrays: `antennas` (L, M, 3) holds each
-base station's antenna positions, `users` (L, K, 3) each cell's user
-positions.
+A drop's channels are never held whole: `stream_cross_gram` builds them in
+cache-sized (station, antenna tile) blocks, shared evenly by the station
+pool, and turns each block into its cross-Gram products at once; the rest
+of the package sees a drop only through that `CrossGram`. The geometry is
+plain arrays: antennas (L, M, 3) by base station, users (L, K, 3) by cell.
 """
 
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .linproc import gram_inverse
 
 C_LIGHT = 299792458.0  # m/s
 MIN_ANTENNA_DISTANCE_M = 1e-9  # a user closer than this to an antenna has no channel
-# threads that build a drop's channels, at most L: the usable CPUs, or all where unknown
+# threads that build a drop's channels: the usable CPUs, or all where unknown
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -72,16 +72,10 @@ def link_budget(
     return rho_dl, rho_ul
 
 
-def station_channels(
-    antennas: np.ndarray,
-    users: np.ndarray,
-    wavelength: float,
-    out: np.ndarray,
-    r: np.ndarray,
-    tmp: np.ndarray,
-) -> np.ndarray:
+def station_channels(antennas: np.ndarray, users: np.ndarray, wavelength: float,
+                     out: np.ndarray, r: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Fill `out` (L, M, K) with the channels from every cell's users (L, K, 3)
-    to one base station's antennas (M, 3), in place.
+    to M antennas (M, 3) of one base station, in place.
 
     `r` and `tmp` are float (L, M, K) scratch buffers; on return `r` holds
     the antenna-user distances. Entry (cell, m, k) is g_m of user (cell, k).
@@ -97,15 +91,22 @@ def station_channels(
     np.sqrt(r, out=r)
     if r.min() < MIN_ANTENNA_DISTANCE_M:
         raise SingularGeometryError("user position coincides with an antenna position")
-    np.multiply(2j * np.pi, r, out=out)
-    out /= wavelength
+    # the exact fractional cycle spares libm's argument reduction: exp of a
+    # quarter of its phase, |theta| <= pi / 4, then squared twice
+    np.divide(r, wavelength, out=tmp)
+    np.rint(tmp, out=out.real)
+    tmp -= out.real
+    np.multiply(0.5j * np.pi, tmp, out=out)
     np.exp(out, out=out)
-    out *= wavelength / (4.0 * np.pi)
-    out /= r
+    np.square(out, out=out)
+    np.square(out, out=out)
+    np.divide(wavelength / (4.0 * np.pi), r, out=tmp)
+    out *= tmp
     return out
 
 
-_local = threading.local()  # each thread's station buffers, kept across drops
+_TILE = 1 << 15  # channel entries of one task's tile: about 1 MB of buffers per thread
+_local = threading.local()  # each thread's tile buffers, kept across drops
 
 
 @cache
@@ -117,43 +118,6 @@ def _pool() -> ThreadPoolExecutor:
 # a forked child inherits the pool but none of its threads: it makes its own
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
-
-
-def _each_station(antennas: np.ndarray, users: np.ndarray, wavelength: float, visit) -> None:
-    """Call visit(l, block) on each base station l's (L, M, K) channels from
-    the antennas (L, M, 3) and the users (L, K, 3), built by
-    `station_channels` into a per-thread buffer that the thread's next station
-    overwrites. min(WORKERS, L) threads share the stations round-robin, the
-    calling thread taking the first share and the pool the rest; an error in
-    any share is raised once every share has ended."""
-    cells = len(antennas)
-    if len(users) != cells:
-        raise ConfigurationError("arrays and drop disagree on cell count")
-    if antennas.shape[-1] != 3 or users.shape[-1] != 3:
-        raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
-                                 "need 3 coordinates on their last axis")
-    if 0 in antennas.shape[:2] or 0 in users.shape[:2]:
-        raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
-                                 "need at least one station, antenna and user")
-    shape = (cells, antennas.shape[1], users.shape[1])
-
-    def share(stations):
-        buffers = getattr(_local, "buffers", None)
-        if buffers is None or buffers[0].shape != shape:
-            buffers = (np.empty(shape, dtype=np.complex128), np.empty(shape), np.empty(shape))
-            _local.buffers = buffers
-        for l in stations:
-            visit(l, station_channels(antennas[l], users, wavelength, *buffers))
-
-    workers = min(WORKERS, cells)
-    shares = [range(w, cells, workers) for w in range(workers)]
-    futures = [_pool().submit(share, stations) for stations in shares[1:]]
-    try:
-        share(shares[0])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 @dataclass(frozen=True)
@@ -199,17 +163,52 @@ class CrossGram:
         return out
 
 
-def _gram_row(z: np.ndarray, l: int, block: np.ndarray) -> None:
-    """z[l] = G[l, l]^H G[l, :] from base station l's (L, M, K) channels."""
-    np.matmul(block[l].conj().T, block, out=z[l])
-
-
 def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> CrossGram:
     """Cross-Gram products of the channels between the antennas (L, M, 3) and
-    the users (L, K, 3) of one drop without the (L, L, M, K) tensor: each
-    station's channels become its row of z as soon as they are built, and
-    each row is one product, so z is bit-identical for any worker count."""
-    cells, k = len(antennas), users.shape[1]
-    z = np.empty((cells, cells, k, k), dtype=np.complex128)
-    _each_station(antennas, users, wavelength, partial(_gram_row, z))
-    return CrossGram(z=z)
+    the users (L, K, 3) of one drop, without the (L, L, M, K) tensor.
+
+    Each station's antennas are cut into tiles of at most
+    max(_TILE // (L K), K) antennas. Task (l, t) builds tile t's (L, n, K)
+    channels at station l with `station_channels`, in buffers its thread
+    keeps across drops, and keeps their product G_t[l, l]^H G_t[l, :].
+    min(WORKERS, tasks) threads deal the tasks round-robin, the calling
+    thread taking the first share and the pool the rest; an error in any
+    share is raised once every share has ended. The tile products are summed
+    in tile order, so z is bit-identical for any worker count."""
+    cells = len(antennas)
+    if len(users) != cells:
+        raise ConfigurationError("arrays and drop disagree on cell count")
+    if antennas.shape[-1] != 3 or users.shape[-1] != 3:
+        raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
+                                 "need 3 coordinates on their last axis")
+    if 0 in antennas.shape[:2] or 0 in users.shape[:2]:
+        raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
+                                 "need at least one station, antenna and user")
+    m, k = antennas.shape[1], users.shape[1]
+    # a tile of at least K antennas keeps the tile products within L^2 K (M + K) entries
+    width = min(max(_TILE // (cells * k), k), m)
+    tiles = len(range(0, m, width))
+    parts = np.empty((cells, tiles, cells, k, k), dtype=np.complex128)
+    tasks = [(l, t) for l in range(cells) for t in range(tiles)]
+
+    def share(tasks):
+        size = cells * width * k
+        buffers = getattr(_local, "buffers", None)
+        if buffers is None or len(buffers[0]) != size:
+            buffers = (np.empty(size, dtype=np.complex128), np.empty(size), np.empty(size))
+            _local.buffers = buffers
+        for l, t in tasks:
+            tile = antennas[l, t * width:(t + 1) * width]
+            views = (b[:cells * len(tile) * k].reshape(cells, -1, k) for b in buffers)
+            block = station_channels(tile, users, wavelength, *views)
+            np.matmul(block[l].conj().T, block, out=parts[l, t])
+
+    workers = min(WORKERS, len(tasks))
+    futures = [_pool().submit(share, tasks[w::workers]) for w in range(1, workers)]
+    try:
+        share(tasks[::workers])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return CrossGram(z=parts.sum(axis=1))

@@ -1,13 +1,15 @@
 """References for the channel build, the cross-Gram and free-space path loss.
 
 `los_channel` computes one user's spherical-wave channel vector on its own,
-with the same operations as the package's per-station kernel
-(`losmimo.channel.station_channels`), so tests can check every built entry
-bit for bit. `channel_tensor` holds a drop's whole (L, L, M, K) channels,
-which the package never does, and `cross_gram` reduces them with the row
-product of `losmimo.stream_cross_gram`, so the stream must match it bit for
-bit. `fspl_db` is the textbook path loss the channel amplitude must
-reproduce.
+with the same operations in the same order as the package's kernel
+(`losmimo.channel.station_channels`: exp(i theta / 4)^4 of the phase theta
+of r / lambda's fractional part, then one real amplitude factor), so tests
+can check every built entry bit for bit. `channel_tensor` holds a drop's whole (L, L, M, K)
+channels, which the package never does, and `cross_gram` reduces each
+station's row in one product. `losmimo.stream_cross_gram` sums that product
+over antenna tiles instead, so it must match bit for bit where a station is
+one tile, and closely where it is several. `fspl_db` is the textbook path
+loss the channel amplitude must reproduce.
 """
 
 import numpy as np
@@ -35,8 +37,11 @@ def los_channel(user_position: np.ndarray, antennas: np.ndarray, wavelength: flo
     r = np.linalg.norm(antennas - user_position[None, :], axis=1)
     if np.any(r < 1e-9):
         raise SingularGeometryError("user position coincides with an antenna position")
-    amp = wavelength / (4.0 * np.pi)
-    return amp * np.exp(2j * np.pi * r / wavelength) / r
+    # the kernel's operation order: exp(i theta / 4)^4 of the phase theta of
+    # r / lambda's fractional cycle, then the real amplitude (lambda / 4 pi) / r
+    cycles = r / wavelength
+    quarter = np.exp(0.5j * np.pi * (cycles - np.rint(cycles)))
+    return np.square(np.square(quarter)) * (wavelength / (4.0 * np.pi) / r)
 
 
 def channel_tensor(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> np.ndarray:

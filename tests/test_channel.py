@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import losmimo
+import losmimo.channel
 from losmimo import (
     ConfigurationError,
     SingularGeometryError,
@@ -188,6 +191,139 @@ class TestChannelSet:
             g = los_channel(np.array([d, 17.0, 1.5]), arr, wl)
             norms.append(np.linalg.norm(g) ** 2)
         assert np.all(np.diff(norms) < 0)
+
+
+def _textbook_channel(antenna, user, wavelength: float) -> complex:
+    """(lambda / 4 pi r) exp(i 2 pi r / lambda) of one antenna-user pair, with
+    r and r / lambda mod 1 taken from the float positions in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = sum((Decimal(a) - Decimal(u)) ** 2 for a, u in zip(antenna, user)).sqrt()
+        cycles = r / Decimal(wavelength)
+        fraction = float(cycles - cycles.to_integral_value())
+    return wavelength / (4.0 * np.pi * float(r)) * np.exp(2j * np.pi * fraction)
+
+
+class TestAccuracy:
+    def test_published_geometry_matches_the_textbook_formula(self):
+        # at 60 GHz the phase 2 pi r / lambda reaches ~2.6e5 rad; the kernel's
+        # reduced argument must keep every entry within 1e-9 of the formula
+        arrays, drop, wl = _small_scene(seed=3, antennas=4096, users=18)
+        station = arrays[4]
+        shape = (7, 4096, 18)
+        out = losmimo.channel.station_channels(station, drop, wl, np.empty(shape, dtype=complex),
+                                               np.empty(shape), np.empty(shape))
+        rng = np.random.default_rng(7)
+        picks = zip(rng.integers(7, size=300), rng.integers(4096, size=300),
+                    rng.integers(18, size=300))
+        errors = [abs(out[cell, m, k] - _textbook_channel(station[m], drop[cell, k], wl))
+                  / abs(out[cell, m, k]) for cell, m, k in picks]
+        assert max(errors) <= 1e-9
+
+
+def _blockwise_error(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest normwise relative difference of the (K, K) blocks of two z."""
+    return float(np.max(np.linalg.norm(got - want, axis=(2, 3))
+                        / np.linalg.norm(want, axis=(2, 3))))
+
+
+class TestTiles:
+    """Several antenna tiles per station, the last one shorter: 7 stations
+    of 32 antennas and 4 users in tiles of 12, 12 and 8 antennas."""
+
+    @pytest.fixture(autouse=True)
+    def three_tiles(self, monkeypatch):
+        monkeypatch.setattr(losmimo.channel, "_TILE", 7 * 4 * 12)
+
+    def test_same_bits_for_any_worker_count(self, set_workers):
+        arrays, drop, wl = _small_scene()
+        set_workers(1)
+        want = stream_cross_gram(arrays, drop, wl).z
+        for workers in (1, 2, 3):
+            set_workers(workers)
+            for _ in range(2):
+                assert np.array_equal(stream_cross_gram(arrays, drop, wl).z, want), workers
+        # the sum of tile products stays next to the full-row product
+        assert _blockwise_error(want, cross_gram(channel_tensor(arrays, drop, wl)).z) <= 1e-13
+
+    def test_pool_error_on_a_tile_reaches_caller_unchanged(self, set_workers, monkeypatch):
+        set_workers(2)
+        arrays, drop, wl = _small_scene()
+        want = stream_cross_gram(arrays, drop, wl).z
+        error = SingularGeometryError("user position coincides with an antenna position")
+        raised_on = []
+        kernel = losmimo.channel.station_channels
+
+        def failing_on_last_tile_of_station_1(tile, *args):
+            if np.array_equal(tile, arrays[1, 24:]):  # task 5, dealt to the pool
+                raised_on.append(threading.current_thread())
+                raise error
+            return kernel(tile, *args)
+
+        monkeypatch.setattr(losmimo.channel, "station_channels", failing_on_last_tile_of_station_1)
+        with pytest.raises(SingularGeometryError) as caught:
+            stream_cross_gram(arrays, drop, wl)
+        assert caught.value is error
+        assert raised_on and raised_on[0].name.startswith("losmimo-station")
+        monkeypatch.setattr(losmimo.channel, "station_channels", kernel)
+        assert np.array_equal(stream_cross_gram(arrays, drop, wl).z, want)
+
+    def test_concurrent_callers_under_fast_thread_switching(self, set_workers):
+        # more workers than cores, three callers at once, a switch every microsecond:
+        # a tile product in the wrong slot or a buffer shared across threads shows in z
+        scenes = [_small_scene(seed=seed) for seed in (1, 2, 3)]
+        set_workers(1)
+        want = [stream_cross_gram(*scene).z for scene in scenes]
+        set_workers(4)
+        failures = []
+
+        def caller(i):
+            try:
+                for _ in range(20):
+                    if not np.array_equal(stream_cross_gram(*scenes[i]).z, want[i]):
+                        failures.append(i)
+            except Exception as exc:  # kept for the assert, not lost with the thread
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    def test_a_tile_holds_at_least_k_antennas(self, set_workers, monkeypatch):
+        # where L K exceeds _TILE, a tile of K antennas keeps the tile
+        # products within L^2 K (M + K) entries
+        monkeypatch.setattr(losmimo.channel, "_TILE", 1)
+        widths = []
+        kernel = losmimo.channel.station_channels
+
+        def recorded(tile, *args):
+            widths.append(len(tile))
+            return kernel(tile, *args)
+
+        monkeypatch.setattr(losmimo.channel, "station_channels", recorded)
+        set_workers(2)
+        arrays, drop, wl = _small_scene()
+        got = stream_cross_gram(arrays, drop, wl).z
+        assert widths == [4] * 7 * 8
+        assert _blockwise_error(got, cross_gram(channel_tensor(arrays, drop, wl)).z) <= 1e-13
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_user_on_an_antenna_of_the_short_tile_raises(self, set_workers, workers):
+        set_workers(workers)
+        arrays, drop, wl = _small_scene()
+        positions = drop.copy()
+        positions[3, 1] = arrays[5, 30]
+        with pytest.raises(SingularGeometryError):
+            stream_cross_gram(arrays, positions, wl)
 
 
 class TestWorkers:
