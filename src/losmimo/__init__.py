@@ -16,7 +16,7 @@ from .errors import (
     SingularGeometryError,
 )
 from .geometry import circular_array, drop_users, hex_centers, in_hexagon
-from .linproc import decoder, gram_inverse, precoder
+from .linproc import gram_inverse
 from .mcsim import SimResult, simulate
 from .powerctl import (
     MaxminResult,

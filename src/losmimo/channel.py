@@ -126,41 +126,22 @@ class CrossGram:
     on first use (only ZF needs them; MR allows K > M).
 
     z[l, lp][k, k'] = <g of user (l, k), g of user (lp, k')>, both channels
-    taken at base station l; z[l, l] is cell l's Gram matrix, factorized once
-    (`eig`) for both its guarded inverse (`gram_inverse`) and its range
-    (`range_channels`).
+    taken at base station l; z[l, l] is cell l's Gram matrix. The closed
+    forms (`powerctl`) and the Monte Carlo oracle (`mcsim.simulate`) both
+    read the drop from z alone.
     """
 
     z: np.ndarray  # (L, L, K, K) complex
 
     @cached_property
-    def eig(self) -> list:
-        """Each serving Gram's eigenpairs (lam ascending, V), `np.linalg.eigh`
-        of z[l, l], computed on the reading thread."""
-        return [np.linalg.eigh(self.z[l, l]) for l in range(len(self.z))]
-
-    @cached_property
     def igram(self) -> np.ndarray:
         """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
-        return np.stack([gram_inverse(self.z[l, l], self.eig[l]) for l in range(len(self.z))])
+        return np.stack([gram_inverse(self.z[l, l]) for l in range(len(self.z))])
 
     @property
     def inv_diag(self) -> np.ndarray:
         """(L, K) real diagonals of the serving-Gram inverses."""
         return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
-
-    def range_channels(self, antennas_per_cell: int) -> np.ndarray:
-        """(L, L, r, K) channels compressed to each station's serving range,
-        r = min(M, K): C[l, lp] = Lam^-1/2 V^H z[l, lp] from the top r
-        eigenpairs (V, Lam) of z[l, l]. This is Q_l^H G[l, lp] for the
-        orthonormal basis Q_l = G[l, l] V Lam^-1/2 of the range of G[l, l],
-        which holds every MR/ZF precoder column (conjugated) and decoder row,
-        so the Monte Carlo oracle gives the same law on C as on G."""
-        rank = min(antennas_per_cell, self.z.shape[-1])
-        out = np.empty((*self.z.shape[:2], rank, self.z.shape[-1]), dtype=np.complex128)
-        for l, (row, (lam, v)) in enumerate(zip(self.z, self.eig)):
-            np.matmul(v[:, -rank:].conj().T / np.sqrt(lam[-rank:])[:, None], row, out=out[l])
-        return out
 
 
 def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> CrossGram:

@@ -14,11 +14,14 @@ from .errors import ConfigurationError
 from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
-# L^2 K max(M, K) complex entries, 1 GiB of complex128. No drop holds its
-# L^2 M K channels whole, but this bounds what it does hold: a station's
-# (L, M, K) channel buffer on each of at most L threads, or, when K > M (MR
-# only), the L^2 K^2 cross-Gram tensor and power-control matrices (the
-# published Table 1 scale is 3.6 M entries)
+# L^2 K max(M, K) complex entries, 1 GiB of complex128 (the published Table 1
+# scale is 3.6 M entries). No drop holds its L^2 M K channels whole, but this
+# bounds what it does hold: on each thread, three tile buffers of L n K
+# entries for a tile of n = min(M, max(2^15 // (L K), K)) antennas (about
+# 1 MB at the published scale); the L T L K^2 tile products of T = ceil(M / n)
+# tiles a station, which a tile of at least K antennas keeps within
+# L^2 K (M + K) entries, at most twice the limit; and the L^2 K^2 cross-Gram
+# products and power-control matrices
 MAX_CHANNEL_ENTRIES = 2**26
 _SCHEMES = ("MR", "ZF")
 _LINKS = ("DL", "UL")

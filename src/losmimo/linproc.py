@@ -1,16 +1,16 @@
-"""Per-cell power norms, MR and ZF decoders and precoders, and the guarded Gram inverse.
+"""Per-cell power norms and the guarded Gram inverse.
 
 Notation: for a serving matrix G (M x K), the Gram matrix is G^H G and its
-inverse's diagonal governs ZF performance. Each precoder is its decoder
-transposed and scaled to the power budget. Powers are plain (L, K) arrays
+inverse's diagonal governs ZF performance. Powers are plain (L, K) arrays
 eta of per-user coefficients, admissible when nonnegative and each cell's
 `per_cell_norms` is at most 1 + NORM_SLACK. The closed-form SINRs built on
-these live in `powerctl` (`PcSystem.sinr`).
+these live in `powerctl` (`PcSystem.sinr`), and the MR/ZF processing they
+assume is simulated in `mcsim`.
 """
 
 import numpy as np
 
-from .errors import DegenerateChannelError, SingularChannelError
+from .errors import SingularChannelError
 
 COND_LIMIT = 1e12
 NORM_SLACK = 1e-9  # a cell's power norm may exceed 1 by this much and stay admissible
@@ -40,22 +40,3 @@ def gram_inverse(gram: np.ndarray, eig=None) -> np.ndarray:
     if not 0.0 < lam[0] * COND_LIMIT >= lam[-1]:
         raise SingularChannelError("channel Gram matrix is rank deficient")
     return (v / lam) @ v.conj().T
-
-
-def decoder(serving: np.ndarray, scheme: str) -> np.ndarray:
-    """(K, M) decoder of an M x K serving matrix G: G^H for MR, (G^H G)^-1 G^H for ZF."""
-    hermitian = serving.conj().T
-    if scheme == MR:
-        return hermitian
-    if scheme == ZF:
-        return gram_inverse(hermitian @ serving) @ hermitian
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def precoder(serving: np.ndarray, scheme: str, eta: np.ndarray) -> np.ndarray:
-    """(M, K) decoder transposed with column k scaled to power eta_k; transmit power = sum(eta)."""
-    transposed = decoder(serving, scheme).T
-    norms = np.linalg.norm(transposed, axis=0)
-    if np.any(norms == 0):
-        raise DegenerateChannelError("zero channel column")
-    return transposed * (np.sqrt(np.asarray(eta, dtype=float)) / norms)[None, :]

@@ -13,15 +13,18 @@ each chunk is drawn once and every check reads it. A check thus sees exactly
 the draws a batch of its own with the same seed would see, and stays
 statistically identical to it.
 
-Only noise that reaches the users is drawn, K samples per cell and symbol,
-of which a check reads r. On the downlink r = K: each user's receiver noise,
-received as drawn. On the uplink r = min(M, K), the first r rows: base
-station l decodes its M antennas' noise w with A_l, whose rows lie in the
-range of the serving matrix G_l, so A_l = (A_l Q_l) Q_l^H for the thin-QR
-basis Q_l (M x r) of G_l, and A_l w has the law of (A_l Q_l) v with
-v ~ CN(0, I_r) (`noise_factor`). The factor is taken from the decoder being
-simulated, not from the closed-form algebra, so the oracle stays independent
-of it.
+The oracle sees a drop only through its cross-Gram products z (L, L, K, K),
+z[l, lp] = G[l, l]^H G[l, lp] for the channels G[l, lp] (M x K) from cell
+lp's users to base station l. Station l's MR or ZF decoder A_l (G[l, l]^H,
+or the Gram inverse times it) enters the transmission equations only through
+A_l G[l, :], which is z[l] or z[l, l]^-1 z[l], and through the covariance
+A_l A_l^H of its decoded noise, z[l, l] or z[l, l]^-1 (`_setup`, from its
+own `eigh` of z[l, l]). Only noise that reaches the users is drawn, K
+samples per cell and symbol. On the downlink they are each user's receiver
+noise, received as drawn. On the uplink the decoded noise A_l w of the M
+antennas' noise w has the law of S_l v, v the K drawn samples, for the
+covariance's principal square root S_l: unique, so independent of the
+eigenvectors' phases, and defined for the rank-deficient MR Gram of K > M.
 
 Symbols are processed in chunks of about _CHUNK_BUDGET / (L K) symbols
 (585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB. A
@@ -32,9 +35,8 @@ i's checks; the draws come from one generator in one order either way, so
 results depend only on the seed, not on the worker count. The checks take
 turns in reused work buffers: the received samples, one term, and the
 per-sample powers with their squares. That is seven such arrays at the
-peak (four of draws, three of work), made once a call whatever M, the
-symbol count and the number of checks; a shorter last chunk takes a prefix
-of each.
+peak (four of draws, three of work), made once a call whatever the symbol
+count and the number of checks; a shorter last chunk takes a prefix of each.
 """
 
 from collections.abc import Sequence
@@ -44,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .linproc import DOWNLINK, NORM_SLACK, UPLINK, decoder, per_cell_norms, precoder
+from .errors import DegenerateChannelError
+from .linproc import DOWNLINK, MR, NORM_SLACK, UPLINK, ZF, gram_inverse, per_cell_norms
 
 _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
 
@@ -63,13 +66,6 @@ def _complex_normal(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
     rng.standard_normal(out=parts)
     parts *= np.sqrt(0.5)
     return out
-
-
-def noise_factor(decoder: np.ndarray, serving: np.ndarray) -> np.ndarray:
-    """(K, r) factor B = A Q of a decoder A (K x M) whose rows lie in the
-    range of the serving matrix G (M x K), Q the thin-QR basis of G and
-    r = min(M, K): A w with w ~ CN(0, I_M) has the law of B v, v ~ CN(0, I_r)."""
-    return decoder @ np.linalg.qr(serving)[0]
 
 
 class _Moments:
@@ -102,11 +98,15 @@ def _chunks(n_symbols: int, per_symbol: int):
         done += chunk
 
 
-def _setup(channels: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: float):
-    """Validate one check and return its (mix, coef, noise_map); its
-    precoders or decoders are freed on return, before the first draw."""
-    cells, users = channels.shape[0], channels.shape[3]
+def _setup(z: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: float):
+    """Validate one check and return its (mix, coef, noise_map), all read
+    from the cross-Gram products z."""
+    cells, users = z.shape[0], z.shape[-1]
+    if z.shape != (cells, cells, users, users):
+        raise ValueError(f"cross-Gram products of shape {z.shape} are not (L, L, K, K)")
     eta = np.asarray(eta, dtype=float)
+    if scheme not in (MR, ZF):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if link not in (DOWNLINK, UPLINK):
         raise ValueError(f"unknown link {link!r}")
     if eta.shape != (cells, users):
@@ -120,57 +120,73 @@ def _setup(channels: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: f
     # 0 is a noise-only check; written so that a NaN rho fails
     if not 0.0 <= rho < np.inf:
         raise ValueError(f"normalized SNR rho must be finite and nonnegative, got {rho}")
-    root_rho = np.sqrt(rho)
-    # eff[l, lp] maps cell-lp symbols to cell-l users' received samples.
-    # noise_map[l] maps the r noise draws of cell l to them; on the
-    # downlink (None) the users' noise is received as drawn.
+    # t[l] = A_l G[l, :], the decoder's view of every cell's users;
+    # noise_power[l] the diagonal of its noise covariance A_l A_l^H, and
+    # root[l] that covariance's principal square root V f(lam) V^H
+    t = np.empty_like(z)
+    noise_power = np.empty((cells, users))
+    root = np.empty_like(z[0])
+    for l in range(cells):
+        lam, v = np.linalg.eigh(z[l, l])
+        if scheme == MR:
+            t[l], covariance, f = z[l], z[l, l], np.sqrt(np.clip(lam, 0.0, None))
+        else:
+            covariance = gram_inverse(z[l, l], (lam, v))
+            np.matmul(covariance, z[l], out=t[l])
+            f = 1.0 / np.sqrt(lam)
+        noise_power[l] = np.real(np.diagonal(covariance))
+        np.matmul(v * f, v.conj().T, out=root[l])
+    # eff[l, lp] maps cell-lp symbols to cell-l users' received samples, with
+    # sqrt(eta) applied at the transmitters, column (lp, k'). On the downlink
+    # (noise_map None) the users' noise is received as drawn; on the uplink
+    # noise_map[l] maps cell l's K noise draws to its decoded samples.
     if link == DOWNLINK:
-        precoders = np.stack([precoder(channels[l, l], scheme, eta[l]) for l in range(cells)])
-        eff = root_rho * (channels.transpose(1, 0, 3, 2) @ precoders)
+        # cell lp's precoder is A_lp^T, column k' scaled to power eta[lp, k']
+        if np.any(noise_power == 0):
+            raise DegenerateChannelError("zero channel column")
+        eff = t.transpose(1, 0, 3, 2) * np.sqrt(rho * eta / noise_power)[None, :, None, :]
         noise_map = None
     else:
-        decoders = [decoder(channels[l, l], scheme) for l in range(cells)]
-        # sqrt(eta) is applied at the transmitters, column (lp, k') of eff
-        eff = np.stack([decoders[l] @ channels[l] for l in range(cells)])
-        eff *= root_rho * np.sqrt(eta)[None, :, None, :]
-        noise_map = np.stack([noise_factor(decoders[l], channels[l, l]) for l in range(cells)])
+        eff = t * np.sqrt(rho * eta)[None, :, None, :]
+        noise_map = root
     mix = eff.transpose(0, 2, 1, 3).reshape(cells * users, -1)  # row (l, k), column (lp, k')
     return mix, np.real(np.diagonal(mix)).reshape(cells, users), noise_map
 
 
 def simulate(
-    channels: np.ndarray,
+    z: np.ndarray,
     checks: Sequence[tuple[str, str, np.ndarray, float]],
     n_symbols: int,
     seed: int,
 ) -> list[SimResult]:
-    """Simulate the transmission equation of each check's link over the
-    (L, L, M', K) channels and measure per-user SINR; `checks` is a sequence
-    of (scheme, link, eta, rho), eta the (L, K) powers and rho that link's
-    normalized SNR. channels[l, lp] maps cell lp's users to M' receive
-    dimensions of base station l: its M antennas, or any orthonormal basis of
-    a subspace that holds the range of the serving matrix channels[l, l]
-    (`CrossGram.range_channels`), which gives the same law. Returns one
-    `SimResult` per check, in order.
+    """Simulate the transmission equation of each check's link over the drop
+    whose (L, L, K, K) cross-Gram products are z (`CrossGram.z`), and measure
+    per-user SINR; `checks` is a sequence of (scheme, link, eta, rho), eta the
+    (L, K) powers and rho that link's normalized SNR. Returns one `SimResult`
+    per check, in order.
 
-    Downlink: cell l transmits P_l s_l with its MR or ZF `precoder` P_l, and
-    each user receives every cell's signal plus unit noise. Uplink: each user
-    transmits sqrt(eta) s, and base station l decodes its antennas' signals
-    plus unit noise with its `decoder` A_l (G^H for MR, Gram^-1 G^H for ZF).
+    Downlink: cell l transmits P_l s_l with the precoder P_l = A_l^T, column
+    k scaled to power eta[l, k], and each user receives every cell's signal
+    plus unit noise. Uplink: each user transmits sqrt(eta) s, and base
+    station l decodes its antennas' signals plus unit noise with A_l. A_l is
+    G^H for MR and Gram^-1 G^H for ZF, G = G[l, l]; the module docstring
+    shows how z alone gives both.
 
     Every check is set up, and so validated, before the first draw: an
     unknown link or scheme, powers not (L, K), a negative or NaN power, a
     per-cell norm above 1 + NORM_SLACK, or a rho that is not finite and
-    nonnegative raises `ValueError`. All checks read
-    one stream of symbols and noise (see the module docstring).
+    nonnegative raises `ValueError`; a ZF Gram beyond `gram_inverse`'s guard
+    raises `SingularChannelError`, and a zero downlink precoder column
+    `DegenerateChannelError`. All checks read one stream of symbols and
+    noise (see the module docstring).
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
     if not checks:
         raise ValueError("simulate needs at least one check")
-    cells, users = channels.shape[0], channels.shape[3]
+    cells, users = z.shape[0], z.shape[-1]
     n = cells * users
-    setups = [(*_setup(channels, *check), _Moments((cells, users))) for check in checks]
+    setups = [(*_setup(z, *check), _Moments((cells, users))) for check in checks]
 
     sizes = list(_chunks(n_symbols, n))
     rng = np.random.default_rng(seed)
@@ -200,7 +216,7 @@ def simulate(
                 if noise_map is None:
                     r += w
                 else:
-                    r += np.matmul(noise_map, w[:, : noise_map.shape[-1]], out=t)
+                    r += np.matmul(noise_map, w, out=t)
                 r -= np.multiply(coef[:, :, None], symbols, out=t)
                 impairment.add(np.square(np.abs(r, out=v), out=v), v2)
             if not last:

@@ -185,11 +185,11 @@ class VerificationReport:
 def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     """Closed-form vs Monte Carlo agreement over one configured drop.
 
-    The drop is `run`'s (`solve_drop`), and the oracle simulates its channels
-    compressed to each station's serving range (`CrossGram.range_channels`).
-    Uses uniform admissible powers (downlink 1/K per user, uplink full
-    power) and reports every user's deviation in standard-error units, which
-    must be below `SIGMA_THRESHOLD`.
+    The drop is `run`'s (`solve_drop`), and the oracle simulates it from its
+    cross-Gram products `drop.xg.z` alone, through no eigenvector phase that
+    an eigensolver picks. Uses uniform admissible powers (downlink 1/K per
+    user, uplink full power) and reports every user's deviation in
+    standard-error units, which must be below `SIGMA_THRESHOLD`.
     """
     cfg.validate()
     if n_symbols < 2:
@@ -201,8 +201,7 @@ def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     rho = cfg.rho()
 
     checks = [(scheme, link, eta[link], rho[link]) for scheme, link in drop.systems]
-    channels = drop.xg.range_channels(cfg.antennas_per_cell)
-    results = simulate(channels, checks, n_symbols, cfg.seed)
+    results = simulate(drop.xg.z, checks, n_symbols, cfg.seed)
     entries = []
     for ((scheme, link), system), result in zip(drop.systems.items(), results):
         closed = system.sinr(eta[link])

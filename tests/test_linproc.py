@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from losmimo import (
-    DegenerateChannelError,
-    SingularChannelError,
-    build_pc_system,
-    decoder,
-    gram_inverse,
-    precoder,
-)
+from losmimo import DegenerateChannelError, SingularChannelError, build_pc_system, gram_inverse
 from losmimo.linproc import COND_LIMIT
+from losmimo.mcsim import _setup
 
 from conftest import random_channel_set
 from reference_channel import cross_gram
+from reference_mcsim import precoder_powers
 
 
 def closed_sinr(cs, scheme, link, eta, rho):
@@ -24,39 +19,47 @@ def _random_matrix(rng, antennas=16, users=4):
     return (rng.standard_normal((antennas, users)) + 1j * rng.standard_normal((antennas, users))) / np.sqrt(2 * antennas)
 
 
+def _received(g, scheme, link, eta):
+    """One cell's (K, K) effective channel in the oracle (`mcsim._setup`) at
+    rho = 1: g^T P for its MR or ZF precoder P on the downlink, A g for its
+    decoder A on the uplink, each column scaled to the user's power."""
+    return _setup(cross_gram(g[None, None]).z, scheme, link, np.asarray(eta)[None], 1.0)[0]
+
+
 class TestPrecoders:
+    """The oracle's downlink precoders, which it reads from z alone."""
+
     def test_mr_single_user(self, rng):
         g = _random_matrix(rng, users=1)
-        p = precoder(g, "MR", np.array([1.0]))
-        assert np.allclose(p[:, 0], g[:, 0].conj() / np.linalg.norm(g))
-        assert np.linalg.norm(p) ** 2 == pytest.approx(1.0, rel=1e-12)
+        assert _received(g, "MR", "DL", [1.0])[0, 0] == pytest.approx(np.linalg.norm(g), rel=1e-12)
+        assert precoder_powers(rng, g, "MR", np.array([1.0])) == pytest.approx([1.0], rel=1e-12)
 
     def test_mr_zero_power(self, rng):
         g = _random_matrix(rng)
-        p = precoder(g, "MR", np.zeros(4))
-        assert np.all(p == 0)
+        assert np.all(_received(g, "MR", "DL", np.zeros(4)) == 0)
 
     def test_mr_zero_column_raises(self, rng):
         g = _random_matrix(rng)
         g[:, 2] = 0
         with pytest.raises(DegenerateChannelError):
-            precoder(g, "MR", np.full(4, 0.25))
+            _received(g, "MR", "DL", np.full(4, 0.25))
 
     @pytest.mark.parametrize("scheme", ["MR", "ZF"])
     def test_power_identity(self, rng, scheme):
-        # E(||s||^2) = ||P||_F^2 = ||eta||_1 for unit-variance symbols
+        # E(||s||^2) = ||P||_F^2 = ||eta||_1 for unit-variance symbols, each
+        # column at its own power
         for _ in range(20):
             g = _random_matrix(rng)
             eta = rng.uniform(0, 0.25, 4)
-            p = precoder(g, scheme, eta)
-            assert np.linalg.norm(p) ** 2 == pytest.approx(np.sum(eta), rel=1e-12)
+            powers = precoder_powers(rng, g, scheme, eta)
+            assert np.allclose(powers, eta, rtol=1e-12, atol=0)
+            assert np.sum(powers) == pytest.approx(np.sum(eta), rel=1e-12)
 
     def test_zf_nulling(self, rng):
         for _ in range(20):
             g = _random_matrix(rng)
             eta = rng.uniform(0.01, 0.25, 4)
-            p = precoder(g, "ZF", eta)
-            crosstalk = g.T @ p
+            crosstalk = _received(g, "ZF", "DL", eta)
             diag = np.abs(np.diag(crosstalk))
             off = np.abs(crosstalk - np.diag(np.diag(crosstalk)))
             assert np.max(off) < 1e-10 * np.min(diag)
@@ -64,29 +67,28 @@ class TestPrecoders:
     def test_zf_diagonal_value(self, rng):
         g = _random_matrix(rng)
         eta = rng.uniform(0.01, 0.25, 4)
-        p = precoder(g, "ZF", eta)
         igram = np.linalg.inv(g.conj().T @ g)
         expected = np.sqrt(eta / np.real(np.diag(igram)))
-        assert np.allclose(np.diag(g.T @ p), expected, rtol=1e-10)
+        assert np.allclose(np.diag(_received(g, "ZF", "DL", eta)), expected, rtol=1e-10)
 
     def test_zf_equals_mr_for_orthogonal_columns(self, rng):
         q, _ = np.linalg.qr(_random_matrix(rng, 16, 4))
         g = q * rng.uniform(0.5, 2.0, 4)[None, :]
         eta = rng.uniform(0.01, 0.25, 4)
-        assert np.allclose(precoder(g, "ZF", eta), precoder(g, "MR", eta), atol=1e-12)
+        assert np.allclose(_received(g, "ZF", "DL", eta), _received(g, "MR", "DL", eta), atol=1e-12)
 
     def test_zf_single_user_equals_mr(self, rng):
         g = _random_matrix(rng, users=1)
         eta = np.array([0.7])
-        assert np.allclose(precoder(g, "ZF", eta), precoder(g, "MR", eta))
+        assert np.allclose(_received(g, "ZF", "DL", eta), _received(g, "MR", "DL", eta))
 
     def test_zf_rank_deficient_raises(self, rng):
         g = _random_matrix(rng)
         g[:, 1] = g[:, 0]
         with pytest.raises(SingularChannelError):
-            precoder(g, "ZF", np.full(4, 0.25))
+            _received(g, "ZF", "DL", np.full(4, 0.25))
         with pytest.raises(SingularChannelError):
-            precoder(_random_matrix(rng, antennas=3, users=4), "ZF", np.full(4, 0.25))
+            _received(_random_matrix(rng, antennas=3, users=4), "ZF", "DL", np.full(4, 0.25))
 
 
 class TestGramInverse:
@@ -130,21 +132,24 @@ class TestGramInverse:
 
 
 class TestDecoders:
+    """The oracle's uplink decoders, which it reads from z alone."""
+
     def test_zf_is_left_inverse(self, rng):
         for _ in range(20):
             g = _random_matrix(rng)
-            assert np.max(np.abs(decoder(g, "ZF") @ g - np.eye(4))) < 1e-12
+            assert np.max(np.abs(_received(g, "ZF", "UL", np.ones(4)) - np.eye(4))) < 1e-12
 
     def test_mr_is_conjugate_transpose(self, rng):
-        g = _random_matrix(rng)
-        assert np.array_equal(decoder(g, "MR"), g.conj().T)
+        # A_l G[l, lp] = G[l, l]^H G[l, lp] = z[l, lp], block (l, lp) of the mix
+        z = cross_gram(random_channel_set(rng, cells=2, users=3)).z
+        mix = _setup(z, "MR", "UL", np.ones((2, 3)), 1.0)[0]
+        assert np.array_equal(mix.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3), z)
 
     def test_unknown_scheme(self, rng):
         g = _random_matrix(rng)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            decoder(g, "MMSE")
-        with pytest.raises(ValueError, match="unknown scheme"):
-            precoder(g, "MMSE", np.full(4, 0.25))
+        for link in ("DL", "UL"):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                _received(g, "MMSE", link, np.full(4, 0.25))
 
 
 class TestClosedFormDegenerateCases:

@@ -271,7 +271,7 @@ class TestRunScenario:
 class TestVerify:
     def test_small_scale_passes(self):
         # (config, checks): the second is MR only with more users than
-        # antennas, where the oracle's uplink reads M < K noise rows
+        # antennas, where the oracle's uplink noise root has rank M < K
         for cfg, checks in (
             (tiny_config(cells=1, antennas_per_cell=8, users_per_cell=2), 4),
             (tiny_config(cells=1, antennas_per_cell=2, users_per_cell=3, schemes="MR", seed=3,
@@ -309,6 +309,23 @@ class TestVerify:
         a = verify(cfg, n_symbols=2000)
         b = verify(cfg, n_symbols=2000)
         assert [e.max_dev_sigma for e in a.entries] == [e.max_dev_sigma for e in b.entries]
+
+    def test_report_does_not_follow_eigenvector_phases(self, monkeypatch):
+        # eigh fixes each eigenvector only up to a unit phase; the oracle's
+        # noise roots and every Gram inverse are the same for any phases
+        cfg = load_config(SCENARIOS / "reduced.cfg")
+        want = verify(cfg, n_symbols=2000)
+        eigh = np.linalg.eigh
+        phases = np.random.default_rng(5)
+
+        def phased(a):
+            lam, v = eigh(a)
+            return lam, v * np.exp(2j * np.pi * phases.random(v.shape[-1]))
+
+        monkeypatch.setattr(np.linalg, "eigh", phased)
+        got = verify(cfg, n_symbols=2000)
+        for a, b in zip(want.entries, got.entries, strict=True):
+            assert np.max(np.abs(a.deviation - b.deviation)) <= 1e-9, (a.scheme, a.link)
 
 
 def _write_tiny_config(path, **overrides):
