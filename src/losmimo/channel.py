@@ -135,8 +135,9 @@ class CrossGram:
 
     @cached_property
     def igram(self) -> np.ndarray:
-        """(L, K, K) guarded serving-Gram inverses, computed on the reading thread."""
-        return np.stack([gram_inverse(self.z[l, l]) for l in range(len(self.z))])
+        """(L, K, K) guarded serving-Gram inverses, taken in one call on the reading thread."""
+        own = np.arange(len(self.z))
+        return gram_inverse(self.z[own, own])
 
     @property
     def inv_diag(self) -> np.ndarray:

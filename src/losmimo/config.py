@@ -14,14 +14,9 @@ from .errors import ConfigurationError
 from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
-# L^2 K max(M, K) complex entries, 1 GiB of complex128 (the published Table 1
-# scale is 3.6 M entries). No drop holds its L^2 M K channels whole, but this
-# bounds what it does hold: on each thread, three tile buffers of L n K
-# entries for a tile of n = min(M, max(2^15 // (L K), K)) antennas (about
-# 1 MB at the published scale); the L T L K^2 tile products of T = ceil(M / n)
-# tiles a station, which a tile of at least K antennas keeps within
-# L^2 K (M + K) entries, at most twice the limit; and the L^2 K^2 cross-Gram
-# products and power-control matrices
+# complex entries a drop may hold, counted in `validate`: 1 GiB of complex128
+# (3.7 M at the published Table 1 scale); each thread's tile buffers, about
+# 1 MB at that scale, come beside them
 MAX_CHANNEL_ENTRIES = 2**26
 _SCHEMES = ("MR", "ZF")
 _LINKS = ("DL", "UL")
@@ -75,12 +70,13 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cells not in (1, 7):
             raise ConfigurationError(f"cells must be 1 or 7, got {self.cells}")
+        # tile products (at most L^2 K (M + K)), z and four (L K)^2 power-control matrices
         users = self.users_per_cell
-        entries = self.cells**2 * users * max(self.antennas_per_cell, users)
+        entries = self.cells**2 * users * (self.antennas_per_cell + 6 * users)
         if entries > MAX_CHANNEL_ENTRIES:
             raise ConfigurationError(
                 f"cells, antennas_per_cell and users_per_cell give {entries} entries per drop "
-                f"(cells^2 * users_per_cell * max(antennas_per_cell, users_per_cell)), over "
+                f"(cells^2 * users_per_cell * (antennas_per_cell + 6 * users_per_cell)), over "
                 f"the limit of {MAX_CHANNEL_ENTRIES}")
         if not 0 <= self.min_bs_distance_m < inradius(self.cell_radius_m):  # disk inside the cell
             raise ConfigurationError("min_bs_distance_m must be in [0, sqrt(3)/2 * cell_radius_m)")

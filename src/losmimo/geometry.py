@@ -50,10 +50,11 @@ def circular_array(
     antenna_count: int,
     wavelength: float,
     height: float,
-    center: np.ndarray | tuple[float, float] = (0.0, 0.0),
+    centers: np.ndarray | tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """(M, 3) antenna positions of a uniform circular array with lambda/2 arc
-    separation, in the horizontal plane at `height`.
+    """(..., M, 3) antenna positions of uniform circular arrays with lambda/2
+    arc separation in the horizontal plane at `height`, one around each of
+    the (..., 2) `centers`: (L, M, 3) for the (L, 2) cell centers.
 
     Circle radius M*lambda/(4*pi) makes the circumference M*lambda/2, so
     consecutive antennas are exactly lambda/2 apart along the arc.
@@ -62,17 +63,14 @@ def circular_array(
         raise ConfigurationError(f"antenna count must be >= 1, got {antenna_count}")
     if wavelength <= 0:
         raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
-    center = np.asarray(center, dtype=float)
+    centers = np.asarray(centers, dtype=float)
     radius = antenna_count * wavelength / (4.0 * np.pi)
     angles = 2.0 * np.pi * np.arange(antenna_count) / antenna_count
-    return np.stack(
-        [
-            center[0] + radius * np.cos(angles),
-            center[1] + radius * np.sin(angles),
-            np.full(antenna_count, float(height)),
-        ],
-        axis=1,
-    )
+    # filled in place, not stacked: no (..., M) temporaries
+    positions = np.full(centers.shape[:-1] + (antenna_count, 3), float(height))
+    np.add(centers[..., 0, None], radius * np.cos(angles), out=positions[..., 0])
+    np.add(centers[..., 1, None], radius * np.sin(angles), out=positions[..., 1])
+    return positions
 
 
 def in_hexagon(points: np.ndarray, center: np.ndarray, cell_radius: float) -> np.ndarray:

@@ -31,12 +31,14 @@ def per_cell_norms(eta: np.ndarray, link: str) -> np.ndarray:
 
 
 def gram_inverse(gram: np.ndarray, eig=None) -> np.ndarray:
-    """Inverse V diag(1/lam) V^H of a K x K Gram matrix G^H G = V diag(lam) V^H,
-    from one eigendecomposition: `eig`, the (lam, V) of `np.linalg.eigh(gram)`
-    where the caller has taken it already. Raises `SingularChannelError` unless
-    the exact 2-norm condition number lam_max / lam_min is at most
-    COND_LIMIT, which fails when K > M."""
+    """Inverses V diag(1/lam) V^H of a (..., K, K) stack of Grams G^H G =
+    V diag(lam) V^H from one stacked `np.linalg.eigh(gram)`, or its (lam, V)
+    `eig` where the caller has it. Raises `SingularChannelError` if any Gram is
+    not finite or its condition number lam_max / lam_min exceeds COND_LIMIT (K > M)."""
+    if not np.isfinite(gram).all():  # eigh may not converge on it
+        raise SingularChannelError("channel Gram matrix is not finite")
     lam, v = np.linalg.eigh(gram) if eig is None else eig
-    if not 0.0 < lam[0] * COND_LIMIT >= lam[-1]:
+    low = lam[..., 0] * COND_LIMIT
+    if not np.all((0.0 < low) & (low >= lam[..., -1])):  # a NaN fails too
         raise SingularChannelError("channel Gram matrix is rank deficient")
-    return (v / lam) @ v.conj().T
+    return (v / lam[..., None, :]) @ v.conj().swapaxes(-1, -2)

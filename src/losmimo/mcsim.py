@@ -18,13 +18,14 @@ z[l, lp] = G[l, l]^H G[l, lp] for the channels G[l, lp] (M x K) from cell
 lp's users to base station l. Station l's MR or ZF decoder A_l (G[l, l]^H,
 or the Gram inverse times it) enters the transmission equations only through
 A_l G[l, :], which is z[l] or z[l, l]^-1 z[l], and through the covariance
-A_l A_l^H of its decoded noise, z[l, l] or z[l, l]^-1 (`_setup`, from its
-own `eigh` of z[l, l]). Only noise that reaches the users is drawn, K
-samples per cell and symbol. On the downlink they are each user's receiver
-noise, received as drawn. On the uplink the decoded noise A_l w of the M
-antennas' noise w has the law of S_l v, v the K drawn samples, for the
-covariance's principal square root S_l: unique, so independent of the
-eigenvectors' phases, and defined for the rank-deficient MR Gram of K > M.
+A_l A_l^H of its decoded noise, z[l, l] or z[l, l]^-1 (`_processing`, from
+one stacked `eigh` of the L serving Grams per scheme and call). Only noise
+that reaches the users is drawn, K samples per cell and symbol. On the
+downlink they are each user's receiver noise, received as drawn. On the
+uplink the decoded noise A_l w of the M antennas' noise w has the law of
+S_l v, v the K drawn samples, for the covariance's principal square root
+S_l: unique, so independent of the eigenvectors' phases, and defined for the
+rank-deficient MR Gram of K > M.
 
 Symbols are processed in chunks of about _CHUNK_BUDGET / (L K) symbols
 (585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB. A
@@ -98,15 +99,33 @@ def _chunks(n_symbols: int, per_symbol: int):
         done += chunk
 
 
-def _setup(z: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: float):
-    """Validate one check and return its (mix, coef, noise_map), all read
-    from the cross-Gram products z."""
+def _processing(z: np.ndarray, scheme: str):
+    """A scheme's (t, noise_power, root) at every station, from one stacked
+    `eigh` of the serving Grams z[l, l]: t[l] = A_l G[l, :], noise_power[l]
+    the diagonal of the noise covariance A_l A_l^H, root[l] its principal
+    square root V f(lam) V^H."""
     cells, users = z.shape[0], z.shape[-1]
     if z.shape != (cells, cells, users, users):
         raise ValueError(f"cross-Gram products of shape {z.shape} are not (L, L, K, K)")
-    eta = np.asarray(eta, dtype=float)
     if scheme not in (MR, ZF):
         raise ValueError(f"unknown scheme {scheme!r}")
+    own = np.arange(cells)
+    gram = z[own, own]
+    lam, v = np.linalg.eigh(gram)
+    if scheme == MR:
+        t, covariance, f = z, gram, np.sqrt(np.clip(lam, 0.0, None))
+    else:
+        covariance = gram_inverse(gram, (lam, v))
+        t, f = covariance[:, None] @ z, 1.0 / np.sqrt(lam)
+    root = (v * f[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return t, np.real(np.diagonal(covariance, axis1=-2, axis2=-1)), root
+
+
+def _setup(processing, link: str, eta: np.ndarray, rho: float):
+    """Validate one check on its scheme's `_processing`; return its (mix, coef, noise_map)."""
+    t, noise_power, root = processing
+    cells, users = noise_power.shape
+    eta = np.asarray(eta, dtype=float)
     if link not in (DOWNLINK, UPLINK):
         raise ValueError(f"unknown link {link!r}")
     if eta.shape != (cells, users):
@@ -120,22 +139,6 @@ def _setup(z: np.ndarray, scheme: str, link: str, eta: np.ndarray, rho: float):
     # 0 is a noise-only check; written so that a NaN rho fails
     if not 0.0 <= rho < np.inf:
         raise ValueError(f"normalized SNR rho must be finite and nonnegative, got {rho}")
-    # t[l] = A_l G[l, :], the decoder's view of every cell's users;
-    # noise_power[l] the diagonal of its noise covariance A_l A_l^H, and
-    # root[l] that covariance's principal square root V f(lam) V^H
-    t = np.empty_like(z)
-    noise_power = np.empty((cells, users))
-    root = np.empty_like(z[0])
-    for l in range(cells):
-        lam, v = np.linalg.eigh(z[l, l])
-        if scheme == MR:
-            t[l], covariance, f = z[l], z[l, l], np.sqrt(np.clip(lam, 0.0, None))
-        else:
-            covariance = gram_inverse(z[l, l], (lam, v))
-            np.matmul(covariance, z[l], out=t[l])
-            f = 1.0 / np.sqrt(lam)
-        noise_power[l] = np.real(np.diagonal(covariance))
-        np.matmul(v * f, v.conj().T, out=root[l])
     # eff[l, lp] maps cell-lp symbols to cell-l users' received samples, with
     # sqrt(eta) applied at the transmitters, column (lp, k'). On the downlink
     # (noise_map None) the users' noise is received as drawn; on the uplink
@@ -172,7 +175,8 @@ def simulate(
     G^H for MR and Gram^-1 G^H for ZF, G = G[l, l]; the module docstring
     shows how z alone gives both.
 
-    Every check is set up, and so validated, before the first draw: an
+    Each scheme's processing is read from z once (`_processing`), and every
+    check is set up on it, and so validated, before the first draw: an
     unknown link or scheme, powers not (L, K), a negative or NaN power, a
     per-cell norm above 1 + NORM_SLACK, or a rho that is not finite and
     nonnegative raises `ValueError`; a ZF Gram beyond `gram_inverse`'s guard
@@ -186,7 +190,8 @@ def simulate(
         raise ValueError("simulate needs at least one check")
     cells, users = z.shape[0], z.shape[-1]
     n = cells * users
-    setups = [(*_setup(z, *check), _Moments((cells, users))) for check in checks]
+    processing = {s: _processing(z, s) for s in dict.fromkeys(c[0] for c in checks)}
+    setups = [(*_setup(processing[s], *check), _Moments((cells, users))) for s, *check in checks]
 
     sizes = list(_chunks(n_symbols, n))
     rng = np.random.default_rng(seed)

@@ -7,8 +7,8 @@ cell's power norm (1-norm downlink, inf-norm uplink) is at most 1.
 Stacking is cell-major: index j = l*K + k.
 
 All four systems of a drop come from one `channel.CrossGram`, which takes
-its serving-Gram inverses the first time ZF reads them, one
-eigendecomposition per Gram. Every function here returns powers
+its serving-Gram inverses the first time ZF reads them, from one stacked
+eigendecomposition of the L Grams. Every function here returns powers
 (`solve_targets` returns None when its targets are not achievable), and
 every closed-form SINR is `PcSystem.sinr` of them: d * eta / (1 + C eta).
 

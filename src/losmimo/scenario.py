@@ -74,10 +74,7 @@ def _geometry(cfg: ScenarioConfig) -> tuple[float, np.ndarray, np.ndarray]:
     positions, built once and shared by all drops."""
     wl = wavelength_m(cfg.carrier_ghz)
     centers = hex_centers(cfg.cells, cfg.cell_radius_m)
-    antennas = np.empty((cfg.cells, cfg.antennas_per_cell, 3))  # filled, not stacked: no copy
-    for l, center in enumerate(centers):
-        antennas[l] = circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, center)
-    return wl, centers, antennas
+    return wl, centers, circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, centers)
 
 
 @dataclass(frozen=True)

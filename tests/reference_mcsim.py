@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from losmimo.linproc import MR
-from losmimo.mcsim import SimResult, _chunks, _setup
+from losmimo.mcsim import SimResult, _chunks, _processing, _setup
 
 from reference_channel import cross_gram
 
@@ -78,7 +78,7 @@ def simulate_plain(z: np.ndarray, checks, n_symbols: int, seed: int) -> list[Sim
     so the same bits."""
     cells, users = z.shape[0], z.shape[-1]
     n = cells * users
-    setups = [_setup(z, *check) for check in checks]
+    setups = [_setup(_processing(z, scheme), *check) for scheme, *check in checks]
     s1, s2 = np.zeros((2, len(checks), cells, users))
     rng = np.random.default_rng(seed)
     for nc in _chunks(n_symbols, n):
@@ -105,10 +105,11 @@ def simulate_plain(z: np.ndarray, checks, n_symbols: int, seed: int) -> list[Sim
 
 def precoder_powers(rng, g: np.ndarray, scheme: str, eta: np.ndarray) -> np.ndarray:
     """Column powers ||P[:, k]||^2 of the downlink precoder P that the oracle
-    (`_setup`) builds for a cell with the M x K serving matrix g and powers
-    eta, as received by c = ceil(M / K) further cells of K users each: their
-    channels from the cell's station are the M rows of a random unitary, a
-    tight frame, so their users together receive each symbol at its power."""
+    (`_processing`, `_setup`) builds for a cell with the M x K serving matrix
+    g and powers eta, as received by c = ceil(M / K) further cells of K users
+    each: their channels from the cell's station are the M rows of a random
+    unitary, a tight frame, so their users together receive each symbol at
+    its power."""
     antennas, users = g.shape
     others = -(-antennas // users)
     cells = 1 + others
@@ -120,5 +121,5 @@ def precoder_powers(rng, g: np.ndarray, scheme: str, eta: np.ndarray) -> np.ndar
     channels[0, 1:] = frame.reshape(antennas, others, users).transpose(1, 0, 2)
     powers = np.zeros((cells, users))
     powers[0] = eta
-    mix = _setup(cross_gram(channels).z, scheme, "DL", powers, 1.0)[0]
+    mix = _setup(_processing(cross_gram(channels).z, scheme), "DL", powers, 1.0)[0]
     return np.sum(np.abs(mix[users:, :users]) ** 2, axis=0)

@@ -19,7 +19,7 @@ from losmimo import (
     solve_targets,
     wavelength_m,
 )
-from losmimo.mcsim import _setup
+from losmimo.mcsim import _processing, _setup
 
 from conftest import random_channel_set
 from reference_channel import cross_gram, fspl_db
@@ -83,7 +83,7 @@ def test_criterion_3_zf_nulling():
         g = (rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))) / np.sqrt(2 * m)
         eta = rng.uniform(0.01, 1.0 / k, k)
         z = (g.conj().T @ g)[None, None]
-        crosstalk = _setup(z, "ZF", "DL", eta[None], 1.0)[0]  # g^T P
+        crosstalk = _setup(_processing(z, "ZF"), "DL", eta[None], 1.0)[0]  # g^T P
         diag = np.min(np.abs(np.diag(crosstalk)))
         off = np.max(np.abs(crosstalk - np.diag(np.diag(crosstalk))))
         worst = max(worst, off / diag)

@@ -102,7 +102,7 @@ def _small_scene(seed=5, antennas=32, users=4):
     """(L, M, 3) antennas and (L, K, 3) users of a 7-cell drop, and the wavelength."""
     wl = wavelength_m(60.0)
     centers = hex_centers(7, 200.0)
-    arrays = np.stack([circular_array(antennas, wl, 30.0, c) for c in centers])
+    arrays = circular_array(antennas, wl, 30.0, centers)
     return arrays, drop_users(centers, 200.0, users, 10.0, 1.5, seed=seed), wl
 
 

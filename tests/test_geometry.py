@@ -80,6 +80,14 @@ class TestCircularArray:
         with pytest.raises(ConfigurationError):
             circular_array(8, 0.0, 30.0)
 
+    def test_one_array_per_center(self):
+        centers = hex_centers(7, 200.0)
+        arrays = circular_array(16, 0.005, 30.0, centers)
+        assert arrays.shape == (7, 16, 3)
+        for center, array in zip(centers, arrays, strict=True):
+            assert np.array_equal(array, circular_array(16, 0.005, 30.0, center))
+        assert np.array_equal(circular_array(16, 0.005, 30.0, centers[None]), arrays[None])
+
 
 class TestHexMembership:
     @given(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))

@@ -3,7 +3,7 @@ import pytest
 
 from losmimo import DegenerateChannelError, SingularChannelError, build_pc_system, gram_inverse
 from losmimo.linproc import COND_LIMIT
-from losmimo.mcsim import _setup
+from losmimo.mcsim import _processing, _setup
 
 from conftest import random_channel_set
 from reference_channel import cross_gram
@@ -23,7 +23,8 @@ def _received(g, scheme, link, eta):
     """One cell's (K, K) effective channel in the oracle (`mcsim._setup`) at
     rho = 1: g^T P for its MR or ZF precoder P on the downlink, A g for its
     decoder A on the uplink, each column scaled to the user's power."""
-    return _setup(cross_gram(g[None, None]).z, scheme, link, np.asarray(eta)[None], 1.0)[0]
+    z = cross_gram(g[None, None]).z
+    return _setup(_processing(z, scheme), link, np.asarray(eta)[None], 1.0)[0]
 
 
 class TestPrecoders:
@@ -130,6 +131,41 @@ class TestGramInverse:
                 with pytest.raises(SingularChannelError):
                     gram_inverse(gram)
 
+    @staticmethod
+    def _grams(rng, cells, antennas=16, users=4):
+        g = random_channel_set(rng, cells=cells, users=users, antennas=antennas)
+        own = np.arange(cells)
+        return g[own, own].conj().swapaxes(-1, -2) @ g[own, own]
+
+    @pytest.mark.parametrize("cells,users", [(1, 1), (3, 4), (7, 18)])
+    def test_stack_matches_per_gram_calls(self, rng, cells, users):
+        grams = self._grams(rng, cells, antennas=32, users=users)
+        stacked = gram_inverse(grams)
+        assert np.array_equal(stacked, np.stack([gram_inverse(gram) for gram in grams]))
+        # the caller's own eigendecomposition gives the same bits
+        assert np.array_equal(gram_inverse(grams, np.linalg.eigh(grams)), stacked)
+        assert np.array_equal(gram_inverse(grams[None, None]), stacked[None, None])
+
+    @pytest.mark.parametrize("station", [0, 2, 6], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("fault", ["rank-deficient", "ill-conditioned", "NaN", "inf"])
+    def test_any_station_fails_the_guard(self, rng, station, fault):
+        grams = self._grams(rng, 7)
+        if fault in ("NaN", "inf"):
+            grams[station, 2, 1] = np.nan if fault == "NaN" else np.inf
+        else:
+            g = _random_matrix(rng)
+            g[:, 1] = g[:, 0]
+            if fault == "ill-conditioned":
+                g[0, 1] += 1e-7  # lam_min about 1e-14 lam_max
+            grams[station] = g.conj().T @ g
+        with pytest.raises(SingularChannelError):
+            gram_inverse(grams)
+        if fault not in ("NaN", "inf"):  # eigh does not converge on those
+            with pytest.raises(SingularChannelError):
+                gram_inverse(grams, np.linalg.eigh(grams))
+        others = np.delete(grams, station, axis=0)
+        assert np.isfinite(gram_inverse(others)).all()
+
 
 class TestDecoders:
     """The oracle's uplink decoders, which it reads from z alone."""
@@ -142,7 +178,7 @@ class TestDecoders:
     def test_mr_is_conjugate_transpose(self, rng):
         # A_l G[l, lp] = G[l, l]^H G[l, lp] = z[l, lp], block (l, lp) of the mix
         z = cross_gram(random_channel_set(rng, cells=2, users=3)).z
-        mix = _setup(z, "MR", "UL", np.ones((2, 3)), 1.0)[0]
+        mix = _setup(_processing(z, "MR"), "UL", np.ones((2, 3)), 1.0)[0]
         assert np.array_equal(mix.reshape(2, 3, 2, 3).transpose(0, 2, 1, 3), z)
 
     def test_unknown_scheme(self, rng):

@@ -8,7 +8,7 @@ import pytest
 
 from losmimo import SingularChannelError, build_pc_system, simulate
 import losmimo.mcsim
-from losmimo.mcsim import _setup
+from losmimo.mcsim import _processing, _setup
 
 from conftest import random_channel_set
 from reference_channel import cross_gram
@@ -92,7 +92,8 @@ class TestFactoredUplinkNoise:
         # so A w with w ~ CN(0, I_M) has the law of S v with v ~ CN(0, I_K)
         g = random_channel_set(rng, cells=1, users=3, antennas=antennas)[0, 0]
         a = decoder(g, scheme)
-        root = _setup(cross_gram(g[None, None]).z, scheme, "UL", np.ones((1, 3)), 1.0)[2][0]
+        z = cross_gram(g[None, None]).z
+        root = _setup(_processing(z, scheme), "UL", np.ones((1, 3)), 1.0)[2][0]
         x, _, yh = np.linalg.svd(a, full_matrices=False)
         assert root.shape == (3, 3)
         assert _close(root.conj().T, root)
@@ -379,7 +380,7 @@ class TestSetupFromCrossGram:
             eta = rng.uniform(0.1, 1.0, (3, users))
             if link == "DL":
                 eta /= np.sum(eta, axis=1, keepdims=True)
-            mix, coef, noise_map = _setup(z, scheme, link, eta, 10.0)
+            mix, coef, noise_map = _setup(_processing(z, scheme), link, eta, 10.0)
             want_mix, want_coef, want_covariance = _antenna_level(cs, scheme, link, eta, 10.0)
             assert _close(mix, want_mix) and _close(coef, want_coef), (scheme, link)
             if link == "DL":
@@ -389,6 +390,24 @@ class TestSetupFromCrossGram:
                 covariance = noise_map @ noise_map.conj().transpose(0, 2, 1)
                 assert _close(covariance, want_covariance), scheme
 
+    def test_one_eigh_per_scheme(self, rng, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        z = cross_gram(random_channel_set(rng, cells=3)).z
+        checks = [(s, li, uniform_powers(li, 3, 3), 10.0) for s, li in PAIRS]
+        for batch in (checks, checks + checks[::-1], checks[:2]):
+            calls.clear()
+            simulate(z, batch, 100, seed=3)
+            # one stacked eigh of the three serving Grams per scheme, whatever
+            # the links and however often a scheme recurs
+            assert calls == [(3, 3, 3)] * len({check[0] for check in batch})
+
     @pytest.mark.parametrize("antennas", [16, 2], ids=["K<=M", "K>M"])
     def test_same_setup_for_any_eigenvector_phases(self, rng, monkeypatch, antennas):
         # eigh fixes each eigenvector only up to a unit phase; the principal
@@ -396,16 +415,18 @@ class TestSetupFromCrossGram:
         z = cross_gram(random_channel_set(rng, cells=3, users=3, antennas=antennas)).z
         pairs = PAIRS if antennas >= 3 else [("MR", "DL"), ("MR", "UL")]
         checks = [(s, li, uniform_powers(li, 3, 3), 10.0) for s, li in pairs]
-        want = [_setup(z, *check) for check in checks]
+        want = [_setup(_processing(z, s), *check) for s, *check in checks]
         eigh = np.linalg.eigh
 
         def phased(a):
+            # its own phase for each eigenvector of each Gram of the stack
             lam, v = eigh(a)
-            return lam, v * np.exp(2j * np.pi * rng.random(v.shape[-1]))
+            phase = rng.random(v.shape[:-2] + v.shape[-1:])[..., None, :]
+            return lam, v * np.exp(2j * np.pi * phase)
 
         monkeypatch.setattr(np.linalg, "eigh", phased)
         for check, (mix, coef, noise_map) in zip(checks, want):
-            got = _setup(z, *check)
+            got = _setup(_processing(z, check[0]), *check[1:])
             assert _close(got[0], mix) and _close(got[1], coef), check[:2]
             if noise_map is not None:
                 assert _close(got[2], noise_map), check[:2]

@@ -148,7 +148,8 @@ class TestSystemStructure:
         for scheme, link in ALL_SCHEMES:
             build_pc_system(xg, scheme, link, 5.0)
         xg.inv_diag
-        assert calls == [threading.current_thread()] * 3
+        # one stacked call for the three Grams, on the reading thread
+        assert calls == [threading.current_thread()]
         for l in range(3):
             serving = cs[l, l]
             assert np.array_equal(xg.igram[l], gram_inverse(serving.conj().T @ serving))
@@ -174,9 +175,10 @@ class TestSystemStructure:
                 assert np.array_equal(xg.igram, np.stack([gram_inverse(xg.z[l, l], want[l])
                                                           for l in range(3)]))
                 xg.inv_diag
-        # one eigh per Gram, cached; with K > M each read stops at station 0's
-        # guard and caches nothing, so each of the two factorizes that Gram
-        assert len(calls) == (3 if antennas >= 3 else 2)
+        # one stacked eigh of the three Grams, cached; with K > M each read
+        # fails the guard and caches nothing, so each of the two factorizes
+        # the stack again
+        assert len(calls) == (1 if antennas >= 3 else 2)
 
     @pytest.mark.parametrize("scheme,link", ALL_SCHEMES)
     def test_c_nonnegative_and_d_positive(self, rng, scheme, link):
@@ -211,7 +213,7 @@ def _scene(antennas, users, seed=5):
     """(L, M, 3) antennas and (L, K, 3) users of a 7-cell drop, and the wavelength."""
     wl = wavelength_m(60.0)
     centers = hex_centers(7, 200.0)
-    arrays = np.stack([circular_array(antennas, wl, 30.0, c) for c in centers])
+    arrays = circular_array(antennas, wl, 30.0, centers)
     return arrays, drop_users(centers, 200.0, users, 10.0, 1.5, seed=seed), wl
 
 

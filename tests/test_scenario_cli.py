@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import losmimo.channel
 import losmimo.cli
+import losmimo.config
 import losmimo.scenario
 from losmimo import (
     CdfTable,
@@ -71,23 +72,59 @@ class TestConfig:
             parse_config("antennas_per_cell = 4\nusers_per_cell = 8\n")
 
     def test_channel_entries_bounded(self):
-        # cells^2 * users_per_cell * max(antennas_per_cell, users_per_cell) complex entries
-        half = MAX_CHANNEL_ENTRIES // 2
-        at_limit = f"cells = 1\nantennas_per_cell = {half}\nusers_per_cell = 2\n"
-        assert parse_config(at_limit).antennas_per_cell == half
+        # cells^2 * users_per_cell * (antennas_per_cell + 6 * users_per_cell) complex
+        # entries: the tile products, the cross-Gram products and the four
+        # power-control matrices
+        most = MAX_CHANNEL_ENTRIES // 2 - 12
+        at_limit = f"cells = 1\nantennas_per_cell = {most}\nusers_per_cell = 2\n"
+        assert parse_config(at_limit).antennas_per_cell == most
         # MR allows K > M, where the K x K cross-Gram blocks outgrow the channels;
-        # parsed only: running this one takes 1 GiB of cross-Gram and 8192^2 solves
-        mr_at_limit = "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 8192\nschemes = MR\n"
-        assert parse_config(mr_at_limit).users_per_cell == 8192
+        # parsed only: a drop of it holds almost 1 GiB and solves 3344 x 3344 systems
+        mr_at_limit = "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 3344\nschemes = MR\n"
+        assert parse_config(mr_at_limit).users_per_cell == 3344
         for over in (
-            f"cells = 7\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // 49 // 18 + 1}\n",
-            "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 8193\nschemes = MR\n",
+            f"cells = 1\nantennas_per_cell = {most + 1}\nusers_per_cell = 2\n",
+            f"cells = 7\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // (49 * 18) - 6 * 18 + 1}\n",
+            "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 3345\nschemes = MR\n",
             "cells = 7\nantennas_per_cell = 16\nusers_per_cell = 4000\nschemes = MR\n",
+            # 49.0 M entries of channels, but 98 M of tile products at 2 tiles a station
+            "cells = 7\nantennas_per_cell = 1001\nusers_per_cell = 1000\n",
         ):
             with pytest.raises(ConfigurationError) as caught:
                 parse_config(over)
             for key in ("cells", "antennas_per_cell", "users_per_cell"):
                 assert key in str(caught.value)
+
+    # small shapes only; a narrow _TILE gives tiles of K antennas, the most tiles
+    @pytest.mark.parametrize("tile", [1, 40, 2**15])
+    @pytest.mark.parametrize("cells,antennas,users", [(1, 1, 1), (1, 7, 3), (7, 9, 4),
+                                                      (7, 12, 1), (7, 5, 5)])
+    def test_counted_entries_bound_what_a_drop_allocates(self, monkeypatch, tile, cells,
+                                                         antennas, users):
+        cfg = tiny_config(cells=cells, antennas_per_cell=antennas, users_per_cell=users)
+        cfg.validate()
+        monkeypatch.setattr(losmimo.channel, "_TILE", tile)
+        shapes = []
+        empty = np.empty
+
+        def recorded(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(np, "empty", recorded)
+        pairs = [(s, li) for s in ("MR", "ZF") for li in ("DL", "UL")]
+        drop = solve_drop(cfg, losmimo.scenario._geometry(cfg), 3, pairs)
+        monkeypatch.undo()
+        (parts,) = [shape for shape in shapes if len(shape) == 5]  # (L, T, L, K, K)
+        if tile == 1:  # tiles of K antennas, the most tile products
+            assert parts[1] == -(-antennas // users)
+        held = (np.prod(parts) + drop.xg.z.size
+                + sum(system.c.size for system in drop.systems.values()))
+        # validate counts at least what the drop held: a limit one entry below rejects it
+        monkeypatch.setattr(losmimo.config, "MAX_CHANNEL_ENTRIES", int(held) - 1)
+        with pytest.raises(ConfigurationError, match="entries per drop"):
+            cfg.validate()
 
     def test_equal_heights_outside_the_array_ring(self):
         # the ring of 32 antennas at 60 GHz has a radius of 12.7 mm
@@ -106,7 +143,9 @@ _DEFAULTS = dataclasses.asdict(ScenarioConfig())
 _EDGE_VALUES = ["0", "-0", "1", "-1", "7", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
                 "1e-300", "5e-324", "1.7976931348623157e308", str(10**30), "9" * 5000, "0x10",
                 "1_000", "true", "no", "MR", "ZF,MR", "DL", "UL,DL", "MR,,ZF", "", "abc", "1.5.2",
-                "= 3", "# comment"]
+                "= 3", "# comment",
+                # each side of the drop-size limit for antennas_per_cell or users_per_cell
+                "1000", "1001", "3344", "3345", "75979", "75980"]
 _VALUES = st.one_of(
     st.sampled_from(_EDGE_VALUES),
     st.integers(-(10**40), 10**40).map(str),
@@ -319,8 +358,10 @@ class TestVerify:
         phases = np.random.default_rng(5)
 
         def phased(a):
+            # its own phase for each eigenvector of each Gram of the stack
             lam, v = eigh(a)
-            return lam, v * np.exp(2j * np.pi * phases.random(v.shape[-1]))
+            phase = phases.random(v.shape[:-2] + v.shape[-1:])[..., None, :]
+            return lam, v * np.exp(2j * np.pi * phase)
 
         monkeypatch.setattr(np.linalg, "eigh", phased)
         got = verify(cfg, n_symbols=2000)
