@@ -80,6 +80,7 @@ def station_channels(antennas: np.ndarray, users: np.ndarray, wavelength: float,
     `r` and `tmp` are float (L, M, K) scratch buffers; on return `r` holds
     the antenna-user distances. Entry (cell, m, k) is g_m of user (cell, k).
     """
+    # in place: fresh per-tile temporaries took a reduced drop's stream 4.6-4.8 -> 5.4-5.6 ms
     ax, ay, az = (col[None, :, None] for col in antennas.T)
     ux, uy, uz = (col[:, None, :] for col in np.moveaxis(users, -1, 0))
     np.subtract(ax, ux, out=tmp)
@@ -106,7 +107,8 @@ def station_channels(antennas: np.ndarray, users: np.ndarray, wavelength: float,
 
 
 _TILE = 1 << 15  # channel entries of one task's tile: about 1 MB of buffers per thread
-_local = threading.local()  # each thread's tile buffers, kept across drops
+# each thread's tile buffers, kept across drops: fresh ones took reduced 4.6-4.8 -> 4.8-5.1 ms
+_local = threading.local()
 
 
 @cache

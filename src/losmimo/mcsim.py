@@ -29,15 +29,11 @@ rank-deficient MR Gram of K > M.
 
 Symbols are processed in chunks of about _CHUNK_BUDGET / (L K) symbols
 (585 at L=7, K=8), so each (L, K, chunk) complex array takes 512 KiB. A
-chunk's symbols and noise are drawn in one call into one of two alternating
-draw buffers. Where the station pool exists (`channel.WORKERS` > 1), it
-draws chunk i + 1 into the other buffer while the calling thread runs chunk
-i's checks; the draws come from one generator in one order either way, so
-results depend only on the seed, not on the worker count. The checks take
-turns in reused work buffers: the received samples, one term, and the
-per-sample powers with their squares. That is seven such arrays at the
-peak (four of draws, three of work), made once a call whatever the symbol
-count and the number of checks; a shorter last chunk takes a prefix of each.
+chunk's symbols and noise are drawn in one call into one fresh array. Where
+the station pool exists (`channel.WORKERS` > 1), it draws chunk i + 1 while
+the calling thread runs chunk i's checks; the draws come from one generator
+in one order either way, so results depend only on the seed, not on the
+worker count.
 """
 
 from collections.abc import Sequence
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .errors import DegenerateChannelError
+from .errors import DegenerateChannelError, SingularChannelError
 from .linproc import DOWNLINK, MR, NORM_SLACK, UPLINK, ZF, gram_inverse, per_cell_norms
 
 _CHUNK_BUDGET = 1 << 15  # complex entries per (L, K, chunk) array
@@ -77,10 +73,10 @@ class _Moments:
         self.s2 = np.zeros(shape)
         self.n = 0
 
-    def add(self, values: np.ndarray, squares: np.ndarray) -> None:
-        # values: (*shape, n_chunk); squares: a buffer of that shape, overwritten
+    def add(self, values: np.ndarray) -> None:
+        # values: (*shape, n_chunk)
         self.s1 += np.sum(values, axis=-1)
-        self.s2 += np.sum(np.square(values, out=squares), axis=-1)
+        self.s2 += np.sum(np.square(values), axis=-1)
         self.n += values.shape[-1]
 
     def mean(self) -> np.ndarray:
@@ -109,6 +105,9 @@ def _processing(z: np.ndarray, scheme: str):
         raise ValueError(f"cross-Gram products of shape {z.shape} are not (L, L, K, K)")
     if scheme not in (MR, ZF):
         raise ValueError(f"unknown scheme {scheme!r}")
+    # eigh may not converge on a non-finite Gram, and a non-finite cross block gives NaN SINRs
+    if not np.isfinite(z).all():
+        raise SingularChannelError("cross-Gram products are not finite")
     own = np.arange(cells)
     gram = z[own, own]
     lam, v = np.linalg.eigh(gram)
@@ -179,10 +178,10 @@ def simulate(
     check is set up on it, and so validated, before the first draw: an
     unknown link or scheme, powers not (L, K), a negative or NaN power, a
     per-cell norm above 1 + NORM_SLACK, or a rho that is not finite and
-    nonnegative raises `ValueError`; a ZF Gram beyond `gram_inverse`'s guard
-    raises `SingularChannelError`, and a zero downlink precoder column
-    `DegenerateChannelError`. All checks read one stream of symbols and
-    noise (see the module docstring).
+    nonnegative raises `ValueError`; a z that is not finite or a ZF Gram
+    beyond `gram_inverse`'s guard raises `SingularChannelError`, and a zero
+    downlink precoder column `DegenerateChannelError`. All checks read one
+    stream of symbols and noise (see the module docstring).
     """
     if n_symbols < 1:
         raise ValueError("n_symbols must be >= 1")
@@ -195,37 +194,27 @@ def simulate(
 
     sizes = list(_chunks(n_symbols, n))
     rng = np.random.default_rng(seed)
-    # chunk i's symbols and noise go to draw buffer i % 2; a shorter last
-    # chunk takes a prefix of each buffer
-    draws = np.empty((2, 2 * n * sizes[0]), dtype=np.complex128)
-    work = np.empty((2, n * sizes[0]), dtype=np.complex128)  # received samples, one term
-    powers = np.empty((2, n * sizes[0]))  # their |.|^2 and its square
 
-    def draw(i):
-        """Chunk i's (symbols, noise), each (L, K, nc)."""
-        return _complex_normal(rng, draws[i % 2, : 2 * n * sizes[i]].reshape(2, cells, users, -1))
+    def draw(nc):
+        """A chunk's (symbols, noise), each (L, K, nc)."""
+        return _complex_normal(rng, np.empty((2, cells, users, nc), dtype=np.complex128))
 
     drawing = None  # chunk i + 1's draw on the station pool, while chunk i is checked
     try:
-        drawn = draw(0)
+        drawn = draw(sizes[0])
         for i, nc in enumerate(sizes):
             last = i + 1 == len(sizes)
             if not last and channel.WORKERS > 1:
-                drawing = channel._pool().submit(draw, i + 1)
+                drawing = channel._pool().submit(draw, sizes[i + 1])
             symbols, w = drawn
-            r, t = work[:, : n * nc].reshape(2, cells, users, nc)
-            v, v2 = powers[:, : n * nc].reshape(2, cells, users, nc)
             for mix, coef, noise_map, impairment in setups:
-                # received samples minus the desired term, built in place
-                np.matmul(mix, symbols.reshape(n, nc), out=r.reshape(n, nc))
-                if noise_map is None:
-                    r += w
-                else:
-                    r += np.matmul(noise_map, w, out=t)
-                r -= np.multiply(coef[:, :, None], symbols, out=t)
-                impairment.add(np.square(np.abs(r, out=v), out=v), v2)
+                # received samples minus the desired term
+                r = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
+                r += w if noise_map is None else noise_map @ w
+                r -= coef[:, :, None] * symbols
+                impairment.add(np.square(np.abs(r)))
             if not last:
-                drawn = draw(i + 1) if drawing is None else drawing.result()
+                drawn = draw(sizes[i + 1]) if drawing is None else drawing.result()
     finally:
         if drawing is not None:
             wait([drawing])

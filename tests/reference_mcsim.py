@@ -6,9 +6,9 @@
 from the transmission equation, so tests can check `losmimo.simulate`'s
 uplink noise (K samples per cell and symbol, mapped by the principal root
 of the decoded noise's covariance) against it.
-`simulate_plain` is `losmimo.simulate`'s chunk loop without its prefetch and
-buffer reuse, which must give the same bits. `precoder_powers` measures the
-column powers of the oracle's downlink precoder, which it never forms.
+`simulate_plain` is `losmimo.simulate`'s chunk loop without its prefetch,
+which must give the same bits. `precoder_powers` measures the column powers
+of the oracle's downlink precoder, which it never forms.
 """
 
 from dataclasses import dataclass
@@ -73,9 +73,8 @@ def simulate_uplink_per_antenna(
 
 def simulate_plain(z: np.ndarray, checks, n_symbols: int, seed: int) -> list[SimResult]:
     """`losmimo.simulate` on the cross-Gram products z, on one thread, each
-    chunk's symbols and noise drawn by two calls into fresh arrays and each
-    check's impairment a fresh array: the same arithmetic in the same order,
-    so the same bits."""
+    chunk's symbols and noise drawn by two calls, and the moments summed in
+    plain arrays: the same arithmetic in the same order, so the same bits."""
     cells, users = z.shape[0], z.shape[-1]
     n = cells * users
     setups = [_setup(_processing(z, scheme), *check) for scheme, *check in checks]

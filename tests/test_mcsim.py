@@ -215,6 +215,27 @@ class TestSharedDraws:
         with pytest.raises(SingularChannelError):
             simulate(z, checks, 100, seed=3)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("block", [(1, 1, 2, 0), (0, 1, 0, 2)], ids=["serving", "cross"])
+    @pytest.mark.parametrize("scheme", ["MR", "ZF"])
+    def test_non_finite_cross_gram_fails_before_any_draw(self, rng, monkeypatch, scheme, block,
+                                                         value):
+        # a serving Gram's entry is in its lower triangle, the one eigh reads
+        draws = []
+        draw = losmimo.mcsim._complex_normal
+
+        def counted(*args):
+            draws.append(1)
+            return draw(*args)
+
+        monkeypatch.setattr(losmimo.mcsim, "_complex_normal", counted)
+        z = cross_gram(random_channel_set(rng)).z
+        z[block] = value
+        checks = [(scheme, link, uniform_powers(link), 10.0) for link in ("DL", "UL")]
+        with pytest.raises(SingularChannelError, match="not finite"):
+            simulate(z, checks, 100, seed=3)
+        assert draws == []
+
 
 def _same_results(a, b):
     return all(np.array_equal(getattr(x, f.name), getattr(y, f.name))
@@ -238,8 +259,9 @@ class TestPrefetch:
             assert _same_results(simulate(z, _pipeline_checks(), n_symbols, seed=3), want), workers
 
     def test_concurrent_callers_under_fast_thread_switching(self, rng, set_workers):
-        # three callers share the station pool, a switch every microsecond: a
-        # draw into the wrong buffer or from the wrong generator shows in the bits
+        # three callers share the station pool, a switch every microsecond; each
+        # chunk is drawn into a fresh array, so what this guards is the draws'
+        # order: a draw from the wrong generator, or out of turn, shows in the bits
         set_workers(2)
         z = cross_gram(random_channel_set(rng)).z
         n_symbols = 2 * CHUNK + 100

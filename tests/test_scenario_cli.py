@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import re
 import tempfile
 import time
@@ -20,6 +21,7 @@ import losmimo.scenario
 from losmimo import (
     CdfTable,
     ConfigurationError,
+    PcSystem,
     ScenarioConfig,
     SingularChannelError,
     build_pc_system,
@@ -27,6 +29,7 @@ from losmimo import (
     parse_config,
     run_scenario,
     serialize_config,
+    simulate,
     solve_drop,
     verify,
 )
@@ -367,6 +370,51 @@ class TestVerify:
         got = verify(cfg, n_symbols=2000)
         for a, b in zip(want.entries, got.entries, strict=True):
             assert np.max(np.abs(a.deviation - b.deviation)) <= 1e-9, (a.scheme, a.link)
+
+
+class TestGate:
+    """The 5-sigma gate's power against a closed-form slip, and its size."""
+
+    @pytest.mark.parametrize("delta,flagged", [(0.05, True), (0.001, False)])
+    def test_power_against_one_users_slip(self, monkeypatch, delta, flagged):
+        # at 100 000 symbols a user's standard error is about 0.32 % of its
+        # SINR, so 5 sigma is about 1.6 %: a 5 % slip of user (0, 0) reads
+        # 15-17 sigma in every check, a 0.1 % slip about 0.3 sigma
+        sinr = PcSystem.sinr
+
+        def slipped(self, eta):
+            values = sinr(self, eta).copy()
+            values[0, 0] *= 1.0 + delta
+            return values
+
+        monkeypatch.setattr(PcSystem, "sinr", slipped)
+        report = verify(load_config(SCENARIOS / "verify_small.cfg"), n_symbols=100_000)
+        assert len(report.entries) == 4
+        for entry in report.entries:
+            assert entry.passed(report.threshold) is not flagged, (entry.scheme, entry.link)
+            if flagged:
+                assert entry.worst_user == (0, 0)
+
+    def test_size_deviations_follow_the_half_normal(self):
+        # one user per call, each call its own seed: 200 independent
+        # deviations, whose law on a correct program is |N(0, 1)|; the
+        # Kolmogorov-Smirnov bound is the alpha = 1e-3 critical value
+        cfg = load_config(SCENARIOS / "verify_small.cfg")
+        pairs = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
+        drop = solve_drop(cfg, losmimo.scenario._geometry(cfg), cfg.seed, pairs)
+        eta = {"DL": np.full((1, 2), 0.5), "UL": np.ones((1, 2))}
+        rho = cfg.rho()
+        deviations = []
+        for i, ((scheme, link), system) in enumerate(drop.systems.items()):
+            closed = system.sinr(eta[link])[0, 0]
+            for seed in range(50 * i + 1, 50 * i + 51):
+                result = simulate(drop.xg.z, [(scheme, link, eta[link], rho[link])], 5000, seed)[0]
+                deviations.append(abs(result.sinr[0, 0] - closed) / result.sinr_stderr[0, 0])
+        deviations = np.sort(deviations)
+        n = len(deviations)
+        cdf = np.array([math.erf(d / math.sqrt(2.0)) for d in deviations])
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert n == 200 and ks < 1.95 / math.sqrt(n)
 
 
 def _write_tiny_config(path, **overrides):
