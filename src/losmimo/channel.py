@@ -6,14 +6,17 @@ Channel entry for antenna m at distance r:
 
 The lambda/(4 pi) amplitude makes the per-antenna power gain equal to the
 inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
-plain transmit-power-to-noise-power ratios. The phase is taken from the
-exact fractional part of r / lambda, as exp(i theta / 4)^4 with |theta| <= pi.
+plain transmit-power-to-noise-power ratios. The distance r comes from the
+Gram form |a|^2 + |u|^2 - 2 a.u of positions relative to the station's
+array center, and the phase from the exact fractional part of r / lambda,
+as (cos(theta / 4) + i sin(theta / 4))^4 with |theta| <= pi.
 
 A drop's channels are never held whole: `stream_cross_gram` builds them in
-cache-sized (station, antenna tile) blocks, shared evenly by the station
-pool, and turns each block into its cross-Gram products at once; the rest
-of the package sees a drop only through that `CrossGram`. The geometry is
-plain arrays: antennas (L, M, 3) by base station, users (L, K, 3) by cell.
+cache-sized (station, antenna tile) blocks of (n, L K), shared evenly by
+the station pool, and turns each block into its cross-Gram products at
+once; the rest of the package sees a drop only through that `CrossGram`.
+The geometry is plain arrays: antennas (L, M, 3) by base station, users
+(L, K, 3) by cell.
 """
 
 import os
@@ -29,6 +32,7 @@ from .linproc import gram_inverse
 
 C_LIGHT = 299792458.0  # m/s
 MIN_ANTENNA_DISTANCE_M = 1e-9  # a user closer than this to an antenna has no channel
+CHANNEL_RTOL = 1e-9  # relative error of a channel entry that `closest_distance_m` allows
 # threads that build a drop's channels: the usable CPUs, or all where unknown
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -72,33 +76,46 @@ def link_budget(
     return rho_dl, rho_ul
 
 
-def station_channels(antennas: np.ndarray, users: np.ndarray, wavelength: float,
-                     out: np.ndarray, r: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Fill `out` (L, M, K) with the channels from every cell's users (L, K, 3)
-    to M antennas (M, 3) of one base station, in place.
+def closest_distance_m(array_radius: float, wavelength: float) -> float:
+    """Smallest antenna-user distance at which the Gram form of
+    `station_channels` moves no entry by more than CHANNEL_RTOL, relative, at
+    an array of radius R.
 
-    `r` and `tmp` are float (L, M, K) scratch buffers; on return `r` holds
-    the antenna-user distances. Entry (cell, m, k) is g_m of user (cell, k).
+    Near an antenna the Gram form cancels terms of size R^2, so it rounds r
+    by about dr = 2 eps R^2 / r. That moves the phase by 2 pi dr / lambda and
+    the amplitude by dr / r relative; each stays within the tolerance from
+    this distance on. It is never below MIN_ANTENNA_DISTANCE_M."""
+    drift = 2.0 * np.finfo(float).eps * array_radius * array_radius  # dr times r
+    return max(MIN_ANTENNA_DISTANCE_M, 2.0 * np.pi * drift / (wavelength * CHANNEL_RTOL),
+               np.sqrt(drift / CHANNEL_RTOL))
+
+
+def station_channels(tile: np.ndarray, users: np.ndarray, wavelength: float,
+                     out: np.ndarray, r: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Fill `out` (n, L K) with the channels from the L K users (L K, 3) to the
+    n antennas (n, 3) of one base station, in place.
+
+    Both positions are relative to the station's array center. `r` and
+    `tmp` are float (n, L K) scratch buffers; on return `r` holds the
+    antenna-user distances. Entry (m, l K + k) is g_m of user (l, k).
     """
-    # in place: fresh per-tile temporaries took a reduced drop's stream 4.6-4.8 -> 5.4-5.6 ms
-    ax, ay, az = (col[None, :, None] for col in antennas.T)
-    ux, uy, uz = (col[:, None, :] for col in np.moveaxis(users, -1, 0))
-    np.subtract(ax, ux, out=tmp)
-    np.multiply(tmp, tmp, out=r)
-    for a, u in ((ay, uy), (az, uz)):
-        np.subtract(a, u, out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        r += tmp
-    np.sqrt(r, out=r)
-    if r.min() < MIN_ANTENNA_DISTANCE_M:
+    # the Gram form r^2 = |a|^2 + |u|^2 - 2 a.u: one BLAS product and two
+    # broadcast adds in place of three differences and three squares
+    np.matmul(-2.0 * tile, users.T, out=r)
+    r += np.einsum("ij,ij->i", tile, tile)[:, None]
+    r += np.einsum("ij,ij->i", users, users)
+    with np.errstate(invalid="ignore"):  # an r^2 rounded below 0 gives NaN, rejected below
+        np.sqrt(r, out=r)
+    if not r.min() >= MIN_ANTENNA_DISTANCE_M:
         raise SingularGeometryError("user position coincides with an antenna position")
-    # the exact fractional cycle spares libm's argument reduction: exp of a
-    # quarter of its phase, |theta| <= pi / 4, then squared twice
+    # the exact fractional cycle spares libm's argument reduction: cos and sin
+    # of a quarter of its phase, |theta| <= pi / 4, then squared twice
     np.divide(r, wavelength, out=tmp)
     np.rint(tmp, out=out.real)
     tmp -= out.real
-    np.multiply(0.5j * np.pi, tmp, out=out)
-    np.exp(out, out=out)
+    tmp *= 0.5 * np.pi
+    np.cos(tmp, out=out.real)
+    np.sin(tmp, out=out.imag)
     np.square(out, out=out)
     np.square(out, out=out)
     np.divide(wavelength / (4.0 * np.pi), r, out=tmp)
@@ -147,14 +164,22 @@ class CrossGram:
         return np.real(np.diagonal(self.igram, axis1=1, axis2=2))
 
 
+def tile_width(cells: int, antennas: int, users: int) -> int:
+    """Antennas in one task's tile: at most max(_TILE // (L K), K) of a
+    station's M, so that a tile of at least K antennas keeps the tile
+    products within L^2 K (M + K) entries."""
+    return min(max(_TILE // (cells * users), users), antennas)
+
+
 def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float) -> CrossGram:
     """Cross-Gram products of the channels between the antennas (L, M, 3) and
     the users (L, K, 3) of one drop, without the (L, L, M, K) tensor.
 
-    Each station's antennas are cut into tiles of at most
-    max(_TILE // (L K), K) antennas. Task (l, t) builds tile t's (L, n, K)
-    channels at station l with `station_channels`, in buffers its thread
-    keeps across drops, and keeps their product G_t[l, l]^H G_t[l, :].
+    Each station's antennas are cut into tiles of `tile_width` antennas.
+    Task (l, t) builds tile t's (n, L K) channels at station l with
+    `station_channels`, from positions relative to the station's array
+    center, in buffers its thread keeps across drops, and keeps their
+    product G_t[l, l]^H G_t[l, :] as one (K, n) (n, L K) product.
     min(WORKERS, tasks) threads deal the tasks round-robin, the calling
     thread taking the first share and the pool the rest; an error in any
     share is raised once every share has ended. The tile products are summed
@@ -168,11 +193,15 @@ def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float
     if 0 in antennas.shape[:2] or 0 in users.shape[:2]:
         raise ConfigurationError(f"antennas {antennas.shape} and users {users.shape} "
                                  "need at least one station, antenna and user")
+    if not (np.isfinite(antennas).all() and np.isfinite(users).all()):
+        raise ConfigurationError("antenna and user positions must be finite")
     m, k = antennas.shape[1], users.shape[1]
-    # a tile of at least K antennas keeps the tile products within L^2 K (M + K) entries
-    width = min(max(_TILE // (cells * k), k), m)
+    width = tile_width(cells, m, k)
     tiles = len(range(0, m, width))
-    parts = np.empty((cells, tiles, cells, k, k), dtype=np.complex128)
+    centers = antennas.mean(axis=1)
+    # every cell's users as seen from each station's array center: (L, L K, 3)
+    seen = users.reshape(1, -1, 3) - centers[:, None]
+    parts = np.empty((cells, tiles, k, cells, k), dtype=np.complex128)
     tasks = [(l, t) for l in range(cells) for t in range(tiles)]
 
     def share(tasks):
@@ -182,10 +211,11 @@ def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float
             buffers = (np.empty(size, dtype=np.complex128), np.empty(size), np.empty(size))
             _local.buffers = buffers
         for l, t in tasks:
-            tile = antennas[l, t * width:(t + 1) * width]
-            views = (b[:cells * len(tile) * k].reshape(cells, -1, k) for b in buffers)
-            block = station_channels(tile, users, wavelength, *views)
-            np.matmul(block[l].conj().T, block, out=parts[l, t])
+            tile = antennas[l, t * width:(t + 1) * width] - centers[l]
+            views = (b[:len(tile) * cells * k].reshape(len(tile), -1) for b in buffers)
+            block = station_channels(tile, seen[l], wavelength, *views)
+            serving = block[:, l * k:(l + 1) * k].conj()
+            np.matmul(serving.T, block, out=parts[l, t].reshape(k, -1))
 
     workers = min(WORKERS, len(tasks))
     futures = [_pool().submit(share, tasks[w::workers]) for w in range(1, workers)]
@@ -195,4 +225,8 @@ def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float
         wait(futures)
     for future in futures:
         future.result()
-    return CrossGram(z=parts.sum(axis=1))
+    z = np.empty((cells, cells, k, k), dtype=np.complex128)
+    # numpy adds along the outer tile axis in sequence; z is written through
+    # its (L, K, L, K) view, the tile products' layout
+    np.sum(parts, axis=1, out=z.transpose(0, 2, 1, 3))
+    return CrossGram(z=z)

@@ -9,14 +9,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import MIN_ANTENNA_DISTANCE_M, link_budget, wavelength_m
+from . import channel
+from .channel import CHANNEL_RTOL, closest_distance_m, link_budget, tile_width, wavelength_m
 from .errors import ConfigurationError
 from .geometry import cluster_reach, inradius
 from .linproc import DOWNLINK, UPLINK
 
 # complex entries a drop may hold, counted in `validate`: 1 GiB of complex128
-# (3.7 M at the published Table 1 scale); each thread's tile buffers, about
-# 1 MB at that scale, come beside them
+# (3.7 M at the published Table 1 scale, and 65 520 more a channel thread)
 MAX_CHANNEL_ENTRIES = 2**26
 _SCHEMES = ("MR", "ZF")
 _LINKS = ("DL", "UL")
@@ -70,14 +70,20 @@ class ScenarioConfig:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.cells not in (1, 7):
             raise ConfigurationError(f"cells must be 1 or 7, got {self.cells}")
-        # tile products (at most L^2 K (M + K)), z and four (L K)^2 power-control matrices
-        users = self.users_per_cell
-        entries = self.cells**2 * users * (self.antennas_per_cell + 6 * users)
+        # tile products (at most L^2 K (M + K)), z and four (L K)^2 power-control
+        # matrices, and each channel thread's tile buffers: one complex and two
+        # real arrays of n L K entries, as many as 2 n L K complex ones
+        cells, antennas, users = self.cells, self.antennas_per_cell, self.users_per_cell
+        width = tile_width(cells, antennas, users)
+        # channel.WORKERS is read here, as stream_cross_gram reads it
+        threads = min(channel.WORKERS, cells * -(-antennas // width))
+        entries = cells**2 * users * (antennas + 6 * users) + threads * 2 * width * cells * users
         if entries > MAX_CHANNEL_ENTRIES:
             raise ConfigurationError(
                 f"cells, antennas_per_cell and users_per_cell give {entries} entries per drop "
-                f"(cells^2 * users_per_cell * (antennas_per_cell + 6 * users_per_cell)), over "
-                f"the limit of {MAX_CHANNEL_ENTRIES}")
+                f"(cells^2 * users_per_cell * (antennas_per_cell + 6 * users_per_cell), and "
+                f"2 * n * cells * users_per_cell for each of {threads} channel threads with "
+                f"tiles of n = {width} antennas), over the limit of {MAX_CHANNEL_ENTRIES}")
         if not 0 <= self.min_bs_distance_m < inradius(self.cell_radius_m):  # disk inside the cell
             raise ConfigurationError("min_bs_distance_m must be in [0, sqrt(3)/2 * cell_radius_m)")
         if self.seed < 0:
@@ -102,8 +108,9 @@ class ScenarioConfig:
         """Reject a geometry whose channel entries overflow or vanish: the
         wavelength, the largest antenna-user distance in wavelengths and the
         channel amplitude lambda/(4 pi r) at that distance must be finite and
-        nonzero. So must the smallest antenna-user distance, which is at
-        least `channel.MIN_ANTENNA_DISTANCE_M`."""
+        nonzero. The smallest antenna-user distance must be at least
+        `channel.closest_distance_m` of the array radius, where every channel
+        entry keeps its accuracy."""
         wl = np.float64(wavelength_m(self.carrier_ghz))
         if not 0.0 < wl < np.inf:
             raise ConfigurationError(f"carrier_ghz gives a wavelength of {wl} m, "
@@ -114,12 +121,14 @@ class ScenarioConfig:
         # rejected below rather than warned about
         with np.errstate(over="ignore", under="ignore"):
             array_radius = self.antennas_per_cell * wl / (4.0 * np.pi)
-            reach = array_radius + cluster_reach(self.cells, self.cell_radius_m)
+            spread = cluster_reach(self.cells, self.cell_radius_m)
+            reach = array_radius + spread
             rise = np.float64(self.bs_array_height_m) - self.user_height_m
             # summed squares, as the channel build takes them
             distance = np.sqrt(reach * reach + rise * rise)
             cycles = distance / wl
             amplitude = wl / (4.0 * np.pi * distance)
+            least = closest_distance_m(array_radius, wl)
         if not cycles < np.inf:
             raise ConfigurationError(f"{keys} give a largest antenna-user distance of "
                                      f"{distance} m ({cycles} wavelengths), not finite")
@@ -127,14 +136,17 @@ class ScenarioConfig:
             raise ConfigurationError(f"{keys} give a channel amplitude lambda/(4 pi r) of "
                                      f"{amplitude} at {distance} m, not nonzero")
         # users keep min_bs_distance_m from their own array's center and more
-        # from every other, so this is as close as one can come to an antenna
-        closest = np.hypot(max(self.min_bs_distance_m - array_radius, 0.0), rise)
-        if closest < MIN_ANTENNA_DISTANCE_M:
+        # from every other, and stay within `spread` of every center, so this
+        # is as close as one can come to an antenna
+        gap = max(self.min_bs_distance_m - array_radius, array_radius - spread, 0.0)
+        closest = np.hypot(gap, rise)
+        if not closest >= least:
             raise ConfigurationError(
                 f"bs_array_height_m, user_height_m, min_bs_distance_m, antennas_per_cell and "
-                f"carrier_ghz let a user come within {closest} m of an antenna (the array "
-                f"radius is {array_radius} m): raise min_bs_distance_m above it or set the "
-                "heights apart")
+                f"carrier_ghz let a user come within {closest} m of an antenna, closer than "
+                f"the {least} m at which its channel keeps a relative error of "
+                f"{CHANNEL_RTOL} (the array radius is {array_radius} m): raise "
+                "min_bs_distance_m or set the heights apart")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

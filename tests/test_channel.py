@@ -14,6 +14,7 @@ import losmimo
 import losmimo.channel
 from losmimo import (
     ConfigurationError,
+    ScenarioConfig,
     SingularGeometryError,
     circular_array,
     drop_users,
@@ -23,7 +24,7 @@ from losmimo import (
     wavelength_m,
 )
 
-from reference_channel import channel_tensor, cross_gram, fspl_db, los_channel
+from reference_channel import channel_tensor, cross_gram, fspl_db, los_channel, los_entries
 
 
 class TestFspl:
@@ -106,32 +107,72 @@ def _small_scene(seed=5, antennas=32, users=4):
     return arrays, drop_users(centers, 200.0, users, 10.0, 1.5, seed=seed), wl
 
 
+def _kernel_block(arrays, drop, wl, bs):
+    """The kernel's (M, L K) channels and distances of station bs, whole, from
+    positions relative to its array center (the (L, M, 3) arrays' mean)."""
+    center = arrays.mean(axis=1)[bs]
+    shape = (arrays.shape[1], drop.shape[0] * drop.shape[1])
+    r = np.empty(shape)
+    out = losmimo.channel.station_channels(arrays[bs] - center, drop.reshape(-1, 3) - center,
+                                           wl, np.empty(shape, dtype=complex), r, np.empty(shape))
+    return out, r
+
+
+def _decimal_distance(antenna, user) -> Decimal:
+    """The distance between two float positions, in 40-digit decimals."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return sum((Decimal(a) - Decimal(u)) ** 2 for a, u in zip(antenna, user)).sqrt()
+
+
 class TestChannelSet:
     def test_dimensions_and_columns(self):
         arrays, drop, wl = _small_scene()
         channels = channel_tensor(arrays, drop, wl)
         assert channels.shape == (7, 7, 32, 4)
-        # column k of block (bs, cell) is the LoS vector of user (cell, k) at bs
+        # column k of block (bs, cell) is the LoS vector of user (cell, k) at bs:
+        # the kernel's entry (m, cell K + k), and the textbook vector within 1e-9
+        out, _ = _kernel_block(arrays, drop, wl, 5)
+        assert np.array_equal(channels[5, 2][:, 1], out[:, 2 * 4 + 1])
         g = los_channel(drop[2, 1], arrays[5], wl)
-        assert np.array_equal(channels[5, 2][:, 1], g)
+        assert np.allclose(channels[5, 2][:, 1], g, rtol=1e-9, atol=0.0)
         assert stream_cross_gram(arrays, drop, wl).z.shape == (7, 7, 4, 4)
 
     @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
-    def test_bit_identical_to_per_user_los_channel(self, set_workers, antennas, users):
+    def test_bit_identical_to_los_entries_of_the_kernel_distances(self, set_workers, antennas,
+                                                                   users):
+        # the phase and the amplitude follow the per-entry reference bit for bit,
+        # from the distances the kernel returns
         arrays, drop, wl = _small_scene(antennas=antennas, users=users)
-        stacked = np.stack([
-            np.stack([
-                np.stack([los_channel(u, arrays[bs], wl) for u in drop[cell]], axis=1)
-                for cell in range(7)
-            ])
-            for bs in range(7)
-        ])
-        assert np.array_equal(channel_tensor(arrays, drop, wl), stacked)
+        channels = channel_tensor(arrays, drop, wl)
+        for bs in range(7):
+            out, r = _kernel_block(arrays, drop, wl, bs)
+            assert np.array_equal(out, los_entries(r, wl)), bs
+            assert np.array_equal(channels[bs], out.reshape(antennas, 7, users).swapaxes(0, 1))
         # the streamed products hold these very channels, whatever the worker count
-        want = cross_gram(stacked).z
+        want = cross_gram(channels).z
         for workers in (1, 2, 3):
             set_workers(workers)
             assert np.array_equal(stream_cross_gram(arrays, drop, wl).z, want), workers
+
+    @pytest.mark.parametrize("antennas,users", [(32, 4), (256, 8)])
+    def test_kernel_distances_within_their_rounding_bound(self, antennas, users):
+        # the distances come from one BLAS product, whose last bits no per-user
+        # computation follows. With a and u the positions relative to the array
+        # center, rounding a, u, |a|^2, |u|^2, 2 a.u, the two sums and the root
+        # moves r by at most 8 eps (|a| + |u|)^2 / r
+        arrays, drop, wl = _small_scene(antennas=antennas, users=users)
+        users_flat = drop.reshape(-1, 3)
+        rng = np.random.default_rng(11)
+        for bs in (0, 4):
+            out, r = _kernel_block(arrays, drop, wl, bs)
+            center = arrays.mean(axis=1)[bs]
+            for m, j in zip(rng.integers(antennas, size=200), rng.integers(7 * users, size=200)):
+                exact = _decimal_distance(arrays[bs, m], users_flat[j])
+                spread = (np.linalg.norm(arrays[bs, m] - center)
+                          + np.linalg.norm(users_flat[j] - center))
+                bound = 8.0 * np.finfo(float).eps * spread**2 / float(exact)
+                assert abs(Decimal(r[m, j]) - exact) <= Decimal(bound), (bs, m, j)
 
     def test_user_on_antenna_raises(self):
         arrays, drop, wl = _small_scene()
@@ -139,6 +180,21 @@ class TestChannelSet:
         positions[3, 1] = arrays[5, 7]
         with pytest.raises(SingularGeometryError):
             stream_cross_gram(arrays, positions, wl)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["antennas", "users"])
+    def test_non_finite_position_raises_before_any_task(self, set_workers, monkeypatch, value,
+                                                         which):
+        # a NaN or infinite coordinate once gave a non-finite z with only a warning
+        set_workers(2)
+        arrays, drop, wl = _small_scene()
+        positions = {"antennas": arrays.copy(), "users": drop.copy()}
+        positions[which][3, 1, 0] = value
+        calls = []
+        monkeypatch.setattr(losmimo.channel, "station_channels", lambda *args: calls.append(1))
+        with pytest.raises(ConfigurationError, match="finite"):
+            stream_cross_gram(positions["antennas"], positions["users"], wl)
+        assert calls == []
 
     def test_counts_read_from_positions(self):
         # a drop and arrays given fewer users and antennas build channels of
@@ -148,7 +204,9 @@ class TestChannelSet:
         arrays = arrays[:, :5]
         channels = channel_tensor(arrays, fewer, wl)
         assert channels.shape == (7, 7, 5, 2)
-        assert np.array_equal(channels[5, 2][:, 1], los_channel(fewer[2, 1], arrays[5], wl))
+        assert np.array_equal(channels[5, 2][:, 1], _kernel_block(arrays, fewer, wl, 5)[0][:, 5])
+        assert np.allclose(channels[5, 2][:, 1], los_channel(fewer[2, 1], arrays[5], wl),
+                           rtol=1e-9, atol=0.0)
         assert np.array_equal(stream_cross_gram(arrays, fewer, wl).z, cross_gram(channels).z)
 
     @pytest.mark.parametrize("build", [stream_cross_gram], ids=lambda build: build.__name__)
@@ -196,9 +254,9 @@ class TestChannelSet:
 def _textbook_channel(antenna, user, wavelength: float) -> complex:
     """(lambda / 4 pi r) exp(i 2 pi r / lambda) of one antenna-user pair, with
     r and r / lambda mod 1 taken from the float positions in 40-digit decimals."""
+    r = _decimal_distance(antenna, user)
     with localcontext() as ctx:
         ctx.prec = 40
-        r = sum((Decimal(a) - Decimal(u)) ** 2 for a, u in zip(antenna, user)).sqrt()
         cycles = r / Decimal(wavelength)
         fraction = float(cycles - cycles.to_integral_value())
     return wavelength / (4.0 * np.pi * float(r)) * np.exp(2j * np.pi * fraction)
@@ -207,17 +265,38 @@ def _textbook_channel(antenna, user, wavelength: float) -> complex:
 class TestAccuracy:
     def test_published_geometry_matches_the_textbook_formula(self):
         # at 60 GHz the phase 2 pi r / lambda reaches ~2.6e5 rad; the kernel's
-        # reduced argument must keep every entry within 1e-9 of the formula
+        # distances and reduced argument must keep every entry within 1e-9 of
+        # the formula
         arrays, drop, wl = _small_scene(seed=3, antennas=4096, users=18)
-        station = arrays[4]
-        shape = (7, 4096, 18)
-        out = losmimo.channel.station_channels(station, drop, wl, np.empty(shape, dtype=complex),
-                                               np.empty(shape), np.empty(shape))
+        out, _ = _kernel_block(arrays, drop, wl, 4)
+        users = drop.reshape(-1, 3)
         rng = np.random.default_rng(7)
-        picks = zip(rng.integers(7, size=300), rng.integers(4096, size=300),
-                    rng.integers(18, size=300))
-        errors = [abs(out[cell, m, k] - _textbook_channel(station[m], drop[cell, k], wl))
-                  / abs(out[cell, m, k]) for cell, m, k in picks]
+        picks = zip(rng.integers(4096, size=300), rng.integers(7 * 18, size=300))
+        errors = [abs(out[m, j] - _textbook_channel(arrays[4, m], users[j], wl)) / abs(out[m, j])
+                  for m, j in picks]
+        assert max(errors) <= 1e-9
+
+    def test_closest_distance_the_config_accepts_keeps_the_bound(self):
+        # near an antenna the Gram form cancels terms of size R^2: on the
+        # published ring (R = 1.63 m) at equal heights, a user at the closest
+        # distance a config may give, on the radial line through each of 24
+        # antennas, still gets entries within 1e-9 of the formula
+        cfg = ScenarioConfig(user_height_m=30.0)
+        wl = wavelength_m(cfg.carrier_ghz)
+        radius = cfg.antennas_per_cell * wl / (4.0 * np.pi)
+        gap = losmimo.channel.closest_distance_m(radius, wl)
+        cfg.min_bs_distance_m = radius + gap
+        while cfg.min_bs_distance_m - radius < gap:
+            cfg.min_bs_distance_m = np.nextafter(cfg.min_bs_distance_m, np.inf)
+        cfg.validate()
+        arrays = circular_array(cfg.antennas_per_cell, wl, 30.0, hex_centers(1, 200.0))
+        sampled = np.linspace(0, cfg.antennas_per_cell, 24, endpoint=False).astype(int)
+        users = arrays[:, sampled].copy()
+        users[..., :2] *= cfg.min_bs_distance_m / radius
+        out, r = _kernel_block(arrays, users, wl, 0)
+        assert np.allclose(r[sampled, np.arange(24)], gap, rtol=1e-6)
+        errors = [abs(out[m, j] - _textbook_channel(arrays[0, m], users[0, j], wl)) / abs(out[m, j])
+                  for j, m in enumerate(sampled)]
         assert max(errors) <= 1e-9
 
 
@@ -254,11 +333,14 @@ class TestTiles:
         raised_on = []
         kernel = losmimo.channel.station_channels
 
-        def failing_on_last_tile_of_station_1(tile, *args):
-            if np.array_equal(tile, arrays[1, 24:]):  # task 5, dealt to the pool
+        seen_from_1 = drop.reshape(-1, 3) - arrays[1].mean(axis=0)
+
+        def failing_on_last_tile_of_station_1(tile, users, *args):
+            # task 5, dealt to the pool: the short tile, users as seen from station 1
+            if len(tile) == 8 and np.allclose(users, seen_from_1):
                 raised_on.append(threading.current_thread())
                 raise error
-            return kernel(tile, *args)
+            return kernel(tile, users, *args)
 
         monkeypatch.setattr(losmimo.channel, "station_channels", failing_on_last_tile_of_station_1)
         with pytest.raises(SingularGeometryError) as caught:

@@ -151,8 +151,7 @@ class TestSystemStructure:
         # one stacked call for the three Grams, on the reading thread
         assert calls == [threading.current_thread()]
         for l in range(3):
-            serving = cs[l, l]
-            assert np.array_equal(xg.igram[l], gram_inverse(serving.conj().T @ serving))
+            assert np.array_equal(xg.igram[l], gram_inverse(xg.z[l, l]))
 
     @pytest.mark.parametrize("antennas", [16, 2], ids=["K<=M", "K>M"])
     def test_one_eigh_per_serving_gram(self, rng, monkeypatch, antennas):
@@ -163,10 +162,9 @@ class TestSystemStructure:
             calls.append(1)
             return eigh(a)
 
-        cs = random_channel_set(rng, cells=3, antennas=antennas)
-        want = [eigh(cs[l, l].conj().T @ cs[l, l]) for l in range(3)]
+        xg = cross_gram(random_channel_set(rng, cells=3, antennas=antennas))
+        want = [eigh(xg.z[l, l]) for l in range(3)]
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        xg = cross_gram(cs)
         for _ in range(2):
             if antennas < 3:  # only ZF reads the inverses, and they need K <= M
                 with pytest.raises(SingularChannelError):
@@ -251,11 +249,13 @@ class TestStreamCrossGram:
         raised_on = []
         kernel = losmimo.channel.station_channels
 
-        def failing_on_station_1(array, *args):
-            if np.array_equal(array, arrays[1]):
+        seen_from_1 = drop.reshape(-1, 3) - arrays[1].mean(axis=0)
+
+        def failing_on_station_1(array, users, *args):
+            if np.allclose(users, seen_from_1):  # users as seen from station 1
                 raised_on.append(threading.current_thread())
                 raise error
-            return kernel(array, *args)
+            return kernel(array, users, *args)
 
         monkeypatch.setattr(losmimo.channel, "station_channels", failing_on_station_1)
         with pytest.raises(SingularGeometryError) as caught:

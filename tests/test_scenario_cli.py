@@ -74,20 +74,21 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("antennas_per_cell = 4\nusers_per_cell = 8\n")
 
-    def test_channel_entries_bounded(self):
+    def test_channel_entries_bounded(self, monkeypatch):
         # cells^2 * users_per_cell * (antennas_per_cell + 6 * users_per_cell) complex
         # entries: the tile products, the cross-Gram products and the four
-        # power-control matrices
-        most = MAX_CHANNEL_ENTRIES // 2 - 12
-        at_limit = f"cells = 1\nantennas_per_cell = {most}\nusers_per_cell = 2\n"
-        assert parse_config(at_limit).antennas_per_cell == most
+        # power-control matrices; and each channel thread's tile buffers, as many
+        # as 2 * 260 * 7 * 18 = 65 520 complex entries at the published shape
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 1)
+        most = (MAX_CHANNEL_ENTRIES - 65520) // (49 * 18) - 6 * 18
+        assert parse_config(f"antennas_per_cell = {most}\n").antennas_per_cell == most
         # MR allows K > M, where the K x K cross-Gram blocks outgrow the channels;
         # parsed only: a drop of it holds almost 1 GiB and solves 3344 x 3344 systems
         mr_at_limit = "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 3344\nschemes = MR\n"
         assert parse_config(mr_at_limit).users_per_cell == 3344
         for over in (
-            f"cells = 1\nantennas_per_cell = {most + 1}\nusers_per_cell = 2\n",
-            f"cells = 7\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // (49 * 18) - 6 * 18 + 1}\n",
+            f"antennas_per_cell = {most + 1}\n",
+            f"cells = 1\nantennas_per_cell = {MAX_CHANNEL_ENTRIES // 2 - 11}\nusers_per_cell = 2\n",
             "cells = 1\nantennas_per_cell = 1\nusers_per_cell = 3345\nschemes = MR\n",
             "cells = 7\nantennas_per_cell = 16\nusers_per_cell = 4000\nschemes = MR\n",
             # 49.0 M entries of channels, but 98 M of tile products at 2 tiles a station
@@ -97,6 +98,25 @@ class TestConfig:
                 parse_config(over)
             for key in ("cells", "antennas_per_cell", "users_per_cell"):
                 assert key in str(caught.value)
+
+    def test_tile_buffers_counted_for_each_channel_thread(self, monkeypatch):
+        # each channel thread keeps one complex and two real buffers of n L K
+        # entries, counted as 2 n L K complex ones. One cell of 3000 antennas
+        # and users passed with 63.0 M counted entries; its one tile of 3000
+        # antennas adds 18 M, over the limit of 67.1 M, on any thread count
+        square = ScenarioConfig(cells=1, antennas_per_cell=3000, users_per_cell=3000)
+        # the most antennas the published shape takes on one thread, rejected on more
+        monkeypatch.setattr(losmimo.channel, "WORKERS", 1)
+        published = ScenarioConfig(antennas_per_cell=_most_antennas_accepted())
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+            with pytest.raises(ConfigurationError, match="entries per drop"):
+                square.validate()
+            if workers == 1:
+                published.validate()
+            else:
+                with pytest.raises(ConfigurationError, match=f"each of {workers} channel threads"):
+                    published.validate()
 
     # small shapes only; a narrow _TILE gives tiles of K antennas, the most tiles
     @pytest.mark.parametrize("tile", [1, 40, 2**15])
@@ -134,7 +154,6 @@ class TestConfig:
         text = ("antennas_per_cell = 32\nusers_per_cell = 3\nbs_array_height_m = 1.5\n"
                 "user_height_m = 1.5\nmin_bs_distance_m = 0.02\n")
         assert parse_config(text).min_bs_distance_m == 0.02
-
     def test_round_trip_idempotent(self):
         text = "cells = 1\nantennas_per_cell = 48\nusers_per_cell = 6\nseed = 9\n"
         once = serialize_config(parse_config(text))
@@ -142,13 +161,45 @@ class TestConfig:
         assert once == twice
 
 
+def _published_near_antenna_limit() -> float:
+    """The largest min_bs_distance_m that the published config, its heights
+    made equal, rejects for letting a user come too near an antenna: one float
+    below array radius + `channel.closest_distance_m`, 1.48 mm further out."""
+    cfg = ScenarioConfig()
+    wl = np.float64(losmimo.channel.wavelength_m(cfg.carrier_ghz))
+    radius = cfg.antennas_per_cell * wl / (4.0 * np.pi)
+    least = losmimo.channel.closest_distance_m(radius, wl)
+    distance = radius + least
+    while distance - radius >= least:
+        distance = np.nextafter(distance, 0.0)
+    return float(distance)
+
+
+def _most_antennas_accepted() -> int:
+    """The largest antennas_per_cell the default config accepts, which the
+    channel threads' tile buffers make depend on `channel.WORKERS`."""
+    low, high = 1, 10**6  # accepted, rejected
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            ScenarioConfig(antennas_per_cell=mid).validate()
+            low = mid
+        except ConfigurationError:
+            high = mid
+    return low
+
+
 _DEFAULTS = dataclasses.asdict(ScenarioConfig())
+_NEAR_ANTENNA = _published_near_antenna_limit()
+_MOST_ANTENNAS = _most_antennas_accepted()
 _EDGE_VALUES = ["0", "-0", "1", "-1", "7", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
                 "1e-300", "5e-324", "1.7976931348623157e308", str(10**30), "9" * 5000, "0x10",
                 "1_000", "true", "no", "MR", "ZF,MR", "DL", "UL,DL", "MR,,ZF", "", "abc", "1.5.2",
                 "= 3", "# comment",
                 # each side of the drop-size limit for antennas_per_cell or users_per_cell
-                "1000", "1001", "3344", "3345", "75979", "75980"]
+                "1000", "1001", "3344", "3345", str(_MOST_ANTENNAS), str(_MOST_ANTENNAS + 1),
+                # equal heights, and each side of the near-antenna limit of min_bs_distance_m
+                "1.5", "30.0", repr(_NEAR_ANTENNA), repr(float(np.nextafter(_NEAR_ANTENNA, 2.0)))]
 _VALUES = st.one_of(
     st.sampled_from(_EDGE_VALUES),
     st.integers(-(10**40), 10**40).map(str),
@@ -521,6 +572,23 @@ class TestCli:
         for key in ("bs_array_height_m", "user_height_m", "min_bs_distance_m"):
             assert key in errors[0]
         assert not out.exists()
+
+    def test_user_just_inside_the_accurate_distance_exit_code(self, tmp_path, capsys):
+        # on the published ring at equal heights a user may come 1.48 mm from an
+        # antenna, where its channel keeps a relative error of 1e-9; one float
+        # nearer is rejected before any drop, and one float further runs
+        cfg_path = tmp_path / "near.cfg"
+        cfg = ScenarioConfig(drops=1, user_height_m=30.0, min_bs_distance_m=_NEAR_ANTENNA)
+        cfg_path.write_text(serialize_config(cfg))
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "keeps a relative error of 1e-09" in errors[0]
+        for key in ("bs_array_height_m", "user_height_m", "min_bs_distance_m"):
+            assert key in errors[0]
+        assert not out.exists()
+        cfg.min_bs_distance_m = float(np.nextafter(_NEAR_ANTENNA, 2.0))
+        cfg.validate()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "bad.cfg"
