@@ -9,7 +9,7 @@ inverse free-space path loss, so the normalized SNRs rho_dl / rho_ul are
 plain transmit-power-to-noise-power ratios. The distance r comes from the
 Gram form |a|^2 + |u|^2 - 2 a.u of positions relative to the station's
 array center, and the phase from the exact fractional part of r / lambda,
-as (cos(theta / 4) + i sin(theta / 4))^4 with |theta| <= pi.
+as (1 + i t)^4 / (1 + t^2)^2 with t = tan(theta / 4) and |theta| <= pi.
 
 A drop's channels are never held whole: `stream_cross_gram` builds them in
 cache-sized (station, antenna tile) blocks of (n, L K), shared evenly by
@@ -33,8 +33,17 @@ from .linproc import gram_inverse
 C_LIGHT = 299792458.0  # m/s
 MIN_ANTENNA_DISTANCE_M = 1e-9  # a user closer than this to an antenna has no channel
 CHANNEL_RTOL = 1e-9  # relative error of a channel entry that `closest_distance_m` allows
+# the most wavelengths from a station's array center to its farthest user at
+# which every entry keeps CHANNEL_RTOL: positions relative to the center round
+# r by up to about 1.7 eps per wavelength of distance, so the phase errs by
+# 2.4e-15 per wavelength at worst in 140 000 sampled published-layout entries
+# (3.4e-10 at 60 GHz, 3.8e-10 at this limit's 67 GHz, 3.2e-9 at 600 GHz)
+MAX_REACH_WAVELENGTHS = 2e5
 # threads that build a drop's channels: the usable CPUs, or all where unknown
 WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# the most threads one drop's stream runs on, whatever WORKERS is: `validate`
+# counts each one's tile buffers, so its verdict is the same on every host
+STREAM_THREADS = 8
 
 
 def wavelength_m(carrier_ghz: float) -> float:
@@ -108,17 +117,24 @@ def station_channels(tile: np.ndarray, users: np.ndarray, wavelength: float,
         np.sqrt(r, out=r)
     if not r.min() >= MIN_ANTENNA_DISTANCE_M:
         raise SingularGeometryError("user position coincides with an antenna position")
-    # the exact fractional cycle spares libm's argument reduction: cos and sin
-    # of a quarter of its phase, |theta| <= pi / 4, then squared twice
+    # the exact fractional cycle spares any argument reduction: with t the tan
+    # of a quarter of its phase, |theta / 4| <= pi / 4, the tangent half-angle
+    # form gives exp(i theta) = (1 + i t)^4 / (1 + t^2)^2. numpy runs tan on
+    # SIMD where the CPU has it, and cos and sin on scalar libm
     np.divide(r, wavelength, out=tmp)
     np.rint(tmp, out=out.real)
     tmp -= out.real
     tmp *= 0.5 * np.pi
-    np.cos(tmp, out=out.real)
-    np.sin(tmp, out=out.imag)
+    np.tan(tmp, out=tmp)
+    np.multiply(tmp, 2.0, out=out.imag)
+    np.square(tmp, out=tmp)
+    np.subtract(1.0, tmp, out=out.real)
     np.square(out, out=out)
-    np.square(out, out=out)
-    np.divide(wavelength / (4.0 * np.pi), r, out=tmp)
+    # the half-angle form's (1 + t^2)^2 joins the amplitude lambda / (4 pi r)
+    tmp += 1.0
+    np.square(tmp, out=tmp)
+    tmp *= r
+    np.divide(wavelength / (4.0 * np.pi), tmp, out=tmp)
     out *= tmp
     return out
 
@@ -130,8 +146,9 @@ _local = threading.local()
 
 @cache
 def _pool() -> ThreadPoolExecutor:
-    """The station pool of WORKERS - 1 threads, made on first use."""
-    return ThreadPoolExecutor(WORKERS - 1, thread_name_prefix="losmimo-station")
+    """The station pool of min(WORKERS, STREAM_THREADS) - 1 threads, made on first use."""
+    return ThreadPoolExecutor(min(WORKERS, STREAM_THREADS) - 1,
+                              thread_name_prefix="losmimo-station")
 
 
 # a forked child inherits the pool but none of its threads: it makes its own
@@ -180,10 +197,11 @@ def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float
     `station_channels`, from positions relative to the station's array
     center, in buffers its thread keeps across drops, and keeps their
     product G_t[l, l]^H G_t[l, :] as one (K, n) (n, L K) product.
-    min(WORKERS, tasks) threads deal the tasks round-robin, the calling
-    thread taking the first share and the pool the rest; an error in any
-    share is raised once every share has ended. The tile products are summed
-    in tile order, so z is bit-identical for any worker count."""
+    min(WORKERS, STREAM_THREADS, tasks) threads deal the tasks round-robin,
+    the calling thread taking the first share and the pool the rest; an
+    error in any share is raised once every share has ended. The tile
+    products are summed in tile order, so z is bit-identical for any worker
+    count."""
     cells = len(antennas)
     if len(users) != cells:
         raise ConfigurationError("arrays and drop disagree on cell count")
@@ -217,7 +235,7 @@ def stream_cross_gram(antennas: np.ndarray, users: np.ndarray, wavelength: float
             serving = block[:, l * k:(l + 1) * k].conj()
             np.matmul(serving.T, block, out=parts[l, t].reshape(k, -1))
 
-    workers = min(WORKERS, len(tasks))
+    workers = min(WORKERS, STREAM_THREADS, len(tasks))
     futures = [_pool().submit(share, tasks[w::workers]) for w in range(1, workers)]
     try:
         share(tasks[::workers])

@@ -75,8 +75,8 @@ class ScenarioConfig:
         # real arrays of n L K entries, as many as 2 n L K complex ones
         cells, antennas, users = self.cells, self.antennas_per_cell, self.users_per_cell
         width = tile_width(cells, antennas, users)
-        # channel.WORKERS is read here, as stream_cross_gram reads it
-        threads = min(channel.WORKERS, cells * -(-antennas // width))
+        # as many threads as the stream may run on any host, not on this one
+        threads = min(channel.STREAM_THREADS, cells * -(-antennas // width))
         entries = cells**2 * users * (antennas + 6 * users) + threads * 2 * width * cells * users
         if entries > MAX_CHANNEL_ENTRIES:
             raise ConfigurationError(
@@ -109,8 +109,9 @@ class ScenarioConfig:
         wavelength, the largest antenna-user distance in wavelengths and the
         channel amplitude lambda/(4 pi r) at that distance must be finite and
         nonzero. The smallest antenna-user distance must be at least
-        `channel.closest_distance_m` of the array radius, where every channel
-        entry keeps its accuracy."""
+        `channel.closest_distance_m` of the array radius, and the cluster's
+        reach from an array center at most `channel.MAX_REACH_WAVELENGTHS`,
+        where every channel entry keeps its accuracy."""
         wl = np.float64(wavelength_m(self.carrier_ghz))
         if not 0.0 < wl < np.inf:
             raise ConfigurationError(f"carrier_ghz gives a wavelength of {wl} m, "
@@ -127,6 +128,7 @@ class ScenarioConfig:
             # summed squares, as the channel build takes them
             distance = np.sqrt(reach * reach + rise * rise)
             cycles = distance / wl
+            reach_cycles = reach / wl
             amplitude = wl / (4.0 * np.pi * distance)
             least = closest_distance_m(array_radius, wl)
         if not cycles < np.inf:
@@ -147,6 +149,12 @@ class ScenarioConfig:
                 f"the {least} m at which its channel keeps a relative error of "
                 f"{CHANNEL_RTOL} (the array radius is {array_radius} m): raise "
                 "min_bs_distance_m or set the heights apart")
+        if not reach_cycles <= channel.MAX_REACH_WAVELENGTHS:
+            raise ConfigurationError(
+                f"carrier_ghz, cells, cell_radius_m and antennas_per_cell put users up to "
+                f"{reach} m ({reach_cycles} wavelengths) from an array center, over the "
+                f"{channel.MAX_REACH_WAVELENGTHS} wavelengths within which every channel entry "
+                f"keeps a relative error of {CHANNEL_RTOL}: lower carrier_ghz or cell_radius_m")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ScenarioConfig)}

@@ -212,7 +212,8 @@ def simulate(
                 r = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
                 r += w if noise_map is None else noise_map @ w
                 r -= coef[:, :, None] * symbols
-                impairment.add(np.square(np.abs(r)))
+                # |r|^2 from real squares: complex abs runs scalar hypot
+                impairment.add(r.real**2 + r.imag**2)
             if not last:
                 drawn = draw(sizes[i + 1]) if drawing is None else drawing.result()
     finally:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import losmimo.channel
+from losmimo import ConfigurationError, ScenarioConfig
+from losmimo.geometry import cluster_reach
 
 
 def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> np.ndarray:
@@ -12,6 +14,29 @@ def random_channel_set(rng, cells=2, users=3, antennas=16, scale=None) -> np.nda
     shape = (cells, cells, antennas, users)
     g = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return g
+
+
+def published_reach_limit_ghz() -> float:
+    """The largest carrier_ghz that the published config accepts, about 67 GHz:
+    there its farthest user is `channel.MAX_REACH_WAVELENGTHS` wavelengths
+    from an array center."""
+
+    def accepted(ghz):
+        try:
+            ScenarioConfig(carrier_ghz=float(ghz)).validate()
+        except ConfigurationError:
+            return False
+        return True
+
+    cfg = ScenarioConfig()
+    wavelengths = (losmimo.channel.MAX_REACH_WAVELENGTHS
+                   - cfg.antennas_per_cell / (4.0 * np.pi))
+    ghz = losmimo.channel.C_LIGHT * wavelengths / cluster_reach(cfg.cells, cfg.cell_radius_m) / 1e9
+    while not accepted(ghz):
+        ghz = np.nextafter(ghz, 0.0)
+    while accepted(np.nextafter(ghz, np.inf)):
+        ghz = np.nextafter(ghz, np.inf)
+    return float(ghz)
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@
 from distances taken by `np.linalg.norm` of the position differences.
 `los_entries` turns given distances into channel entries with the same
 operations in the same order as the package's kernel
-(`losmimo.channel.station_channels`: cos and sin of a quarter of the phase
-theta of r / lambda's fractional part, squared twice, then one real
-amplitude factor), so tests can check every entry the kernel builds from its
+(`losmimo.channel.station_channels`: the tangent half-angle form
+(1 + i t)^4 / (1 + t^2)^2 of the phase theta of r / lambda's fractional
+part, t = tan(theta / 4), with (1 + t^2)^2 joined to one real amplitude
+factor), so tests can check every entry the kernel builds from its
 own distances bit for bit. The kernel's distances come from a BLAS product,
 whose last bits no per-user computation follows; tests check them against
 40-digit decimals instead. `channel_tensor` holds a drop's whole
@@ -39,13 +40,13 @@ def fspl_db(freq_ghz: float, distance_m) -> float:
 
 def los_entries(r: np.ndarray, wavelength: float) -> np.ndarray:
     """Channel entries (lambda / 4 pi r) exp(i 2 pi r / lambda) at distances r,
-    in the kernel's operation order: cos and sin of a quarter of the phase
-    theta of r / lambda's fractional cycle, squared twice, then the real
-    amplitude (lambda / 4 pi) / r."""
+    in the kernel's operation order: t = tan of a quarter of the phase theta
+    of r / lambda's fractional cycle, ((1 - t^2) + i 2 t)^2, then the real
+    amplitude (lambda / 4 pi) / ((t^2 + 1)^2 r)."""
     cycles = r / wavelength
-    quarter = 0.5 * np.pi * (cycles - np.rint(cycles))
-    return np.square(np.square(np.cos(quarter) + 1j * np.sin(quarter))) * (
-        wavelength / (4.0 * np.pi) / r)
+    t = np.tan(0.5 * np.pi * (cycles - np.rint(cycles)))
+    return np.square((1.0 - t * t) + 1j * (2.0 * t)) * (
+        wavelength / (4.0 * np.pi) / (np.square(t * t + 1.0) * r))
 
 
 def los_channel(user_position: np.ndarray, antennas: np.ndarray, wavelength: float) -> np.ndarray:

@@ -87,7 +87,7 @@ def simulate_plain(z: np.ndarray, checks, n_symbols: int, seed: int) -> list[Sim
             received = (mix @ symbols.reshape(n, nc)).reshape(cells, users, nc)
             received += w if noise_map is None else noise_map @ w
             received -= coef[:, :, None] * symbols
-            values = np.abs(received) ** 2
+            values = received.real**2 + received.imag**2
             s1[i] += np.sum(values, axis=-1)
             s2[i] += np.sum(values**2, axis=-1)
     results = []

@@ -24,6 +24,7 @@ from losmimo import (
     wavelength_m,
 )
 
+from conftest import published_reach_limit_ghz
 from reference_channel import channel_tensor, cross_gram, fspl_db, los_channel, los_entries
 
 
@@ -275,6 +276,61 @@ class TestAccuracy:
         errors = [abs(out[m, j] - _textbook_channel(arrays[4, m], users[j], wl)) / abs(out[m, j])
                   for m, j in picks]
         assert max(errors) <= 1e-9
+
+    def test_farthest_users_the_config_accepts_keep_the_bound(self):
+        # rounding the positions relative to an array center moves r by up to
+        # about 1.7 eps per wavelength of distance, which no kernel can mend: at the
+        # carrier where the published cluster reaches MAX_REACH_WAVELENGTHS,
+        # 67 GHz, the farthest users' entries stay within 1e-9 of the formula
+        # (3.8e-10 at worst in 140 000 sampled entries); at 600 GHz they did not
+        ghz = published_reach_limit_ghz()
+        ScenarioConfig(carrier_ghz=ghz).validate()
+        with pytest.raises(ConfigurationError, match="wavelengths"):
+            ScenarioConfig(carrier_ghz=float(np.nextafter(ghz, np.inf))).validate()
+        wl = wavelength_m(ghz)
+        centers = hex_centers(7, 200.0)
+        arrays = circular_array(4096, wl, 30.0, centers)
+        users = drop_users(centers, 200.0, 18, 10.0, 1.5, seed=3).reshape(-1, 3)
+        rng = np.random.default_rng(5)
+        errors = []
+        for bs in range(7):
+            out, _ = _kernel_block(arrays, users.reshape(7, 18, 3), wl, bs)
+            far = np.argsort(np.linalg.norm(users - arrays[bs].mean(axis=0), axis=1))[-25:]
+            for m, j in zip(rng.integers(4096, size=100), rng.choice(far, size=100)):
+                want = _textbook_channel(arrays[bs, m], users[j], wl)
+                errors.append(abs(out[m, j] - want) / abs(out[m, j]))
+        assert max(errors) <= 1e-9
+
+    @pytest.mark.parametrize("cycles", [1, 40, 1001])
+    def test_phase_at_the_ends_of_the_quarter_range(self, cycles):
+        # users on a line from a one-antenna tile at the array center, at (k + f)
+        # wavelengths: f = +-1/2 gives t = tan(theta / 4) = +-1, f = 0 gives t = 0,
+        # and the float below k + 1/2 the largest fraction under 1/2. A power-of-two
+        # wavelength keeps every r / lambda exact
+        wl = 2.0**-8
+        fractions = [-0.5, -0.25, -1e-12, 0.0, 1e-12, 0.25, 0.5]
+        along = [cycles + f for f in fractions] + [np.nextafter(cycles + 0.5, 0.0)]
+        users = np.zeros((len(along), 3))
+        users[:, 0] = np.array(along) * wl
+        shape = (1, len(along))
+        out, r = np.empty(shape, dtype=complex), np.empty(shape)
+        losmimo.channel.station_channels(np.zeros((1, 3)), users, wl, out, r, np.empty(shape))
+        assert np.array_equal(r[0], users[:, 0])
+        for j, user in enumerate(users):
+            want = _textbook_channel(np.zeros(3), user, wl)
+            assert abs(out[0, j] - want) <= 1e-12 * abs(want), along[j]  # 2.4e-16 measured
+
+    def test_modulus_is_the_amplitude_on_a_published_tile(self):
+        # the half-angle form's (1 + t^2)^2 joins the amplitude: |g| 4 pi r / lambda
+        # stays at 1 on every entry of a table1 tile (8.9e-16 off at most, measured)
+        arrays, drop, wl = _small_scene(seed=3, antennas=4096, users=18)
+        width = losmimo.channel.tile_width(7, 4096, 18)
+        center = arrays[2].mean(axis=0)
+        shape = (width, 7 * 18)
+        out, r = np.empty(shape, dtype=complex), np.empty(shape)
+        losmimo.channel.station_channels(arrays[2, :width] - center, drop.reshape(-1, 3) - center,
+                                         wl, out, r, np.empty(shape))
+        assert np.max(np.abs(np.abs(out) * (4.0 * np.pi * r / wl) - 1.0)) <= 1e-14
 
     def test_closest_distance_the_config_accepts_keeps_the_bound(self):
         # near an antenna the Gram form cancels terms of size R^2: on the

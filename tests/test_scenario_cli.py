@@ -37,6 +37,7 @@ from losmimo.cli import main
 from losmimo.config import MAX_CHANNEL_ENTRIES
 from losmimo.scenario import MAX_RESAMPLES
 
+from conftest import published_reach_limit_ghz
 from reference_channel import channel_tensor, cross_gram
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -74,13 +75,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             parse_config("antennas_per_cell = 4\nusers_per_cell = 8\n")
 
-    def test_channel_entries_bounded(self, monkeypatch):
+    def test_channel_entries_bounded(self):
         # cells^2 * users_per_cell * (antennas_per_cell + 6 * users_per_cell) complex
         # entries: the tile products, the cross-Gram products and the four
-        # power-control matrices; and each channel thread's tile buffers, as many
-        # as 2 * 260 * 7 * 18 = 65 520 complex entries at the published shape
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 1)
-        most = (MAX_CHANNEL_ENTRIES - 65520) // (49 * 18) - 6 * 18
+        # power-control matrices; and the tile buffers of each of the
+        # STREAM_THREADS = 8 channel threads, as many as 2 * 260 * 7 * 18 = 65 520
+        # complex entries at the published shape
+        most = (MAX_CHANNEL_ENTRIES - 8 * 65520) // (49 * 18) - 6 * 18
+        assert most == _MOST_ANTENNAS
         assert parse_config(f"antennas_per_cell = {most}\n").antennas_per_cell == most
         # MR allows K > M, where the K x K cross-Gram blocks outgrow the channels;
         # parsed only: a drop of it holds almost 1 GiB and solves 3344 x 3344 systems
@@ -101,22 +103,37 @@ class TestConfig:
 
     def test_tile_buffers_counted_for_each_channel_thread(self, monkeypatch):
         # each channel thread keeps one complex and two real buffers of n L K
-        # entries, counted as 2 n L K complex ones. One cell of 3000 antennas
-        # and users passed with 63.0 M counted entries; its one tile of 3000
-        # antennas adds 18 M, over the limit of 67.1 M, on any thread count
-        square = ScenarioConfig(cells=1, antennas_per_cell=3000, users_per_cell=3000)
-        # the most antennas the published shape takes on one thread, rejected on more
-        monkeypatch.setattr(losmimo.channel, "WORKERS", 1)
-        published = ScenarioConfig(antennas_per_cell=_most_antennas_accepted())
-        for workers in (1, 2, 4):
+        # entries, counted as 2 n L K complex ones, for the STREAM_THREADS
+        # threads a stream may run on, whatever this host's CPU count. One cell
+        # of 3000 antennas and users passed with 63.0 M counted entries; its one
+        # tile of 3000 antennas adds 18 M, over the limit of 67.1 M
+        for workers in (1, 2, 64):
             monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
             with pytest.raises(ConfigurationError, match="entries per drop"):
-                square.validate()
-            if workers == 1:
-                published.validate()
-            else:
-                with pytest.raises(ConfigurationError, match=f"each of {workers} channel threads"):
-                    published.validate()
+                ScenarioConfig(cells=1, antennas_per_cell=3000, users_per_cell=3000).validate()
+            # the published shape's edge, counted for 8 threads on any CPU count
+            ScenarioConfig(antennas_per_cell=_MOST_ANTENNAS).validate()
+            with pytest.raises(ConfigurationError, match="each of 8 channel threads"):
+                ScenarioConfig(antennas_per_cell=_MOST_ANTENNAS + 1).validate()
+
+    def test_verdict_the_same_on_any_cpu_count(self, monkeypatch):
+        # counted on min(WORKERS, tasks) threads, a cell of 40 tiles and one of 46
+        # passed on 2 CPUs and were rejected on 64; the stream now runs on at most
+        # STREAM_THREADS threads, and validate counts that many on any host
+        configs = [ScenarioConfig(cells=1, antennas_per_cell=antennas, users_per_cell=1000,
+                                  min_bs_distance_m=100.0) for antennas in (40000, 46000)]
+        verdicts = set()
+        for workers in (1, 2, 64):
+            monkeypatch.setattr(losmimo.channel, "WORKERS", workers)
+            verdict = []
+            for cfg in configs:
+                try:
+                    cfg.validate()
+                    verdict.append(True)
+                except ConfigurationError:
+                    verdict.append(False)
+            verdicts.add(tuple(verdict))
+        assert verdicts == {(True, False)}
 
     # small shapes only; a narrow _TILE gives tiles of K antennas, the most tiles
     @pytest.mark.parametrize("tile", [1, 40, 2**15])
@@ -175,23 +192,11 @@ def _published_near_antenna_limit() -> float:
     return float(distance)
 
 
-def _most_antennas_accepted() -> int:
-    """The largest antennas_per_cell the default config accepts, which the
-    channel threads' tile buffers make depend on `channel.WORKERS`."""
-    low, high = 1, 10**6  # accepted, rejected
-    while high - low > 1:
-        mid = (low + high) // 2
-        try:
-            ScenarioConfig(antennas_per_cell=mid).validate()
-            low = mid
-        except ConfigurationError:
-            high = mid
-    return low
-
-
 _DEFAULTS = dataclasses.asdict(ScenarioConfig())
 _NEAR_ANTENNA = _published_near_antenna_limit()
-_MOST_ANTENNAS = _most_antennas_accepted()
+_FAR_REACH = published_reach_limit_ghz()
+# the largest antennas_per_cell the default config accepts, on any host
+_MOST_ANTENNAS = 75384
 _EDGE_VALUES = ["0", "-0", "1", "-1", "7", "nan", "-nan", "inf", "-inf", "1e300", "-1e300",
                 "1e-300", "5e-324", "1.7976931348623157e308", str(10**30), "9" * 5000, "0x10",
                 "1_000", "true", "no", "MR", "ZF,MR", "DL", "UL,DL", "MR,,ZF", "", "abc", "1.5.2",
@@ -199,7 +204,9 @@ _EDGE_VALUES = ["0", "-0", "1", "-1", "7", "nan", "-nan", "inf", "-inf", "1e300"
                 # each side of the drop-size limit for antennas_per_cell or users_per_cell
                 "1000", "1001", "3344", "3345", str(_MOST_ANTENNAS), str(_MOST_ANTENNAS + 1),
                 # equal heights, and each side of the near-antenna limit of min_bs_distance_m
-                "1.5", "30.0", repr(_NEAR_ANTENNA), repr(float(np.nextafter(_NEAR_ANTENNA, 2.0)))]
+                "1.5", "30.0", repr(_NEAR_ANTENNA), repr(float(np.nextafter(_NEAR_ANTENNA, 2.0))),
+                # each side of the cluster-reach limit of carrier_ghz
+                repr(_FAR_REACH), repr(float(np.nextafter(_FAR_REACH, np.inf)))]
 _VALUES = st.one_of(
     st.sampled_from(_EDGE_VALUES),
     st.integers(-(10**40), 10**40).map(str),
@@ -588,6 +595,26 @@ class TestCli:
             assert key in errors[0]
         assert not out.exists()
         cfg.min_bs_distance_m = float(np.nextafter(_NEAR_ANTENNA, 2.0))
+        cfg.validate()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_carrier_beyond_the_reach_limit_exit_code(self, tmp_path, capsys, command):
+        # the published cluster at a carrier one float above 67 GHz puts its
+        # farthest users over MAX_REACH_WAVELENGTHS from an array center, where
+        # entries lose the 1e-9 accuracy (3.2e-9 at 600 GHz was accepted); it is
+        # rejected before any drop, and the carrier at the limit passes
+        cfg_path = tmp_path / "far.cfg"
+        cfg = ScenarioConfig(drops=1, carrier_ghz=float(np.nextafter(_FAR_REACH, np.inf)))
+        cfg_path.write_text(serialize_config(cfg))
+        out = tmp_path / "x.csv"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, "--config", str(cfg_path), *extra]) == 1
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "keeps a relative error of 1e-09" in errors[0]
+        for key in ("carrier_ghz", "cells", "cell_radius_m", "antennas_per_cell"):
+            assert key in errors[0]
+        assert not out.exists()
+        cfg.carrier_ghz = _FAR_REACH
         cfg.validate()
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
