@@ -140,7 +140,7 @@ def station_channels(tile: np.ndarray, users: np.ndarray, wavelength: float,
 
 
 _TILE = 1 << 15  # channel entries of one task's tile: about 1 MB of buffers per thread
-# each thread's tile buffers, kept across drops: fresh ones took reduced 4.6-4.8 -> 4.8-5.1 ms
+# each thread's tile buffers, kept across drops: per-task ones took reduced 2.2-3.2 -> 3.0-4.7 ms
 _local = threading.local()
 
 

@@ -4,7 +4,7 @@ Subcommands:
   run     scenario -> per-user SINR CDF CSV
   verify  closed-form vs Monte Carlo agreement checks on one drop
 
-Both take their drops from `scenario.solve_drop`.
+Both take their drops from `scenario.solve_drop`; `run` reports its series.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure.
 """

@@ -88,13 +88,11 @@ class ScenarioConfig:
             raise ConfigurationError("min_bs_distance_m must be in [0, sqrt(3)/2 * cell_radius_m)")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        for s in self.scheme_list():
-            if s not in _SCHEMES:
-                raise ConfigurationError(f"unknown scheme {s!r}")
-        for s in self.link_list():
-            if s not in _LINKS:
-                raise ConfigurationError(f"unknown link {s!r}")
-        for key, names in (("schemes", self.scheme_list()), ("links", self.link_list())):
+        for key, names, known in (("schemes", self.scheme_list(), _SCHEMES),
+                                  ("links", self.link_list(), _LINKS)):
+            for s in names:
+                if s not in known:
+                    raise ConfigurationError(f"unknown {key[:-1]} {s!r}")
             if len(set(names)) < len(names):
                 raise ConfigurationError(f"{key} lists an entry twice: {getattr(self, key)!r}")
         if not self.scheme_list() or not self.link_list():

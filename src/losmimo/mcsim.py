@@ -87,12 +87,9 @@ class _Moments:
         return np.sqrt(var / self.n)
 
 
-def _chunks(n_symbols: int, per_symbol: int):
+def _chunks(n_symbols: int, per_symbol: int) -> list[int]:
     chunk = max(1, min(n_symbols, _CHUNK_BUDGET // max(per_symbol, 1)))
-    done = 0
-    while done < n_symbols:
-        yield min(chunk, n_symbols - done)
-        done += chunk
+    return [min(chunk, n_symbols - done) for done in range(0, n_symbols, chunk)]
 
 
 def _processing(z: np.ndarray, scheme: str):
@@ -192,7 +189,7 @@ def simulate(
     processing = {s: _processing(z, s) for s in dict.fromkeys(c[0] for c in checks)}
     setups = [(*_setup(processing[s], *check), _Moments((cells, users))) for s, *check in checks]
 
-    sizes = list(_chunks(n_symbols, n))
+    sizes = _chunks(n_symbols, n)
     rng = np.random.default_rng(seed)
 
     def draw(nc):

@@ -1,14 +1,15 @@
 """End-to-end pipeline: geometry -> channels -> power control -> CDF data.
 
-Reproduces the published experiment's data product: per-user SINR CDFs for
+`solve_drop` makes a drop's per-user SINR series of the published experiment:
 system-wide max-min power control ("MR DL", "MR UL", "ZF DL", "ZF UL") plus
 the center cell's users under per-cell single-cell ZF max-min evaluated with
-the full multi-cell formulas ("ZF DL-1", "ZF UL-1").
+the full multi-cell formulas ("ZF DL-1", "ZF UL-1"); `run_scenario` their CDFs.
 """
 
 import csv
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -16,16 +17,15 @@ from .channel import CrossGram, stream_cross_gram, wavelength_m
 from .config import ScenarioConfig
 from .errors import SingularChannelError
 from .geometry import circular_array, drop_users, hex_centers
-from .linproc import DOWNLINK, MR, UPLINK, ZF
+from .linproc import DOWNLINK, UPLINK, ZF
 from .mcsim import simulate
-from .powerctl import PcSystem, build_pc_system, maxmin_common_target, single_cell_zf_maxmin
+from .powerctl import (MaxminResult, PcSystem, build_pc_system, maxmin_common_target,
+                       single_cell_zf_maxmin)
 
 log = logging.getLogger(__name__)
 
 CENTER_CELL = 0
 MAX_RESAMPLES = 100
-# shared by every run, so a kept table holds no name strings of its own
-SERIES_NAMES = {(s, li): f"{s} {li}" for s in (MR, ZF) for li in (DOWNLINK, UPLINK)}
 
 
 @dataclass
@@ -40,7 +40,7 @@ class CdfTable:
     _pending: dict[str, list[np.ndarray]] = field(default_factory=dict, init=False, repr=False)
 
     def add(self, name: str, values_db: np.ndarray) -> None:
-        self._pending.setdefault(name, []).append(values_db)
+        self._pending.setdefault(name, []).append(np.ravel(values_db))
 
     def finalize(self) -> None:
         pending, self._pending = self._pending, {}
@@ -69,69 +69,76 @@ def _to_db(values: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(values)
 
 
-def _geometry(cfg: ScenarioConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Wavelength, (L, 2) cell centers and (L, M, 3) base-station antenna
-    positions, built once and shared by all drops."""
-    wl = wavelength_m(cfg.carrier_ghz)
-    centers = hex_centers(cfg.cells, cfg.cell_radius_m)
-    return wl, centers, circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, centers)
+@dataclass(frozen=True)
+class Series:
+    """One series of a drop, as `run` reports it."""
+
+    eta: np.ndarray  # (L, K) powers
+    sinr: np.ndarray  # their `PcSystem.sinr`: (L, K), or the center cell's (K,) for single-cell ZF
+    maxmin: MaxminResult | None = None  # the max-min series' solver result
 
 
 @dataclass(frozen=True)
 class Drop:
-    """One drop's cross-Gram products and the power-control system of each
-    requested (scheme, link) pair."""
+    """One drop's cross-Gram products, the system of each (scheme, link) its
+    series read, and those series, computed on first read: one max-min series
+    and `verify` check per configured pair, then with `single_cell` "ZF DL-1"
+    and "ZF UL-1", on both links whatever the configured ones."""
 
     xg: CrossGram
     systems: dict[tuple[str, str], PcSystem]
+    pairs: tuple[tuple[str, str], ...]
+    single_cell: bool
+
+    @cached_property
+    def series(self) -> dict[str, Series]:
+        series = {}
+        for scheme, link in self.pairs:
+            system = self.systems[scheme, link]
+            result = maxmin_common_target(system)
+            eta = result.eta.reshape(system.cells, system.users_per_cell)
+            series[f"{scheme} {link}"] = Series(eta, system.sinr(eta), result)
+        for link in (DOWNLINK, UPLINK) if self.single_cell else ():
+            eta = single_cell_zf_maxmin(self.xg.inv_diag, link)
+            series[f"ZF {link}-1"] = Series(eta, self.systems[ZF, link].sinr(eta)[CENTER_CELL])
+        return series
 
 
-def solve_drop(cfg: ScenarioConfig, geometry: tuple, seed: int,
-               pairs: list[tuple[str, str]]) -> Drop:
-    """The users of drop `seed` on `geometry` (`_geometry(cfg)`), their
-    cross-Gram products, streamed from the channels without holding them
-    whole, and the `PcSystem` of each (scheme, link) in `pairs`."""
-    wl, centers, antennas = geometry
+def solve_drop(cfg: ScenarioConfig, seed: int) -> Drop:
+    """Drop `seed` of `cfg`: its users on the configured cells and arrays,
+    their cross-Gram products, streamed from the channels without holding
+    them whole, and the `PcSystem` of each (scheme, link) its series read."""
+    wl = wavelength_m(cfg.carrier_ghz)
+    centers = hex_centers(cfg.cells, cfg.cell_radius_m)
+    antennas = circular_array(cfg.antennas_per_cell, wl, cfg.bs_array_height_m, centers)
     users = drop_users(centers, cfg.cell_radius_m, cfg.users_per_cell, cfg.min_bs_distance_m,
                        cfg.user_height_m, seed)
     xg = stream_cross_gram(antennas, users, wl)
+    pairs = tuple((s, li) for s in cfg.scheme_list() for li in cfg.link_list())
+    single_cell = cfg.single_cell_series and ZF in cfg.scheme_list()
+    needed = dict.fromkeys(pairs + ((ZF, DOWNLINK), (ZF, UPLINK)) * single_cell)
     rho = cfg.rho()
-    return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in pairs})
+    return Drop(xg, {(s, li): build_pc_system(xg, s, li, rho[li]) for s, li in needed}, pairs,
+                single_cell)
 
 
 def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
     """Run all configured drops and aggregate per-user SINRs into CDF series.
 
-    Drops that hit a rank-deficient ZF Gram matrix are re-sampled with a
-    fresh derived seed and counted in the summary.
+    A drop that raises `SingularChannelError` at any stage is re-sampled
+    with a fresh derived seed and counted in the summary.
     """
     cfg.validate()
-    combos = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
-    single_cell = cfg.single_cell_series and ZF in cfg.scheme_list()
-    # the single-cell series are evaluated with both multi-cell ZF systems
-    pairs = list(dict.fromkeys(combos + ([(ZF, DOWNLINK), (ZF, UPLINK)] if single_cell else [])))
-
-    geometry = _geometry(cfg)
     seed_stream = np.random.default_rng(cfg.seed)
     table = CdfTable()
-    resampled = 0
-    completed = 0
+    resampled = completed = 0
     while completed < cfg.drops:
         drop_seed = int(seed_stream.integers(2**63))
         try:
-            drop = solve_drop(cfg, geometry, drop_seed, pairs)
-            systems = drop.systems
-            drop_series = {
-                SERIES_NAMES[p]: _to_db(systems[p].sinr(maxmin_common_target(systems[p]).eta))
-                for p in combos
-            }
-            if single_cell:
-                for link in (DOWNLINK, UPLINK):
-                    eta = single_cell_zf_maxmin(drop.xg.inv_diag, link)
-                    drop_series[f"ZF {link}-1"] = _to_db(systems[ZF, link].sinr(eta)[CENTER_CELL])
+            series = solve_drop(cfg, drop_seed).series
         except SingularChannelError as exc:
             resampled += 1
-            log.warning("rank-deficient drop re-sampled (%d so far)", resampled)
+            log.warning("drop seed %d re-sampled (%d so far): %s", drop_seed, resampled, exc)
             if resampled > MAX_RESAMPLES:
                 raise SingularChannelError(
                     f"{exc} on {resampled} re-sampled drops ({completed} completed); check "
@@ -139,8 +146,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[CdfTable, dict]:
                     "which set how well the array resolves the users"
                 ) from exc
             continue
-        for name, vals in drop_series.items():
-            table.add(name, vals)
+        for name, result in series.items():
+            table.add(name, _to_db(result.sinr))
         completed += 1
     table.finalize()
     return table, {"drops": completed, "resampled": resampled}
@@ -191,18 +198,15 @@ def verify(cfg: ScenarioConfig, n_symbols: int) -> VerificationReport:
     cfg.validate()
     if n_symbols < 2:
         raise ValueError("verification needs n_symbols >= 2 to estimate a standard error")
-    pairs = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
-    drop = solve_drop(cfg, _geometry(cfg), cfg.seed, pairs)
+    drop = solve_drop(cfg, cfg.seed)
     shape = (cfg.cells, cfg.users_per_cell)
     eta = {DOWNLINK: np.full(shape, 1.0 / cfg.users_per_cell), UPLINK: np.ones(shape)}
     rho = cfg.rho()
-
-    checks = [(scheme, link, eta[link], rho[link]) for scheme, link in drop.systems]
+    checks = [(scheme, link, eta[link], rho[link]) for scheme, link in drop.pairs]
     results = simulate(drop.xg.z, checks, n_symbols, cfg.seed)
     entries = []
-    for ((scheme, link), system), result in zip(drop.systems.items(), results):
-        closed = system.sinr(eta[link])
+    for (scheme, link), result in zip(drop.pairs, results):
+        closed = drop.systems[scheme, link].sinr(eta[link])
         sigma = np.where(result.sinr_stderr > 0, result.sinr_stderr, np.inf)
-        dev = np.abs(result.sinr - closed) / sigma
-        entries.append(VerificationEntry(scheme=scheme, link=link, deviation=dev))
+        entries.append(VerificationEntry(scheme, link, np.abs(result.sinr - closed) / sigma))
     return VerificationReport(entries=entries, threshold=SIGMA_THRESHOLD)

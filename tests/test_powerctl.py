@@ -45,7 +45,7 @@ REDUCED_SEEDS = range(1, 21)
 def _reduced_systems(seed: int) -> dict:
     """The four systems of one drop at the reduced scale (L=7, M=256, K=8)."""
     cfg = ScenarioConfig(cells=7, antennas_per_cell=256, users_per_cell=8)
-    return solve_drop(cfg, losmimo.scenario._geometry(cfg), seed, ALL_SCHEMES).systems
+    return solve_drop(cfg, seed).systems
 
 
 def _admissible_eta(rng, cells, users, link):

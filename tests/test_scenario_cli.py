@@ -2,6 +2,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import logging
 import math
 import re
 import tempfile
@@ -35,7 +36,7 @@ from losmimo import (
 )
 from losmimo.cli import main
 from losmimo.config import MAX_CHANNEL_ENTRIES
-from losmimo.scenario import MAX_RESAMPLES
+from losmimo.scenario import MAX_RESAMPLES, _to_db
 
 from conftest import published_reach_limit_ghz
 from reference_channel import channel_tensor, cross_gram
@@ -153,8 +154,7 @@ class TestConfig:
             return out
 
         monkeypatch.setattr(np, "empty", recorded)
-        pairs = [(s, li) for s in ("MR", "ZF") for li in ("DL", "UL")]
-        drop = solve_drop(cfg, losmimo.scenario._geometry(cfg), 3, pairs)
+        drop = solve_drop(cfg, 3)
         monkeypatch.undo()
         (parts,) = [shape for shape in shapes if len(shape) == 5]  # (L, T, L, K, K)
         if tile == 1:  # tiles of K antennas, the most tile products
@@ -275,9 +275,49 @@ class TestRunScenario:
         assert len(table.series["MR DL"]) == 1
         # the single sample is the closed-form max-min SINR of that drop
         drop_seed = int(np.random.default_rng(cfg.seed).integers(2**63))
-        drop = solve_drop(cfg, losmimo.scenario._geometry(cfg), drop_seed, [("MR", "DL")])
+        drop = solve_drop(cfg, drop_seed)
         result = maxmin_common_target(drop.systems["MR", "DL"])
         assert table.series["MR DL"][0] == pytest.approx(10 * np.log10(result.target), abs=1e-6)
+
+    def test_series_are_the_drop_results(self):
+        cfg = tiny_config(drops=1)
+        table, _ = run_scenario(cfg)
+        drop_seed = int(np.random.default_rng(cfg.seed).integers(2**63))
+        series = solve_drop(cfg, drop_seed).series
+        assert list(table.series) == list(series) == SIX_SERIES
+        for name, result in series.items():
+            assert result.eta.shape == (cfg.cells, cfg.users_per_cell), name
+            assert np.array_equal(table.series[name], np.sort(_to_db(result.sinr), axis=None))
+        # every user of a max-min series reads the solver's common target
+        for name in SIX_SERIES[:4]:
+            target_db = 10 * np.log10(series[name].maxmin.target)
+            assert np.max(np.abs(table.series[name] - target_db)) <= 1e-9, name
+        assert all(series[name].maxmin is None for name in SIX_SERIES[4:])
+
+    def test_verify_solves_no_series(self, monkeypatch):
+        # max-min and single-cell ZF run only when a drop's series are read
+        calls = dict.fromkeys(["maxmin_common_target", "single_cell_zf_maxmin"], 0)
+        for name in calls:
+            def counted(*args, _name=name, _func=getattr(losmimo.scenario, name)):
+                calls[_name] += 1
+                return _func(*args)
+            monkeypatch.setattr(losmimo.scenario, name, counted)
+        verify(load_config(SCENARIOS / "verify_small.cfg"), n_symbols=2000)
+        assert calls == {"maxmin_common_target": 0, "single_cell_zf_maxmin": 0}
+        run_scenario(tiny_config(drops=1))
+        assert calls == {"maxmin_common_target": 4, "single_cell_zf_maxmin": 2}
+
+    def test_single_cell_series_on_both_links_of_a_one_link_config(self):
+        # the single-cell series read both ZF systems whatever `links` says;
+        # verify checks the configured pair alone
+        cfg = tiny_config(schemes="ZF", links="DL", single_cell_series=True, drops=1)
+        table, summary = run_scenario(cfg)
+        assert list(table.series) == ["ZF DL", "ZF DL-1", "ZF UL-1"]
+        assert summary == {"drops": 1, "resampled": 0}
+        drop = solve_drop(cfg, cfg.seed)
+        assert list(drop.systems) == [("ZF", "DL"), ("ZF", "UL")]
+        report = verify(cfg, n_symbols=2000)
+        assert [(e.scheme, e.link) for e in report.entries] == [("ZF", "DL")]
 
     def test_all_six_series(self):
         cfg = tiny_config()
@@ -352,6 +392,25 @@ class TestRunScenario:
         assert summary == {"drops": 2, "resampled": 1}
         for name, vals in table.series.items():
             assert len(vals) == len(clean.series[name])
+
+    def test_resample_warning_names_the_seed_and_the_reason(self, monkeypatch, caplog):
+        cfg = tiny_config(drops=1)
+        inverse = losmimo.channel.gram_inverse
+        calls = []
+
+        def non_finite_first_drop(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise SingularChannelError("channel Gram matrix is not finite")
+            return inverse(*args)
+
+        monkeypatch.setattr(losmimo.channel, "gram_inverse", non_finite_first_drop)
+        with caplog.at_level(logging.WARNING, logger="losmimo.scenario"):
+            _, summary = run_scenario(cfg)
+        assert summary == {"drops": 1, "resampled": 1}
+        drop_seed = int(np.random.default_rng(cfg.seed).integers(2**63))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"drop seed {drop_seed} re-sampled (1 so far): channel Gram matrix is not finite"]
 
     def test_always_rank_deficient_with_two_workers(self, set_workers):
         # a 300 m wavelength that no 8-antenna array resolves, in all 7 cells
@@ -458,8 +517,7 @@ class TestGate:
         # deviations, whose law on a correct program is |N(0, 1)|; the
         # Kolmogorov-Smirnov bound is the alpha = 1e-3 critical value
         cfg = load_config(SCENARIOS / "verify_small.cfg")
-        pairs = [(s, li) for s in cfg.scheme_list() for li in cfg.link_list()]
-        drop = solve_drop(cfg, losmimo.scenario._geometry(cfg), cfg.seed, pairs)
+        drop = solve_drop(cfg, cfg.seed)
         eta = {"DL": np.full((1, 2), 0.5), "UL": np.ones((1, 2))}
         rho = cfg.rho()
         deviations = []
